@@ -113,10 +113,8 @@ def _background_state(cutoff: int) -> DensityMatrix:
 
 def photon_loss_joint(cutoff: int, eta: float, atom_dim: int) -> KrausChannel:
     """Loss channel on the photonic factor of an (atom x photon) state."""
-    base = dualrail.loss_channel(cutoff, eta, eta, name=f"link({eta:g})")
-    eye = np.eye(atom_dim, dtype=complex)
-    return KrausChannel([np.kron(eye, k) for k in base.operators],
-                        name=base.name)
+    return dualrail.loss_channel(cutoff, eta, eta, name=f"link({eta:g})",
+                                 embed=(atom_dim, 1))
 
 
 def transmit(s: AtomPhotonState, p: ChannelParams,

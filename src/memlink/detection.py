@@ -1,13 +1,40 @@
 """Measurement settings, click simulation and coincidence bookkeeping.
 
 This module glues the physics stages into per-trial click statistics.
-The joint state of one attempt is evolved deterministically (source,
-collection, link, receiving memory, storage decoherence) into a single
-density matrix, and both readout chains are expressed as POVMs, so one
-trial reduces to a draw from a 16-outcome distribution over the click
+The joint state of one attempt is evolved deterministically into a
+single density matrix and both readout chains are POVMs, so one trial
+reduces to a draw from a 16-outcome distribution over the click
 patterns (plus / minus / both / none at each node).
 
-Campaigns exploit that reduction: a synced-mains campaign is one
+``trial_distribution`` builds that distribution in three stages, each
+behind its own cache:
+
+  * prefix (``_prefix_state``): the delay-independent joint state at
+    the checkpoint -- source ket and collection loss ("source"), then
+    the converted link ("transferred"), then the receiving memory's
+    map-in and map-out ("stored").  Keyed on the source, channel and
+    EIT parameters the checkpoint reads (None for the others), so
+    bundles that differ only in detectors or storage share it, and each
+    checkpoint extends the cached state of the one before;
+  * suffix (``_suffix_state``): storage decoherence at the emitting
+    node plus its readout loss, keyed on (prefix key, delay, coherence,
+    geometry, node-A efficiency) and shared by every basis setting at
+    that delay;
+  * contraction: the suffix state, viewed as (d, rest, d, rest), is
+    contracted with one (4, d, d) POVM stack per node (``_povm_stack``,
+    keyed on cutoff, basis, Z sign, efficiency and dark rate); no
+    16-element product operator is ever formed.
+
+The stages' loss and transfer channels come from cached constructors
+in ``dualrail``, and the finished distribution is cached per (bundle,
+setting, delay, stage).  Every cache is a module-level lru_cache of
+finite size: bounded, so a long delay sweep cannot grow memory;
+private, so the public stage functions stay plain functions that a
+caller may wrap or patch without hiding a ``cache_clear``; and at
+module level, so clearing the lru_caches found in the module globals
+is a true cold start.  Cached arrays are read-only.
+
+Campaigns exploit the reduction: a synced-mains campaign is one
 multinomial draw per setting, and an unsynced campaign only needs the
 per-trial mains phase threaded through a small Fourier decomposition of
 the pattern probabilities (the random phase enters as exp(-i*phi*dn)
@@ -17,6 +44,7 @@ probability is a three-term Fourier series in phi).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -26,7 +54,7 @@ from scipy.special import j0
 
 from . import channel as link
 from . import dualrail, memory_a, memory_b, source
-from .qcore import DensityMatrix, KrausChannel, Observable, apply_channel
+from .qcore import Observable, apply_channel
 
 TICK_S = 2.5e-9           # acquisition granularity of the time tagger
 
@@ -34,6 +62,7 @@ TICK_S = 2.5e-9           # acquisition granularity of the time tagger
 EXPORT_HEADER = "trial_id\tsetting\tdetector\ttimestamp_ns\tpost_selected"
 
 PATTERN_NAMES = ("plus", "minus", "both", "none")
+PATTERNS = tuple((a, b) for a in PATTERN_NAMES for b in PATTERN_NAMES)
 _ALLOWED_A = ("Z", "X", "Y", "A0", "A1")
 _ALLOWED_B = ("Z", "X", "Y", "B0", "B1")
 
@@ -142,26 +171,34 @@ def project_basis(setting: BasisSetting,
                   ) -> tuple[Observable, Observable]:
     """Resolve a setting into one dichotomic observable per node."""
     cfg = cfg or DetectionConfig()
-    a_name = {"A0": "Z", "A1": "X"}.get(setting.node_a, setting.node_a)
-    obs_a = Observable(_PAULI2[a_name], ("d", "u"), name=setting.node_a)
-
-    if setting.node_b in ("B0", "B1"):
-        s = cfg.z_b_up_sign_chsh
-        z_b = s * _PAULI2["Z"]
-        sign_x = 1.0 if setting.node_b == "B0" else -1.0
-        mat = (-z_b + sign_x * _PAULI2["X"]) / math.sqrt(2.0)
-    else:
-        s = cfg.z_b_up_sign_corr
-        mat = _PAULI2[setting.node_b]
-        if setting.node_b == "Z":
-            mat = s * mat
-    obs_b = Observable(mat, ("U", "D"), name=setting.node_b)
+    obs_a = Observable(_node_matrix(setting.node_a, 1.0), ("d", "u"),
+                       name=setting.node_a)
+    obs_b = Observable(_node_matrix(setting.node_b,
+                                    _z_sign_b(setting.node_b, cfg)),
+                       ("U", "D"), name=setting.node_b)
     return obs_a, obs_b
 
 
-def _plus_minus_basis(obs: Observable) -> np.ndarray:
+def _z_sign_b(name: str | None, cfg: DetectionConfig) -> float:
+    """Sign of the receiving node's Z inside the named observable."""
+    if name in ("B0", "B1"):
+        return cfg.z_b_up_sign_chsh
+    return cfg.z_b_up_sign_corr
+
+
+def _node_matrix(name: str, z_sign: float) -> np.ndarray:
+    """2x2 matrix of one node's basis name, its Z scaled by z_sign."""
+    z = z_sign * _PAULI2["Z"]
+    if name in ("B0", "B1"):
+        sign_x = 1.0 if name == "B0" else -1.0
+        return (-z + sign_x * _PAULI2["X"]) / math.sqrt(2.0)
+    name = {"A0": "Z", "A1": "X"}.get(name, name)
+    return z if name == "Z" else _PAULI2[name]
+
+
+def _plus_minus_basis(mat: np.ndarray) -> np.ndarray:
     """Columns: +1 eigenvector then -1 eigenvector of a dichotomic obs."""
-    vals, vecs = np.linalg.eigh(obs.mat)
+    vals, vecs = np.linalg.eigh(mat)
     order = np.argsort(vals)[::-1]
     return vecs[:, order]
 
@@ -244,66 +281,68 @@ class CountsTable:
 
 
 # ---------------------------------------------------------------------------
-# deterministic chain -> pattern distribution
+# staged chain engine -> pattern distribution
 
 
-def _chain_state(bundle, delay_s: float, stage: str) -> DensityMatrix:
-    """Evolve one attempt up to the chosen checkpoint, mains excluded.
-
-    Stages: "source" measures the collected write photon at the
-    emitting node, "transferred" after the converted link, "stored"
-    after the full receiving-memory round trip.
-    """
-    if stage not in ("source", "transferred", "stored"):
-        raise DetectionConfigError(f"unknown stage {stage!r}")
-    s = source.atom_photon_state(bundle.source)
-    atom_dim = dualrail.sector_dim(s.cutoff)
-    collect = link.photon_loss_joint(s.cutoff, bundle.source.collection,
-                                     atom_dim)
-    s = source.AtomPhotonState(state=apply_channel(s.state, collect),
-                               cutoff=s.cutoff, ladder_weight=s.ladder_weight)
-    if stage != "source":
-        s = link.transmit(s, bundle.channel)
-        s = memory_b.timebin_to_spatial(s)
-    if stage == "stored":
-        s = memory_b.map_in(s, bundle.eit)
-        s = memory_b.map_out(s, bundle.eit)
-
-    q = memory_a.AtomQubitA(state=s.state, cutoff=s.cutoff)
-    q = memory_a.decohere(q, delay_s, bundle.coherence, bundle.geometry,
-                          include_mains=False)
-    eta_a = bundle.detection.det_a.eta_det
-    loss_a = dualrail.loss_channel(q.cutoff,
-                                   q.mode_weights[0] * eta_a,
-                                   q.mode_weights[1] * eta_a, name="read-a")
-    rest = q.rest_dim
-    lifted = KrausChannel(
-        [np.kron(k, np.eye(rest, dtype=complex)) for k in loss_a.operators],
-        name=loss_a.name,
-    )
-    return apply_channel(q.state, lifted)
-
-
-def _povm_pair(bundle, setting: BasisSetting | None,
-               stage: str, cutoff: int) -> tuple[list, list]:
-    """POVM elements (4 each) for the emitting and receiving chains."""
-    det = bundle.detection
-    if setting is None:
-        basis_a = basis_b = None
-    else:
-        obs_a, obs_b = project_basis(setting, det)
-        basis_a = _plus_minus_basis(obs_a)
-        basis_b = _plus_minus_basis(obs_b)
-    povm_a = dualrail.detection_povm(cutoff, basis_a, eta=1.0,
-                                     dark=det.det_a.dark_rate)
+def _prefix_key(bundle, stage: str) -> tuple:
+    """(source, channel, eit, stage), None where the stage reads nothing."""
     if stage == "source":
-        far = det.det_monitor
+        return (bundle.source, None, None, stage)
+    if stage == "transferred":
+        return (bundle.source, bundle.channel, None, stage)
+    if stage == "stored":
+        return (bundle.source, bundle.channel, bundle.eit, stage)
+    raise DetectionConfigError(f"unknown stage {stage!r}")
+
+
+@lru_cache(maxsize=16)
+def _prefix_state(src, channel, eit, stage: str) -> source.AtomPhotonState:
+    """Delay-independent joint state at the checkpoint (see module doc)."""
+    if stage == "source":
+        s = source.atom_photon_state(src)
+        collect = link.photon_loss_joint(s.cutoff, src.collection,
+                                         dualrail.sector_dim(s.cutoff))
+        s = source.AtomPhotonState(state=apply_channel(s.state, collect),
+                                   cutoff=s.cutoff,
+                                   ladder_weight=s.ladder_weight)
+    elif stage == "transferred":
+        s = _prefix_state(src, None, None, "source")
+        s = memory_b.timebin_to_spatial(link.transmit(s, channel))
     else:
-        far = det.det_b
-    povm_b = dualrail.detection_povm(cutoff, basis_b, eta=far.eta_det,
-                                     dark=far.dark_rate)
-    names = PATTERN_NAMES
-    return [povm_a[n] for n in names], [povm_b[n] for n in names]
+        s = _prefix_state(src, channel, None, "transferred")
+        s = memory_b.map_out(memory_b.map_in(s, eit), eit)
+    s.state.mat.setflags(write=False)
+    return s
+
+
+@lru_cache(maxsize=16)
+def _suffix_state(prefix: tuple, delay_s: float, coherence, geometry,
+                  eta_a: float) -> np.ndarray:
+    """Prefix after storage at node A and its readout loss, mains
+    excluded, as a read-only (d, rest, d, rest) array."""
+    s = _prefix_state(*prefix)
+    q = memory_a.decohere(memory_a.AtomQubitA(state=s.state, cutoff=s.cutoff),
+                          delay_s, coherence, geometry, include_mains=False)
+    w1, w2 = q.mode_weights
+    loss_a = dualrail.loss_channel(q.cutoff, w1 * eta_a, w2 * eta_a,
+                                   name="read-a", embed=(1, q.rest_dim))
+    d, rest = q.atom_dim, q.rest_dim
+    out = apply_channel(q.state, loss_a).mat.reshape(d, rest, d, rest)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _povm_stack(cutoff: int, name: str | None, z_sign: float, eta: float,
+                dark: float) -> np.ndarray:
+    """One node's detector-pair POVM as a read-only (4, d, d) stack in
+    PATTERN_NAMES order; name None measures the bare mode basis."""
+    basis = None if name is None else _plus_minus_basis(
+        _node_matrix(name, z_sign))
+    povm = dualrail.detection_povm(cutoff, basis, eta=eta, dark=dark)
+    stack = np.stack([povm[n] for n in PATTERN_NAMES])
+    stack.setflags(write=False)
+    return stack
 
 
 @dataclass(frozen=True)
@@ -358,52 +397,41 @@ def trial_distribution(bundle, setting: BasisSetting | None,
 @lru_cache(maxsize=256)
 def _distribution_cached(bundle, setting_key, delay_s: float,
                          stage: str) -> TrialDistribution:
-    setting = None if setting_key is None else BasisSetting(*setting_key)
-    rho = _chain_state(bundle, delay_s, stage)
+    det = bundle.detection
     cutoff = bundle.source.fock_cutoff
-    atom_dim = dualrail.sector_dim(cutoff)
-    rest = rho.dim // atom_dim
-    povm_a, povm_b = _povm_pair(bundle, setting, stage, cutoff)
+    rho = _suffix_state(_prefix_key(bundle, stage), delay_s,
+                        bundle.coherence, bundle.geometry, det.det_a.eta_det)
+    name_a, name_b = setting_key or (None, None)
+    far = det.det_monitor if stage == "source" else det.det_b
+    povm_a = _povm_stack(cutoff, name_a, 1.0, 1.0, det.det_a.dark_rate)
+    povm_b = _povm_stack(cutoff, name_b, _z_sign_b(name_b, det),
+                         far.eta_det, far.dark_rate)
 
-    elements = []
-    patterns = []
-    for ia, a_name in enumerate(PATTERN_NAMES):
-        for ib, b_name in enumerate(PATTERN_NAMES):
-            elements.append(np.kron(povm_a[ia], povm_b[ib]))
-            patterns.append((a_name, b_name))
-
-    nu_atom = dualrail.mode2_count_vector(cutoff)
-    nu = np.repeat(nu_atom, rest)
+    # masks[k] picks the part of the state whose node-A mode-2
+    # occupations differ by dn = k between ket and bra.
+    nu = dualrail.mode2_count_vector(cutoff)
     dn = nu[:, None] - nu[None, :]
-
+    masks = np.stack([dn == k for k in (0, 1, 2)]).astype(complex)
     coh = bundle.coherence
     if coh.mains_synced or coh.mains_amplitude_gauss == 0.0:
         phi_det = memory_a.mains_phase_increment(
             coh, 0.0, delay_s, coh.mains_phase_rad)
-        phase = np.exp(-1j * phi_det * dn)
-        mat = rho.mat * phase
+        masks = masks * np.exp(-1j * phi_det * dn)
         swing = 0.0
     else:
-        mat = rho.mat
         swing = memory_a.mains_swing_amplitude(coh, delay_s)
 
-    base = np.empty(len(elements))
-    c1 = np.empty(len(elements), dtype=complex)
-    c2 = np.empty(len(elements), dtype=complex)
-    m0 = mat * (dn == 0)
-    m1 = mat * (dn == 1)
-    m2 = mat * (dn == 2)
-    for i, e in enumerate(elements):
-        et = e.T
-        base[i] = np.real(np.sum(m0 * et))
-        c1[i] = np.sum(m1 * et)
-        c2[i] = np.sum(m2 * et)
+    # coeffs[k, 4a + b] = Tr(rho_k (A_a x B_b)), node B contracted first
+    per_b = np.einsum("xbyc,jcb->jxy", rho, povm_b)
+    coeffs = np.einsum("kxy,jxy,iyx->kij", masks, per_b,
+                       povm_a).reshape(3, -1)
+    base = np.real(coeffs[0])
     if swing == 0.0:
-        base = base + 2.0 * np.real(c1) + 2.0 * np.real(c2)
+        base = base + 2.0 * np.real(coeffs[1]) + 2.0 * np.real(coeffs[2])
         fourier: tuple[np.ndarray, ...] = ()
     else:
-        fourier = (c1, c2)
-    return TrialDistribution(patterns=tuple(patterns),
+        fourier = (coeffs[1], coeffs[2])
+    return TrialDistribution(patterns=PATTERNS,
                              base=np.clip(base, 0.0, None),
                              fourier=fourier, swing=swing)
 
@@ -417,7 +445,6 @@ def noise_distribution(bundle, setting: BasisSetting | None,
 
 @lru_cache(maxsize=32)
 def _source_off_bundle(bundle):
-    import dataclasses
     src = dataclasses.replace(bundle.source, chi=1e-12, double_amp_scale=0.0)
     return dataclasses.replace(bundle, source=src)
 

@@ -14,6 +14,12 @@ This module provides the operator toolbox on that sector: per-mode loss
 channels, linear mode rotations (beam splitters / waveplates), quantum
 transfer between the modes, phase accumulation and number diagnostics.
 All constructions are exact on the truncated space.
+
+Loss and transfer channels can be built already embedded in a larger
+tensor product (``embed=(left, right)`` puts identities of those
+dimensions on either side).  Each distinct channel is built and
+validated once and then shared from a small lru_cache, so its operator
+arrays are read-only.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 from .qcore import KrausChannel, Observable
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def occupations(cutoff: int) -> tuple[tuple[int, int], ...]:
     """Basis occupation pairs (n1, n2), ordered by total number."""
     if cutoff < 1:
@@ -42,7 +48,7 @@ def sector_dim(cutoff: int) -> int:
     return len(occupations(cutoff))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def index_of(cutoff: int) -> dict:
     return {occ: i for i, occ in enumerate(occupations(cutoff))}
 
@@ -77,16 +83,25 @@ def number_operator(cutoff: int, mode: int | None = None) -> np.ndarray:
 
 
 def loss_channel(cutoff: int, eta1: float, eta2: float,
-                 name: str = "") -> KrausChannel:
+                 name: str = "", embed: tuple[int, int] = (1, 1)
+                 ) -> KrausChannel:
     """Independent beam-splitter loss on each mode.
 
     Each excitation of mode m survives with probability eta_m.  The map
     is trace preserving on the truncated sector: lost excitations move
-    population toward the vacuum rather than out of the space.
+    population toward the vacuum rather than out of the space.  With
+    ``embed=(left, right)`` every operator is kron(I_left, K, I_right).
     """
     for eta in (eta1, eta2):
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"survival probability {eta} outside [0, 1]")
+    return _loss_channel(cutoff, float(eta1), float(eta2),
+                         name or f"loss({eta1:g},{eta2:g})", tuple(embed))
+
+
+@lru_cache(maxsize=8)
+def _loss_channel(cutoff: int, eta1: float, eta2: float, name: str,
+                  embed: tuple[int, int]) -> KrausChannel:
     occs = occupations(cutoff)
     idx = index_of(cutoff)
     dim = len(occs)
@@ -108,7 +123,20 @@ def loss_channel(cutoff: int, eta1: float, eta2: float,
                     nonzero = True
             if nonzero:
                 ops.append(k)
-    return KrausChannel(ops, name=name or f"loss({eta1:g},{eta2:g})")
+    return _embedded(ops, name, embed)
+
+
+def _embedded(ops: list[np.ndarray], name: str,
+              embed: tuple[int, int]) -> KrausChannel:
+    """One validated channel of kron(I_left, K, I_right), read-only."""
+    left, right = embed
+    eye_l = np.eye(left, dtype=complex)
+    eye_r = np.eye(right, dtype=complex)
+    ch = KrausChannel([np.kron(np.kron(eye_l, k), eye_r) for k in ops],
+                      name=name)
+    for k in ch.operators:
+        k.setflags(write=False)
+    return ch
 
 
 def mode_rotation(cutoff: int, w: np.ndarray) -> np.ndarray:
@@ -148,17 +176,24 @@ def mode_rotation(cutoff: int, w: np.ndarray) -> np.ndarray:
     return r
 
 
-def transfer_channel(cutoff: int, gamma: float) -> KrausChannel:
+def transfer_channel(cutoff: int, gamma: float,
+                     embed: tuple[int, int] = (1, 1)) -> KrausChannel:
     """Per-quantum incoherent transfer from mode 2 into mode 1.
 
     Each excitation of mode 2 independently hops to mode 1 with
     probability ``gamma``.  Coherences between states of different mode-2
     occupation acquire the usual sqrt(1-gamma) amplitude factors, which
     makes the single-excitation block the standard amplitude-damping
-    channel from mode 2 toward mode 1.
+    channel from mode 2 toward mode 1.  ``embed`` as for loss_channel.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"transfer probability {gamma} outside [0, 1]")
+    return _transfer_channel(cutoff, float(gamma), tuple(embed))
+
+
+@lru_cache(maxsize=8)
+def _transfer_channel(cutoff: int, gamma: float,
+                      embed: tuple[int, int]) -> KrausChannel:
     occs = occupations(cutoff)
     idx = index_of(cutoff)
     dim = len(occs)
@@ -176,7 +211,7 @@ def transfer_channel(cutoff: int, gamma: float) -> KrausChannel:
                 nonzero = True
         if nonzero:
             ops.append(k)
-    return KrausChannel(ops, name=f"transfer({gamma:g})")
+    return _embedded(ops, f"transfer({gamma:g})", embed)
 
 
 def phase_unitary(cutoff: int, phi: float) -> np.ndarray:

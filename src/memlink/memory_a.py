@@ -34,7 +34,7 @@ from scipy.special import j0
 
 from . import dualrail
 from .constants import CODATA, PhysicalConstants
-from .qcore import DensityMatrix, KrausChannel, apply_channel, partial_trace
+from .qcore import DensityMatrix, apply_channel, partial_trace
 
 
 class MemoryConfigError(ValueError):
@@ -247,11 +247,6 @@ def _lift_unitary(u_atom: np.ndarray, rest_dim: int) -> np.ndarray:
     return np.kron(u_atom, np.eye(rest_dim, dtype=complex))
 
 
-def _lift_channel(ch: KrausChannel, rest_dim: int) -> KrausChannel:
-    eye = np.eye(rest_dim, dtype=complex)
-    return KrausChannel([np.kron(k, eye) for k in ch.operators], name=ch.name)
-
-
 def zeeman_phase_increment(c: CoherenceParams, duration_s: float,
                            constants: PhysicalConstants = CODATA) -> float:
     """Deterministic phase picked up by one mode-2 quantum in duration_s."""
@@ -338,7 +333,7 @@ def decohere(q: AtomQubitA, duration_s: float, c: CoherenceParams,
     # (3) population transfer with T1
     gamma = 1.0 - math.exp(-duration_s / c.t1_s)
     if gamma > 0.0:
-        ch = _lift_channel(dualrail.transfer_channel(q.cutoff, gamma), rest)
+        ch = dualrail.transfer_channel(q.cutoff, gamma, embed=(1, rest))
         state = apply_channel(state, ch)
 
     # (4) Gaussian dephasing with T2*, incremental in age^2

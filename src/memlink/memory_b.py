@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dualrail
-from .qcore import DensityMatrix, KrausChannel, apply_channel
+from .qcore import DensityMatrix, apply_channel
 from .source import AtomPhotonState, PHOTON_MODE1, PHOTON_MODE2, PHOTON_VACUUM
 
 B_VACUUM = "vac"
@@ -125,18 +125,12 @@ def timebin_to_spatial(s: AtomPhotonState) -> AtomPhotonState:
                            cutoff=s.cutoff, ladder_weight=s.ladder_weight)
 
 
-def _mode_loss_joint(cutoff: int, eta1: float, eta2: float,
-                     atom_dim: int, name: str) -> KrausChannel:
-    base = dualrail.loss_channel(cutoff, eta1, eta2, name=name)
-    eye = np.eye(atom_dim, dtype=complex)
-    return KrausChannel([np.kron(eye, k) for k in base.operators], name=name)
-
-
 def map_in(s: AtomPhotonState, p: EITParams) -> AtomPhotonState:
     """Absorb the two spatial modes into their ensembles (lossy)."""
     eta1, eta2 = p.map_in()
     atom_dim = dualrail.sector_dim(s.cutoff)
-    ch = _mode_loss_joint(s.cutoff, eta1, eta2, atom_dim, "eit-in")
+    ch = dualrail.loss_channel(s.cutoff, eta1, eta2, name="eit-in",
+                               embed=(atom_dim, 1))
     return AtomPhotonState(state=apply_channel(s.state, ch), cutoff=s.cutoff,
                            ladder_weight=s.ladder_weight)
 
@@ -145,7 +139,8 @@ def map_out(s: AtomPhotonState, p: EITParams) -> AtomPhotonState:
     """Release the stored excitations back into photonic modes (lossy)."""
     eta1, eta2 = p.map_out()
     atom_dim = dualrail.sector_dim(s.cutoff)
-    ch = _mode_loss_joint(s.cutoff, eta1, eta2, atom_dim, "eit-out")
+    ch = dualrail.loss_channel(s.cutoff, eta1, eta2, name="eit-out",
+                               embed=(atom_dim, 1))
     return AtomPhotonState(state=apply_channel(s.state, ch), cutoff=s.cutoff,
                            ladder_weight=s.ladder_weight)
 

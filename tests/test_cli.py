@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import memlink
 from memlink.cli import main
 from memlink.config import load_config
 
@@ -117,9 +118,15 @@ class TestReport:
 class TestModuleEntry:
     def test_python_dash_m_invocation(self, tmp_path):
         out = str(tmp_path / "m")
+        # The child finds the package the way this process did, whether
+        # through PYTHONPATH or pytest's own pythonpath setting.
+        src = os.path.dirname(os.path.dirname(memlink.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
         proc = subprocess.run(
             [sys.executable, "-m", "memlink", "run", "budget",
              "--out", out],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0
         assert "status: PASS" in proc.stdout

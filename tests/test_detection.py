@@ -2,14 +2,17 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from memlink import channel as link
+from memlink import detection, dualrail, memory_a, memory_b, source
 from memlink.config import ExperimentBundle, calibrated_bundle
 from memlink.detection import (
     EXPORT_HEADER,
+    PATTERN_NAMES,
     TICK_S,
     BasisSetting,
     ClickRecord,
@@ -29,7 +32,9 @@ from memlink.detection import (
 )
 from memlink.estimators import correlator
 from memlink.memory_b import EITParams
-from memlink.qcore import expectation, pure_state, tensor
+from memlink.qcore import (KrausChannel, apply_channel, expectation,
+                           pure_state, tensor)
+from memlink.scenarios import bell_delay_s
 
 IDEAL_PAIR = pure_state([1.0, 0.0, 0.0, 1.0], ("d,U", "d,D", "u,U", "u,D"))
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -527,3 +532,237 @@ class TestSampledInvariance:
         c_half = correlator(t_half, "Z,Z")
         combined = math.hypot(c_full.sigma, c_half.sigma)
         assert abs(c_full.value - c_half.value) <= 3.0 * combined
+
+
+# ---------------------------------------------------------------------------
+# reference walk: the whole chain re-evaluated for every call, the POVMs
+# as explicit Kronecker products.  The staged engine must agree with it.
+
+STAGES = ("source", "transferred", "stored")
+REFERENCE_SETTINGS = (None, ("Z", "Z"), ("X", "X"), ("X", "Y"),
+                      ("Y", "Y"), ("A0", "B0"), ("A1", "B1"))
+
+
+def reference_bundles():
+    base = ExperimentBundle()
+    return {
+        "default": base,
+        "calibrated": calibrated_bundle(),
+        "unsynced": dataclasses.replace(
+            base, coherence=dataclasses.replace(
+                base.coherence, mains_synced=False,
+                mains_amplitude_gauss=1.61e-3)),
+        "background-tau": dataclasses.replace(
+            base,
+            channel=dataclasses.replace(base.channel, background_rate=1e-3),
+            coherence=dataclasses.replace(
+                base.coherence, tau_mode1_s=150e-6, tau_mode2_s=90e-6)),
+        "no-t1-t2": dataclasses.replace(
+            base, coherence=dataclasses.replace(
+                base.coherence, t1_s=math.inf, t2_star_s=math.inf)),
+        "random-doubles": dataclasses.replace(
+            base, detection=dataclasses.replace(
+                base.detection, double_click_policy="random")),
+    }
+
+
+def reference_delays():
+    return (0.0, 5e-6, bell_delay_s(ExperimentBundle()), 400e-6)
+
+
+def _plus_minus_columns(obs):
+    vals, vecs = np.linalg.eigh(obs.mat)
+    return vecs[:, np.argsort(vals)[::-1]]
+
+
+def reference_distribution(bundle, setting, delay_s, stage):
+    """(base, fourier, swing) from a fresh walk through every stage."""
+    s = source.atom_photon_state(bundle.source)
+    cutoff = s.cutoff
+    atom_dim = dualrail.sector_dim(cutoff)
+    collect = link.photon_loss_joint(cutoff, bundle.source.collection,
+                                     atom_dim)
+    s = source.AtomPhotonState(state=apply_channel(s.state, collect),
+                               cutoff=cutoff, ladder_weight=s.ladder_weight)
+    if stage != "source":
+        s = memory_b.timebin_to_spatial(link.transmit(s, bundle.channel))
+    if stage == "stored":
+        s = memory_b.map_out(memory_b.map_in(s, bundle.eit), bundle.eit)
+    q = memory_a.decohere(memory_a.AtomQubitA(state=s.state, cutoff=cutoff),
+                          delay_s, bundle.coherence, bundle.geometry,
+                          include_mains=False)
+    det = bundle.detection
+    eta_a = det.det_a.eta_det
+    loss_a = dualrail.loss_channel(cutoff, q.mode_weights[0] * eta_a,
+                                   q.mode_weights[1] * eta_a)
+    rest = q.rest_dim
+    lifted = KrausChannel([np.kron(k, np.eye(rest)) for k in loss_a.operators])
+    rho = apply_channel(q.state, lifted).mat
+
+    if setting is None:
+        basis_a = basis_b = None
+    else:
+        obs_a, obs_b = project_basis(BasisSetting(*setting), det)
+        basis_a = _plus_minus_columns(obs_a)
+        basis_b = _plus_minus_columns(obs_b)
+    far = det.det_monitor if stage == "source" else det.det_b
+    povm_a = dualrail.detection_povm(cutoff, basis_a, eta=1.0,
+                                     dark=det.det_a.dark_rate)
+    povm_b = dualrail.detection_povm(cutoff, basis_b, eta=far.eta_det,
+                                     dark=far.dark_rate)
+
+    nu = np.repeat(dualrail.mode2_count_vector(cutoff), rest)
+    dn = nu[:, None] - nu[None, :]
+    coh = bundle.coherence
+    if coh.mains_synced or coh.mains_amplitude_gauss == 0.0:
+        phi = memory_a.mains_phase_increment(coh, 0.0, delay_s,
+                                             coh.mains_phase_rad)
+        rho = rho * np.exp(-1j * phi * dn)
+        swing = 0.0
+    else:
+        swing = memory_a.mains_swing_amplitude(coh, delay_s)
+    coeffs = np.array([
+        [np.sum(rho * (dn == k) * np.kron(povm_a[a], povm_b[b]).T)
+         for a in PATTERN_NAMES for b in PATTERN_NAMES]
+        for k in (0, 1, 2)])
+    base = np.real(coeffs[0])
+    if swing == 0.0:
+        base = base + 2.0 * np.real(coeffs[1]) + 2.0 * np.real(coeffs[2])
+        fourier = ()
+    else:
+        fourier = (coeffs[1], coeffs[2])
+    return np.clip(base, 0.0, None), fourier, swing
+
+
+class TestEngineMatchesReference:
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize("name", sorted(reference_bundles()))
+    def test_base_and_fourier_agree(self, name, stage):
+        bundle = reference_bundles()[name]
+        for setting in REFERENCE_SETTINGS:
+            basis = None if setting is None else BasisSetting(*setting)
+            for delay in reference_delays():
+                dist = trial_distribution(bundle, basis, delay, stage)
+                base, fourier, swing = reference_distribution(
+                    bundle, setting, delay, stage)
+                where = f"{name} {stage} {setting} {delay:g}"
+                assert dist.patterns == tuple(
+                    (a, b) for a in PATTERN_NAMES for b in PATTERN_NAMES)
+                assert dist.swing == swing, where
+                np.testing.assert_allclose(dist.base, base, rtol=0.0,
+                                           atol=1e-12, err_msg=where)
+                assert len(dist.fourier) == len(fourier), where
+                for got, want in zip(dist.fourier, fourier):
+                    np.testing.assert_allclose(got, want, rtol=0.0,
+                                               atol=1e-12, err_msg=where)
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_noise_distribution_is_the_source_off_walk(self, stage):
+        bundle = calibrated_bundle()
+        off = dataclasses.replace(bundle, source=dataclasses.replace(
+            bundle.source, chi=1e-12, double_amp_scale=0.0))
+        for setting in REFERENCE_SETTINGS:
+            basis = None if setting is None else BasisSetting(*setting)
+            dist = noise_distribution(bundle, basis, stage)
+            base, _, _ = reference_distribution(off, setting, 0.0, stage)
+            np.testing.assert_allclose(dist.base, base, rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# cache discipline: every cache is a bounded, module-level lru_cache that
+# a cold start can empty, and no traced public function hides one.
+
+TRACED_PUBLIC = (
+    (source, "atom_photon_state"), (link, "photon_loss_joint"),
+    (link, "transmit"), (memory_b, "map_in"), (memory_b, "map_out"),
+    (memory_a, "decohere"), (dualrail, "loss_channel"),
+    (dualrail, "detection_povm"), (detection, "trial_distribution"),
+)
+
+
+def memlink_modules():
+    return [mod for name, mod in sorted(sys.modules.items())
+            if name == "memlink" or name.startswith("memlink.")]
+
+
+def memlink_caches():
+    """Every lru_cache bound in a memlink module's globals."""
+    return list({id(v): v for mod in memlink_modules()
+                 for v in vars(mod).values()
+                 if callable(getattr(v, "cache_clear", None))
+                 and hasattr(v, "cache_info")}.values())
+
+
+def container_sizes():
+    """Length of every dict, list and set held by a memlink module or by
+    a class defined in one."""
+    sizes = {}
+    for mod in memlink_modules():
+        owners = [(mod.__name__, vars(mod))]
+        owners += [(f"{mod.__name__}.{name}", vars(value))
+                   for name, value in vars(mod).items()
+                   if isinstance(value, type)
+                   and value.__module__ == mod.__name__]
+        for owner, namespace in owners:
+            for attr, value in namespace.items():
+                if isinstance(value, (dict, list, set)):
+                    sizes[f"{owner}.{attr}"] = len(value)
+    return sizes
+
+
+class TestCacheDiscipline:
+    def test_chain_evaluated_once_then_shared(self, monkeypatch):
+        for fn in memlink_caches():
+            fn.cache_clear()
+        calls = []
+        original = source.atom_photon_state
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(source, "atom_photon_state", counting)
+        bundle = calibrated_bundle()
+        delay = bell_delay_s(bundle)
+        first = trial_distribution(bundle, BasisSetting("X", "X"), delay)
+        assert len(calls) == 1
+        assert trial_distribution(bundle, BasisSetting("X", "X"),
+                                  delay) is first
+        assert len(calls) == 1
+        # other settings, delays, stages and a detector-only change all
+        # reuse the one source state
+        det = bundle.detection
+        darker = dataclasses.replace(bundle, detection=dataclasses.replace(
+            det, det_b=dataclasses.replace(det.det_b, dark_rate=1e-3)))
+        for b in (bundle, darker):
+            for setting in (None, BasisSetting("Z", "Z"),
+                            BasisSetting("A1", "B0")):
+                for delay in (0.0, 50e-6):
+                    for stage in STAGES:
+                        trial_distribution(b, setting, delay, stage)
+        assert len(calls) == 1
+
+    def test_every_cache_is_bounded(self):
+        caches = memlink_caches()
+        assert caches
+        for fn in caches:
+            assert fn.cache_info().maxsize is not None, fn.__qualname__
+
+    def test_no_module_or_class_container_grows(self):
+        before = container_sizes()
+        base = ExperimentBundle()
+        for k, rate in enumerate((2e-4, 3e-4, 4e-4)):
+            bundle = dataclasses.replace(
+                base, channel=dataclasses.replace(
+                    base.channel, background_rate=rate))
+            for stage in STAGES:
+                trial_distribution(bundle, BasisSetting("X", "Y"),
+                                   10e-6 * (k + 1), stage)
+                noise_distribution(bundle, None, stage)
+        assert container_sizes() == before
+
+    def test_traced_public_functions_are_not_cache_wrappers(self):
+        for mod, name in TRACED_PUBLIC:
+            fn = getattr(mod, name)
+            assert not hasattr(fn, "cache_info"), f"{mod.__name__}.{name}"
+            assert not hasattr(fn, "__wrapped__"), f"{mod.__name__}.{name}"

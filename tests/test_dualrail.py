@@ -96,6 +96,21 @@ class TestLossChannel:
         with pytest.raises(ValueError):
             dualrail.loss_channel(2, 1.2, 0.5)
 
+    def test_embedding_is_kron_with_identities(self):
+        bare = dualrail.loss_channel(2, 0.3, 0.8)
+        for left, right in ((6, 1), (1, 6), (2, 3)):
+            ch = dualrail.loss_channel(2, 0.3, 0.8, embed=(left, right))
+            assert len(ch.operators) == len(bare.operators)
+            for k, k0 in zip(ch.operators, bare.operators):
+                want = np.kron(np.kron(np.eye(left), k0), np.eye(right))
+                np.testing.assert_array_equal(k, want)
+
+    def test_repeated_build_is_shared_and_read_only(self):
+        ch = dualrail.loss_channel(2, 0.41, 0.57, embed=(6, 1))
+        assert dualrail.loss_channel(2, 0.41, 0.57, embed=(6, 1)) is ch
+        with pytest.raises(ValueError):
+            ch.operators[0][0, 0] = 0.0
+
 
 class TestModeRotation:
     def test_rotation_is_unitary(self):
@@ -142,6 +157,13 @@ class TestTransferChannel:
         rho = sector_state([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
         out = apply_channel(rho, dualrail.transfer_channel(2, 1.0))
         assert out.probabilities()[3] == pytest.approx(1.0, abs=1e-12)
+
+    def test_embedding_is_kron_with_identities(self):
+        bare = dualrail.transfer_channel(2, 0.37)
+        ch = dualrail.transfer_channel(2, 0.37, embed=(1, 6))
+        assert dualrail.transfer_channel(2, 0.37, embed=(1, 6)) is ch
+        for k, k0 in zip(ch.operators, bare.operators, strict=True):
+            np.testing.assert_array_equal(k, np.kron(k0, np.eye(6)))
 
 
 class TestPhaseAndDephasing:
