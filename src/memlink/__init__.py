@@ -10,48 +10,44 @@ seeded campaign runner with a CLI.
 from .calibrate import CalibrationResult, model_predictions
 from .channel import (ChannelParams, channel_efficiency,
                       direct_transmission, fiber_transmission, latency,
-                      sample_transmit, transmit)
+                      transmit)
 from .config import (CampaignConfig, ConfigError, ExperimentBundle,
                      SCENARIOS, calibrated_bundle, config_hash, load_config,
                      save_config)
 from .constants import CODATA, PhysicalConstants
-from .detection import (BasisSetting, ClickRecord, CountsTable,
-                        DetectionConfig, DetectorParams, TrialDistribution,
-                        accumulate, analytic_counts, project_basis,
-                        sample_counts, simulate_trial, trial_distribution)
+from .detection import (BasisSetting, CountsTable, DetectionConfig,
+                        DetectorParams, TrialDistribution, analytic_counts,
+                        project_basis, sample_counts, trial_distribution)
 from .estimators import (EstimateWithError, EstimatorError, chsh,
                          correlator, fidelity, g2_wr, snr)
 from .fitting import (FitResult, FittingError, fit_decay, fit_mains,
                       fit_oscillation)
 from .memory_a import (AtomQubitA, CoherenceParams, FreezingGeometry,
                        decohere, mode_lifetimes, motional_lifetime,
-                       readout_a, retrieval_weights, spinwave_wavevectors)
-from .memory_b import (EITParams, map_in, map_out, store_and_readout,
-                       timebin_to_spatial)
+                       retrieval_weights, spinwave_wavevectors)
+from .memory_b import EITParams, map_in, map_out, timebin_to_spatial
 from .scenarios import CampaignResult, bell_delay_s, run_experiment
 from .source import (AtomPhotonState, SourceParams, atom_photon_state,
                      evolution_phase, writeout_rate)
-from .timeline import TrialTimeline, cycles_for_trials, schedule_trials
+from .timeline import TrialTimeline
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AtomPhotonState", "AtomQubitA", "BasisSetting", "CODATA",
     "CalibrationResult", "CampaignConfig", "CampaignResult",
-    "ChannelParams", "ClickRecord", "CoherenceParams", "ConfigError",
-    "CountsTable", "DetectionConfig", "DetectorParams", "EITParams",
-    "EstimateWithError", "EstimatorError", "ExperimentBundle", "FitResult",
-    "FittingError", "FreezingGeometry", "PhysicalConstants", "SCENARIOS",
-    "SourceParams", "TrialDistribution", "TrialTimeline", "accumulate",
-    "analytic_counts", "atom_photon_state", "bell_delay_s",
-    "calibrated_bundle", "channel_efficiency", "chsh", "config_hash",
-    "correlator", "cycles_for_trials", "decohere", "direct_transmission",
-    "evolution_phase", "fiber_transmission", "fidelity", "fit_decay",
-    "fit_mains", "fit_oscillation", "g2_wr", "latency", "load_config",
-    "map_in", "map_out", "mode_lifetimes", "model_predictions",
-    "motional_lifetime", "project_basis", "readout_a", "retrieval_weights",
-    "run_experiment", "sample_counts", "sample_transmit", "save_config",
-    "schedule_trials", "simulate_trial", "snr", "spinwave_wavevectors",
-    "store_and_readout", "timebin_to_spatial", "transmit",
+    "ChannelParams", "CoherenceParams", "ConfigError", "CountsTable",
+    "DetectionConfig", "DetectorParams", "EITParams", "EstimateWithError",
+    "EstimatorError", "ExperimentBundle", "FitResult", "FittingError",
+    "FreezingGeometry", "PhysicalConstants", "SCENARIOS", "SourceParams",
+    "TrialDistribution", "TrialTimeline", "analytic_counts",
+    "atom_photon_state", "bell_delay_s", "calibrated_bundle",
+    "channel_efficiency", "chsh", "config_hash", "correlator", "decohere",
+    "direct_transmission", "evolution_phase", "fiber_transmission",
+    "fidelity", "fit_decay", "fit_mains", "fit_oscillation", "g2_wr",
+    "latency", "load_config", "map_in", "map_out", "mode_lifetimes",
+    "model_predictions", "motional_lifetime", "project_basis",
+    "retrieval_weights", "run_experiment", "sample_counts", "save_config",
+    "snr", "spinwave_wavevectors", "timebin_to_spatial", "transmit",
     "trial_distribution", "writeout_rate",
 ]

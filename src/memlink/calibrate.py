@@ -14,12 +14,10 @@ switched in by ``calibrated_bundle``.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
-from scipy.optimize import least_squares
 
 from . import estimators
 from .config import ConfigError, ExperimentBundle
@@ -123,9 +121,8 @@ def model_predictions(bundle: ExperimentBundle) -> dict[str, float]:
         bins = expected_outcome_probs(
             trial_distribution(bundle, setting, delay, "stored"),
             bundle.detection.double_click_policy)
-        total = bins.sum()
         corr[setting.key] = float(
-            (bins[0] + bins[3] - bins[1] - bins[2]) / total)
+            estimators.correlator_from_bins(bins).value)
 
     def _e(key):
         return EstimateWithError(corr[key], 0.0)
@@ -196,6 +193,9 @@ def calibrate(targets: dict[str, tuple[float, float]] | None = None,
                                  cost=0.5 * sum(v * v for v in res.values()),
                                  converged=True,
                                  message="no free parameters")
+
+    # imported here so that loading the package never loads the solver
+    from scipy.optimize import least_squares
 
     x0 = np.array([_X0[name] for name in free])
     lo = np.array([_BOUNDS[name][0] for name in free])

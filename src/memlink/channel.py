@@ -10,14 +10,13 @@ storage time at the emitting node.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dualrail
 from .qcore import (DensityMatrix, KrausChannel, apply_channel, partial_trace,
-                    post_select, tensor)
+                    tensor)
 from .source import AtomPhotonState, atom_labels, photon_labels
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
@@ -117,17 +116,14 @@ def photon_loss_joint(cutoff: int, eta: float, atom_dim: int) -> KrausChannel:
                                  embed=(atom_dim, 1))
 
 
-def transmit(s: AtomPhotonState, p: ChannelParams,
-             rng: np.random.Generator | None = None) -> AtomPhotonState:
+def transmit(s: AtomPhotonState, p: ChannelParams) -> AtomPhotonState:
     """Propagate the photonic half through the converted link.
 
     Applies the exact photon-loss map (each excitation survives with
     probability ``channel_efficiency``) and mixes in the converter
     background as an uncorrelated unpolarized single photon.  The atomic
-    factor is untouched.  The map is deterministic; ``rng`` is accepted
-    for signature uniformity with the sampling stages and unused here.
+    factor is untouched.
     """
-    del rng
     eta = channel_efficiency(p)
     atom_dim = dualrail.sector_dim(s.cutoff)
     lossy = apply_channel(s.state, photon_loss_joint(s.cutoff, eta, atom_dim))
@@ -139,35 +135,4 @@ def transmit(s: AtomPhotonState, p: ChannelParams,
         bg = tensor(atom_marginal, _background_state(s.cutoff))
         mat = (1.0 - p.background_rate) * lossy.mat + p.background_rate * bg.mat
         lossy = DensityMatrix(mat, lossy.labels, lossy.weight)
-    return AtomPhotonState(state=lossy, cutoff=s.cutoff,
-                           ladder_weight=s.ladder_weight)
-
-
-def sample_transmit(s: AtomPhotonState, p: ChannelParams,
-                    rng: np.random.Generator) -> tuple[AtomPhotonState, bool]:
-    """Trajectory version of ``transmit`` for single-shot studies.
-
-    Measures the photon number after the loss map and collapses onto
-    "some photon survived" or "all lost", returning the collapsed state
-    and the survival flag.  Statistics over many calls reproduce the
-    deterministic map's populations.
-    """
-    out = transmit(s, p)
-    dim = dualrail.sector_dim(s.cutoff)
-    pops = out.state.probabilities().reshape(dim, dim)
-    occs = dualrail.occupations(s.cutoff)
-    p_vac = float(sum(pops[:, j].sum() for j, occ in enumerate(occs)
-                      if occ == (0, 0)))
-    survived = bool(rng.random() >= p_vac)
-    keep = [
-        a * dim + j
-        for a in range(dim)
-        for j, occ in enumerate(occs)
-        if (occ == (0, 0)) != survived
-    ]
-    collapsed = post_select(out.state, keep)
-    return (
-        AtomPhotonState(state=collapsed, cutoff=s.cutoff,
-                        ladder_weight=s.ladder_weight),
-        survived,
-    )
+    return AtomPhotonState(state=lossy, cutoff=s.cutoff)

@@ -1,10 +1,10 @@
-"""Measurement settings, click simulation and coincidence bookkeeping.
+"""Measurement settings, pattern distributions and coincidence counts.
 
-This module glues the physics stages into per-trial click statistics.
-The joint state of one attempt is evolved deterministically into a
-single density matrix and both readout chains are POVMs, so one trial
-reduces to a draw from a 16-outcome distribution over the click
-patterns (plus / minus / both / none at each node).
+This module glues the physics stages into click statistics.  The joint
+state of one attempt is evolved deterministically into a single density
+matrix and both readout chains are POVMs, so one trial reduces to a
+draw from a 16-outcome distribution over the click patterns (plus /
+minus / both / none at each node).
 
 ``trial_distribution`` builds that distribution in three stages, each
 behind its own cache:
@@ -34,12 +34,14 @@ caller may wrap or patch without hiding a ``cache_clear``; and at
 module level, so clearing the lru_caches found in the module globals
 is a true cold start.  Cached arrays are read-only.
 
-Campaigns exploit the reduction: a synced-mains campaign is one
-multinomial draw per setting, and an unsynced campaign only needs the
-per-trial mains phase threaded through a small Fourier decomposition of
-the pattern probabilities (the random phase enters as exp(-i*phi*dn)
-with dn the atomic mode-occupation difference, so each pattern
-probability is a three-term Fourier series in phi).
+Campaigns exploit the reduction: a batch of attempts is one
+multinomial draw over the 16 patterns (``sample_counts``) or its exact
+expectation (``analytic_counts``).  An unsynced mains phase enters each
+pattern probability as a three-term Fourier series in the per-trial
+phase phi (the random phase enters as exp(-i*phi*dn) with dn the
+atomic mode-occupation difference), which the draw averages exactly.
+Pattern vectors, sampled or expected, become singles, coincidences and
+signed outcome bins through one fixed table, ``TALLY``.
 """
 
 from __future__ import annotations
@@ -54,25 +56,12 @@ from scipy.special import j0
 
 from . import channel as link
 from . import dualrail, memory_a, memory_b, source
-from .qcore import Observable, apply_channel
-
-TICK_S = 2.5e-9           # acquisition granularity of the time tagger
-
-# click-export column layout (tab separated so setting keys keep commas)
-EXPORT_HEADER = "trial_id\tsetting\tdetector\ttimestamp_ns\tpost_selected"
+from .qcore import PAULI, Observable, apply_channel
 
 PATTERN_NAMES = ("plus", "minus", "both", "none")
 PATTERNS = tuple((a, b) for a in PATTERN_NAMES for b in PATTERN_NAMES)
 _ALLOWED_A = ("Z", "X", "Y", "A0", "A1")
 _ALLOWED_B = ("Z", "X", "Y", "B0", "B1")
-
-_PAULI2 = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 class DetectionConfigError(ValueError):
     """Raised for invalid measurement configuration."""
@@ -85,8 +74,9 @@ class DetectorParams:
     Attributes:
         eta_det: chain efficiency folded into the click probability.
         dark_rate: dark-count probability per detector per window.
-        window_s: coincidence window; defaults to one time-bin width.
-        labels: names of the two detectors (plus-arm first).
+        window_s: coincidence window; validated only, no count reads it.
+        labels: names of the two detectors (plus-arm first); validated
+            only, no count reads them.
     """
 
     eta_det: float = 1.0
@@ -188,12 +178,12 @@ def _z_sign_b(name: str | None, cfg: DetectionConfig) -> float:
 
 def _node_matrix(name: str, z_sign: float) -> np.ndarray:
     """2x2 matrix of one node's basis name, its Z scaled by z_sign."""
-    z = z_sign * _PAULI2["Z"]
+    z = z_sign * PAULI["Z"]
     if name in ("B0", "B1"):
         sign_x = 1.0 if name == "B0" else -1.0
-        return (-z + sign_x * _PAULI2["X"]) / math.sqrt(2.0)
+        return (-z + sign_x * PAULI["X"]) / math.sqrt(2.0)
     name = {"A0": "Z", "A1": "X"}.get(name, name)
-    return z if name == "Z" else _PAULI2[name]
+    return z if name == "Z" else PAULI[name]
 
 
 def _plus_minus_basis(mat: np.ndarray) -> np.ndarray:
@@ -203,34 +193,9 @@ def _plus_minus_basis(mat: np.ndarray) -> np.ndarray:
     return vecs[:, order]
 
 
-@dataclass(frozen=True)
-class ClickRecord:
-    """Raw outcome of one attempt.
-
-    ``detectors`` lists the detectors that fired; ``ticks`` gives each
-    click's timestamp on the acquisition grid.  ``post_selected`` marks
-    attempts where the receiving node registered the photon, the
-    condition all entanglement statistics are built on.
-    """
-
-    trial_id: int
-    setting: BasisSetting
-    detectors: tuple[str, ...]
-    ticks: tuple[int, ...]
-    post_selected: bool
-
-    def export_lines(self) -> list[str]:
-        """One delimited line per click (empty records export nothing)."""
-        return [
-            f"{self.trial_id}\t{self.setting.key}\t{det}\t"
-            f"{tick * TICK_S * 1e9:.1f}\t{int(self.post_selected)}"
-            for det, tick in zip(self.detectors, self.ticks)
-        ]
-
-
 @dataclass
 class CountsTable:
-    """Coincidence and singles bookkeeping, mergeable across shards."""
+    """Coincidence and singles bookkeeping per setting key."""
 
     outcome_counts: dict[str, np.ndarray] = dc_field(default_factory=dict)
     trials: dict[str, int] = dc_field(default_factory=dict)
@@ -265,20 +230,6 @@ class CountsTable:
             if self.coincidences[key] > self.trials[key]:
                 raise ValueError(f"{key}: more coincidences than trials")
 
-    def __add__(self, other: "CountsTable") -> "CountsTable":
-        out = CountsTable()
-        for t in (self, other):
-            for key in t.outcome_counts:
-                out._bucket(key)
-                out.outcome_counts[key] += t.outcome_counts[key]
-                out.trials[key] += t.trials[key]
-                out.singles_a[key] += t.singles_a[key]
-                out.singles_b[key] += t.singles_b[key]
-                out.coincidences[key] += t.coincidences[key]
-        out.noise_windows = self.noise_windows + other.noise_windows
-        out.noise_counts = self.noise_counts + other.noise_counts
-        return out
-
 
 # ---------------------------------------------------------------------------
 # staged chain engine -> pattern distribution
@@ -303,8 +254,7 @@ def _prefix_state(src, channel, eit, stage: str) -> source.AtomPhotonState:
         collect = link.photon_loss_joint(s.cutoff, src.collection,
                                          dualrail.sector_dim(s.cutoff))
         s = source.AtomPhotonState(state=apply_channel(s.state, collect),
-                                   cutoff=s.cutoff,
-                                   ladder_weight=s.ladder_weight)
+                                   cutoff=s.cutoff)
     elif stage == "transferred":
         s = _prefix_state(src, None, None, "source")
         s = memory_b.timebin_to_spatial(link.transmit(s, channel))
@@ -322,7 +272,7 @@ def _suffix_state(prefix: tuple, delay_s: float, coherence, geometry,
     excluded, as a read-only (d, rest, d, rest) array."""
     s = _prefix_state(*prefix)
     q = memory_a.decohere(memory_a.AtomQubitA(state=s.state, cutoff=s.cutoff),
-                          delay_s, coherence, geometry, include_mains=False)
+                          delay_s, coherence, geometry)
     w1, w2 = q.mode_weights
     loss_a = dualrail.loss_channel(q.cutoff, w1 * eta_a, w2 * eta_a,
                                    name="read-a", embed=(1, q.rest_dim))
@@ -360,20 +310,9 @@ class TrialDistribution:
     amplitude of the per-trial random phase phi = swing * sin(uniform).
     """
 
-    patterns: tuple[tuple[str, str], ...]
     base: np.ndarray
     fourier: tuple[np.ndarray, ...]
     swing: float
-
-    def probabilities(self, phi: float | np.ndarray = 0.0) -> np.ndarray:
-        phi = np.asarray(phi, dtype=float)
-        out = np.broadcast_to(
-            self.base, phi.shape + (len(self.patterns),)
-        ).copy()
-        for k, coeff in enumerate(self.fourier, start=1):
-            phase = np.exp(-1j * k * phi)[..., None]
-            out += 2.0 * np.real(phase * coeff)
-        return np.clip(out, 0.0, None)
 
     def mean_probabilities(self) -> np.ndarray:
         """Exact trial-averaged probabilities (mains phase averaged)."""
@@ -381,9 +320,6 @@ class TrialDistribution:
         for k, coeff in enumerate(self.fourier, start=1):
             out += 2.0 * float(j0(k * self.swing)) * np.real(coeff)
         return np.clip(out, 0.0, None)
-
-    def index(self, a_pattern: str, b_pattern: str) -> int:
-        return self.patterns.index((a_pattern, b_pattern))
 
 
 def trial_distribution(bundle, setting: BasisSetting | None,
@@ -431,8 +367,7 @@ def _distribution_cached(bundle, setting_key, delay_s: float,
         fourier: tuple[np.ndarray, ...] = ()
     else:
         fourier = (coeffs[1], coeffs[2])
-    return TrialDistribution(patterns=PATTERNS,
-                             base=np.clip(base, 0.0, None),
+    return TrialDistribution(base=np.clip(base, 0.0, None),
                              fourier=fourier, swing=swing)
 
 
@@ -449,8 +384,96 @@ def _source_off_bundle(bundle):
     return dataclasses.replace(bundle, source=src)
 
 
+
+
 # ---------------------------------------------------------------------------
-# sampling
+# one reduction: pattern vector -> tallies
+
+# Rows of TALLY.  CLICKS are node A's singles, node B's singles and the
+# coincidences: a pattern adds to a node's singles when that node clicks
+# and to the coincidences when both do.  BINS are the signed outcomes
+# [++, +-, -+, --] under each double-click policy: a pattern adds by the
+# signs its clicks carry, and a double click carries none under "discard"
+# and half of each sign under "random".
+CLICKS = slice(0, 3)
+BINS = {"discard": slice(3, 7), "random": slice(7, 11)}
+_SINGLES_B, _COINCIDENCES = 1, 2
+_PLUS, _MINUS, _BOTH = (PATTERN_NAMES.index(n)
+                        for n in ("plus", "minus", "both"))
+
+
+def _tally_table() -> np.ndarray:
+    """Read-only (11, 16) weights of each pattern in each tally row."""
+    signs = {"plus": (1.0, 0.0), "minus": (0.0, 1.0), "none": (0.0, 0.0)}
+    doubles = {"discard": (0.0, 0.0), "random": (0.5, 0.5)}
+    cols = []
+    for a, b in PATTERNS:
+        a_click, b_click = a != "none", b != "none"
+        col = [a_click, b_click, a_click and b_click]
+        for double in doubles.values():
+            w = dict(signs, both=double)
+            col.extend(np.outer(w[a], w[b]).ravel())
+        cols.append(col)
+    table = np.array(cols, dtype=float).T
+    table.setflags(write=False)
+    return table
+
+
+TALLY = _tally_table()
+# sampled counts are tallied as exact integers (the discard rows are 0/1)
+_TALLY_INT = TALLY[:BINS["discard"].stop].astype(np.int64)
+# coincidences with a double click, which the random policy splits
+_SPLIT = (_TALLY_INT[_COINCIDENCES]
+          - _TALLY_INT[BINS["discard"]].sum(axis=0))
+
+
+def _in_order(rows: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """rows @ probs, summed in pattern order so the floats stay the
+    same as a running sum over the patterns (a matmul may reorder)."""
+    return np.cumsum(rows * probs, axis=-1)[..., -1]
+
+
+def _fair_split(node: int, n: int, rng: np.random.Generator):
+    """(pattern, count) parts of one node's n clicks; a double click is
+    split between plus and minus by a fair binomial draw."""
+    if node != _BOTH:
+        return ((node, n),)
+    k = int(rng.binomial(n, 0.5))
+    return ((_PLUS, k), (_MINUS, n - k))
+
+
+def _resolve_doubles(counts: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Sampled counts with every double click of a coincidence moved to a
+    random sign, drawn pattern by pattern in PATTERNS order, node A first."""
+    out = counts.reshape(4, 4).copy()
+    for k in np.flatnonzero(counts * _SPLIT):
+        a, b = divmod(int(k), 4)
+        n = int(counts[k])
+        out[a, b] -= n
+        for a_part, na in _fair_split(a, n, rng):
+            for b_part, nb in _fair_split(b, na, rng):
+                out[a_part, b_part] += nb
+    return out.ravel()
+
+
+def _counts_table(key: str, trials: int, clicks: np.ndarray,
+                  bins: np.ndarray) -> CountsTable:
+    singles_a, singles_b, coincidences = (int(c) for c in clicks)
+    return CountsTable(outcome_counts={key: bins}, trials={key: trials},
+                       singles_a={key: singles_a},
+                       singles_b={key: singles_b},
+                       coincidences={key: coincidences})
+
+
+def _tally_counts(key: str, counts: np.ndarray, policy: str,
+                  rng: np.random.Generator) -> CountsTable:
+    """CountsTable of a sampled pattern-count vector under the policy."""
+    if policy == "random":
+        counts = _resolve_doubles(counts, rng)
+    tallies = _TALLY_INT @ counts
+    return _counts_table(key, int(counts.sum()), tallies[CLICKS],
+                         tallies[BINS["discard"]])
 
 
 def _sample_pattern_counts(dist: TrialDistribution, n_trials: int,
@@ -463,59 +486,13 @@ def _sample_pattern_counts(dist: TrialDistribution, n_trials: int,
     no per-attempt sampling is needed in either case.
     """
     if n_trials <= 0:
-        return np.zeros(len(dist.patterns), dtype=np.int64)
+        return np.zeros(len(PATTERNS), dtype=np.int64)
     if dist.swing == 0.0:
         p = dist.base / dist.base.sum()
     else:
         p = dist.mean_probabilities()
         p = p / p.sum()
     return rng.multinomial(n_trials, p)
-
-
-def _accumulate_pattern_counts(table: CountsTable, key: str,
-                               dist: TrialDistribution, counts: np.ndarray,
-                               policy: str, rng: np.random.Generator) -> None:
-    """Fold a pattern-count vector into the table under the policy."""
-    table._bucket(key)
-    table.trials[key] += int(counts.sum())
-    for (a_pat, b_pat), n in zip(dist.patterns, counts):
-        n = int(n)
-        if n == 0:
-            continue
-        a_click = a_pat != "none"
-        b_click = b_pat != "none"
-        if a_click:
-            table.singles_a[key] += n
-        if b_click:
-            table.singles_b[key] += n
-        if not (a_click and b_click):
-            continue
-        table.coincidences[key] += n
-        a_split = _resolve_double(a_pat, n, policy, rng)
-        if a_split is None:
-            continue
-        for a_sign, na in a_split:
-            b_split = _resolve_double(b_pat, na, policy, rng)
-            if b_split is None:
-                continue
-            for b_sign, nb in b_split:
-                if nb:
-                    table.add_outcome(key, a_sign, b_sign, nb)
-
-
-def _resolve_double(pattern: str, n: int, policy: str,
-                    rng: np.random.Generator):
-    """Split n clicks of one node's pattern into signed outcomes."""
-    if pattern == "plus":
-        return ((1, n),)
-    if pattern == "minus":
-        return ((-1, n),)
-    if pattern == "both":
-        if policy == "discard":
-            return None
-        k = int(rng.binomial(n, 0.5))
-        return ((1, k), (-1, n - k))
-    raise ValueError(f"no outcome for pattern {pattern!r}")
 
 
 def sample_counts(bundle, setting: BasisSetting | None, n_trials: int,
@@ -525,19 +502,14 @@ def sample_counts(bundle, setting: BasisSetting | None, n_trials: int,
     """Simulate a batch of attempts at one setting into a CountsTable."""
     dist = trial_distribution(bundle, setting, delay_s, stage)
     key = "bins" if setting is None else setting.key
-    table = CountsTable()
     counts = _sample_pattern_counts(dist, n_trials, rng)
-    _accumulate_pattern_counts(table, key, dist, counts,
-                               bundle.detection.double_click_policy, rng)
+    table = _tally_counts(key, counts, bundle.detection.double_click_policy,
+                          rng)
     if noise_windows > 0:
         ndist = noise_distribution(bundle, setting, stage)
         ncounts = _sample_pattern_counts(ndist, noise_windows, rng)
-        clicks = sum(
-            int(n) for (a_pat, b_pat), n in zip(ndist.patterns, ncounts)
-            if b_pat != "none"
-        )
         table.noise_windows += noise_windows
-        table.noise_counts += clicks
+        table.noise_counts += int(_TALLY_INT[_SINGLES_B] @ ncounts)
     return table
 
 
@@ -547,53 +519,23 @@ def analytic_counts(bundle, setting: BasisSetting | None, n_trials: int,
     """Expected counts (rounded) for the same batch, no sampling.
 
     Used by the cross-validation suite and the fast analytic campaign
-    mode.  Double clicks follow the discard policy deterministically;
-    under the random policy they are split evenly.
+    mode.  Each pattern's expected count is rounded before the singles
+    and coincidences are tallied; the outcome bins are rounded after.
+    Under the random policy double clicks are split evenly.
     """
     dist = trial_distribution(bundle, setting, delay_s, stage)
     key = "bins" if setting is None else setting.key
-    probs = dist.mean_probabilities()
-    table = CountsTable()
-    table._bucket(key)
-    table.trials[key] = n_trials
+    mean = dist.mean_probabilities() * n_trials
     policy = bundle.detection.double_click_policy
-    exp_bins = np.zeros(4)
-    for (a_pat, b_pat), p in zip(dist.patterns, probs):
-        mean = p * n_trials
-        a_click = a_pat != "none"
-        b_click = b_pat != "none"
-        if a_click:
-            table.singles_a[key] += int(round(mean))
-        if b_click:
-            table.singles_b[key] += int(round(mean))
-        if not (a_click and b_click):
-            continue
-        table.coincidences[key] += int(round(mean))
-        for a_sign, fa in _expected_split(a_pat, policy):
-            for b_sign, fb in _expected_split(b_pat, policy):
-                idx = (0 if a_sign > 0 else 2) + (0 if b_sign > 0 else 1)
-                exp_bins[idx] += mean * fa * fb
-    table.outcome_counts[key] = np.round(exp_bins).astype(np.int64)
+    clicks = _TALLY_INT[CLICKS] @ np.rint(mean).astype(np.int64)
+    bins = np.round(_in_order(TALLY[BINS[policy]], mean)).astype(np.int64)
+    table = _counts_table(key, n_trials, clicks, bins)
     if noise_windows > 0:
         ndist = noise_distribution(bundle, setting, stage)
-        nprobs = ndist.mean_probabilities()
-        click_p = sum(
-            p for (a_pat, b_pat), p in zip(ndist.patterns, nprobs)
-            if b_pat != "none"
-        )
+        click_p = _in_order(TALLY[_SINGLES_B], ndist.mean_probabilities())
         table.noise_windows += noise_windows
         table.noise_counts += int(round(click_p * noise_windows))
     return table
-
-
-def _expected_split(pattern: str, policy: str) -> tuple:
-    if pattern == "plus":
-        return ((1, 1.0),)
-    if pattern == "minus":
-        return ((-1, 1.0),)
-    if policy == "discard":
-        return ()
-    return ((1, 0.5), (-1, 0.5))
 
 
 def expected_outcome_probs(dist: TrialDistribution,
@@ -603,107 +545,10 @@ def expected_outcome_probs(dist: TrialDistribution,
     This is the exact analytic counterpart of the sampled outcome bins,
     kept in floats so ideal-state checks stay exact to rounding.
     """
-    probs = dist.mean_probabilities()
-    bins = np.zeros(4)
-    for (a_pat, b_pat), p in zip(dist.patterns, probs):
-        if a_pat == "none" or b_pat == "none":
-            continue
-        for a_sign, fa in _expected_split(a_pat, policy):
-            for b_sign, fb in _expected_split(b_pat, policy):
-                idx = (0 if a_sign > 0 else 2) + (0 if b_sign > 0 else 1)
-                bins[idx] += p * fa * fb
-    return bins
+    return _in_order(TALLY[BINS[policy]], dist.mean_probabilities())
 
 
 def expected_click_probs(dist: TrialDistribution) -> dict[str, float]:
     """Per-trial click probabilities: each node's singles and coincidences."""
-    probs = dist.mean_probabilities()
-    out = {"a": 0.0, "b": 0.0, "ab": 0.0}
-    for (a_pat, b_pat), p in zip(dist.patterns, probs):
-        a_click = a_pat != "none"
-        b_click = b_pat != "none"
-        if a_click:
-            out["a"] += p
-        if b_click:
-            out["b"] += p
-        if a_click and b_click:
-            out["ab"] += p
-    return out
-
-
-# ---------------------------------------------------------------------------
-# single-trial interface
-
-
-def simulate_trial(bundle, setting: BasisSetting, rng: np.random.Generator,
-                   trial_id: int = 0, start_time_s: float = 0.0,
-                   delay_s: float | None = None,
-                   stage: str = "stored") -> ClickRecord:
-    """Draw one attempt and return its click record.
-
-    The trial's pattern is drawn from the cached attempt distribution
-    (with a fresh mains phase when unsynced); detector labels and
-    grid-quantized timestamps are then filled in.
-    """
-    if delay_s is None:
-        delay_s = link.latency(bundle.channel)
-    dist = trial_distribution(bundle, setting, delay_s, stage)
-    if dist.swing == 0.0:
-        probs = dist.base
-    else:
-        phi = dist.swing * math.sin(rng.uniform(0.0, 2.0 * math.pi))
-        probs = dist.probabilities(phi)
-    probs = probs / probs.sum()
-    pick = int(rng.choice(len(probs), p=probs))
-    a_pat, b_pat = dist.patterns[pick]
-
-    det = bundle.detection
-    far = det.det_monitor if stage == "source" else det.det_b
-    a_time = start_time_s + delay_s
-    b_time = start_time_s if stage == "source" else start_time_s + delay_s
-    detectors: list[str] = []
-    ticks: list[int] = []
-    for pat, params, t in ((a_pat, det.det_a, a_time), (b_pat, far, b_time)):
-        fired = {"plus": (0,), "minus": (1,), "both": (0, 1),
-                 "none": ()}[pat]
-        for i in fired:
-            detectors.append(params.labels[i])
-            ticks.append(int(round(t / TICK_S)))
-    return ClickRecord(trial_id=trial_id, setting=setting,
-                       detectors=tuple(detectors), ticks=tuple(ticks),
-                       post_selected=(b_pat != "none"))
-
-
-def accumulate(records: list[ClickRecord],
-               policy: str = "discard") -> CountsTable:
-    """Bin click records into a CountsTable (order independent).
-
-    Doubles are resolved by the discard policy only; the random policy
-    must be applied at simulation time where a stream is available.
-    """
-    table = CountsTable()
-    for rec in records:
-        key = rec.setting.key
-        table._bucket(key)
-        table.trials[key] += 1
-        a_fired = [d for d in rec.detectors if d.startswith("a")]
-        b_fired = [d for d in rec.detectors if not d.startswith("a")]
-        if a_fired:
-            table.singles_a[key] += 1
-        if b_fired:
-            table.singles_b[key] += 1
-        if not (a_fired and b_fired):
-            continue
-        table.coincidences[key] += 1
-        if len(a_fired) != 1 or len(b_fired) != 1:
-            if policy == "discard":
-                continue
-            raise ValueError(
-                "random double-click policy cannot be applied during "
-                "accumulation; resolve doubles at simulation time"
-            )
-        a_sign = 1 if a_fired[0].endswith("+") else -1
-        b_sign = 1 if b_fired[0].endswith("+") else -1
-        table.add_outcome(key, a_sign, b_sign)
-    table.check()
-    return table
+    a, b, ab = _in_order(TALLY[CLICKS], dist.mean_probabilities())
+    return {"a": a, "b": b, "ab": ab}

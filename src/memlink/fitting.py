@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 MODELS = ("gaussian-decay", "exponential-decay", "damped-cosine", "sinusoid")
 
@@ -97,6 +96,9 @@ def _prepare(t, y, sigma):
 
 
 def _run_starts(model, t, y, w, starts, bounds):
+    # imported here so that campaigns without a fit never load the solver
+    from scipy.optimize import least_squares
+
     names = _PARAM_NAMES[model]
     best = None
     diagnostics = []

@@ -30,11 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0
 
 from . import dualrail
 from .constants import CODATA, PhysicalConstants
-from .qcore import DensityMatrix, apply_channel, partial_trace
+from .qcore import DensityMatrix, apply_channel
 
 
 class MemoryConfigError(ValueError):
@@ -217,11 +216,6 @@ class AtomQubitA:
     def rest_dim(self) -> int:
         return self.state.dim // self.atom_dim
 
-    @property
-    def retrieval_weight(self) -> float:
-        """Scalar summary used by the simple readout API (mode average)."""
-        return 0.5 * (self.mode_weights[0] + self.mode_weights[1])
-
 
 def from_qubit_block(mat2: np.ndarray, cutoff: int = 2,
                      labels2: tuple[str, str] = ("d", "u"),
@@ -282,36 +276,19 @@ def mains_swing_amplitude(c: CoherenceParams, duration_s: float,
     return 2.0 * rate / omega * abs(math.sin(omega * duration_s / 2.0))
 
 
-def mains_ensemble_envelope(c: CoherenceParams, duration_s: float, dn: int = 1,
-                            constants: PhysicalConstants = CODATA) -> float:
-    """Coherence survival factor after averaging over the mains phase.
-
-    A coherence whose mode-2 occupations differ by ``dn`` picks up
-    exp(-i*dn*phi) with phi = swing*sin(uniform); the average is the
-    Bessel function J0(dn*swing).  Applies to the unsynced case only;
-    the synced case keeps a deterministic phase instead.
-    """
-    swing = mains_swing_amplitude(c, duration_s, constants)
-    return float(j0(dn * swing))
-
-
 def decohere(q: AtomQubitA, duration_s: float, c: CoherenceParams,
              g: FreezingGeometry,
-             rng: np.random.Generator | None = None,
-             include_mains: bool = True,
              constants: PhysicalConstants = CODATA) -> AtomQubitA:
     """Advance the stored qubit by ``duration_s``.
 
     Applies, in order: the deterministic bias-field phase, the motional
-    retrieval-weight update, mode-2 to mode-1 population transfer (T1),
-    Gaussian inhomogeneous dephasing (T2*), and the mains ripple phase.
-    The first four are deterministic maps that compose exactly over
-    consecutive calls; the mains term is deterministic when synced and
-    a per-call random draw otherwise (``rng`` required then).
-
-    ``include_mains=False`` drops mechanism five entirely, which the
-    vectorized campaign path uses because it folds the trial-dependent
-    mains phase in analytically afterwards.
+    retrieval-weight update, mode-2 to mode-1 population transfer (T1)
+    and Gaussian inhomogeneous dephasing (T2*).  All four are
+    deterministic maps that compose exactly over consecutive calls.
+    The mains ripple phase is not applied here: the pattern
+    distribution folds it in analytically (``detection``), as a fixed
+    phase when synced and as an average over the per-trial phase when
+    not.
     """
     if duration_s < 0.0:
         raise MemoryConfigError(f"duration must be non-negative, got {duration_s}")
@@ -343,73 +320,5 @@ def decohere(q: AtomQubitA, duration_s: float, c: CoherenceParams,
                       np.ones((rest, rest)))
         state = DensityMatrix(state.mat * env, state.labels, state.weight)
 
-    # (5) mains ripple phase
-    if include_mains and c.mains_amplitude_gauss > 0.0:
-        if c.mains_synced:
-            psi = c.mains_phase_rad
-        else:
-            if rng is None:
-                raise MemoryConfigError(
-                    "unsynced mains noise needs a random stream"
-                )
-            psi = rng.uniform(0.0, 2.0 * math.pi)
-        phi_m = mains_phase_increment(c, age0, age1, psi, constants)
-        u = _lift_unitary(dualrail.phase_unitary(q.cutoff, phi_m), rest)
-        state = DensityMatrix(u @ state.mat @ u.conj().T, state.labels,
-                              state.weight)
-
     return AtomQubitA(state=state, cutoff=q.cutoff, age_s=age1,
                       mode_weights=weights)
-
-
-def readout_a(q: AtomQubitA, basis: np.ndarray, eta_read: float,
-              rng: np.random.Generator,
-              dark: float = 0.0) -> tuple[bool, int]:
-    """Attempt to retrieve the qubit and measure it in ``basis``.
-
-    The spin waves are converted to a photon pair of orthogonal modes
-    and sent through a polarization analyzer: each mode survives with
-    probability mode_weight * eta_read, and two threshold detectors
-    behind the basis rotation fire accordingly.
-
-    Args:
-        q: stored qubit (any entangled rest factor is traced over).
-        basis: 2x2 unitary whose columns are the +1 and -1 eigenmodes
-            of the measured observable.
-        eta_read: retrieval-and-detection efficiency of the readout
-            chain.
-        rng: random stream for the outcome draw.
-        dark: per-window dark-count probability of each detector.
-
-    Returns:
-        (clicked, outcome): outcome is +1 or -1 when a single detector
-        fired, 0 when none did; a double fire is resolved by a fair
-        coin so the function always reports a definite sign on a click.
-    """
-    if not 0.0 <= eta_read <= 1.0:
-        raise MemoryConfigError(f"eta_read must be in [0, 1], got {eta_read}")
-    dim = q.atom_dim
-    rest = q.rest_dim
-    if rest > 1:
-        atom_names = tuple(l.split(",")[0] for l in q.state.labels[::rest])
-        rho = partial_trace(q.state, (dim, rest), keep=0, labels=atom_names)
-    else:
-        rho = q.state
-    loss = dualrail.loss_channel(q.cutoff,
-                                 q.mode_weights[0] * eta_read,
-                                 q.mode_weights[1] * eta_read)
-    rho = apply_channel(rho, loss)
-    povm = dualrail.detection_povm(q.cutoff, basis, eta=1.0, dark=dark)
-    names = ("plus", "minus", "both", "none")
-    probs = np.array([
-        max(0.0, float(np.real(np.trace(rho.mat @ povm[n])))) for n in names
-    ])
-    probs = probs / probs.sum()
-    pick = names[int(rng.choice(len(names), p=probs))]
-    if pick == "plus":
-        return True, 1
-    if pick == "minus":
-        return True, -1
-    if pick == "both":
-        return True, 1 if rng.random() < 0.5 else -1
-    return False, 0

@@ -10,19 +10,16 @@ it biases post-selected populations and is one of the real infidelity
 sources of the link.
 
 Storage intervals here are a few microseconds, far below any memory
-timescale, so the stored state is treated as phase stable; a dephasing
-hook exists for sensitivity studies and defaults to off.
+timescale, so the stored state is treated as phase stable: no
+decoherence acts between map-in and map-out.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import dualrail
-from .qcore import DensityMatrix, apply_channel
+from .qcore import apply_channel
 from .source import AtomPhotonState, PHOTON_MODE1, PHOTON_MODE2, PHOTON_VACUUM
 
 B_VACUUM = "vac"
@@ -48,8 +45,8 @@ class EITParams:
         readout_eta_b: efficiency of the full readout chain at this
             node, counted from the stored excitation to a detector
             click; it therefore contains the map-out loss.
-        dephasing_rate_hz: optional exponential dephasing of the U/D
-            coherence during storage, default off.
+        dephasing_rate_hz: U/D dephasing rate during storage; validated
+            only, no map reads it (storage is treated as phase stable).
     """
 
     eta_up: float = 0.22
@@ -122,7 +119,7 @@ def timebin_to_spatial(s: AtomPhotonState) -> AtomPhotonState:
         else:
             new_labels.append(_translate_label(lab))
     return AtomPhotonState(state=s.state.relabeled(new_labels),
-                           cutoff=s.cutoff, ladder_weight=s.ladder_weight)
+                           cutoff=s.cutoff)
 
 
 def map_in(s: AtomPhotonState, p: EITParams) -> AtomPhotonState:
@@ -131,8 +128,7 @@ def map_in(s: AtomPhotonState, p: EITParams) -> AtomPhotonState:
     atom_dim = dualrail.sector_dim(s.cutoff)
     ch = dualrail.loss_channel(s.cutoff, eta1, eta2, name="eit-in",
                                embed=(atom_dim, 1))
-    return AtomPhotonState(state=apply_channel(s.state, ch), cutoff=s.cutoff,
-                           ladder_weight=s.ladder_weight)
+    return AtomPhotonState(state=apply_channel(s.state, ch), cutoff=s.cutoff)
 
 
 def map_out(s: AtomPhotonState, p: EITParams) -> AtomPhotonState:
@@ -141,56 +137,4 @@ def map_out(s: AtomPhotonState, p: EITParams) -> AtomPhotonState:
     atom_dim = dualrail.sector_dim(s.cutoff)
     ch = dualrail.loss_channel(s.cutoff, eta1, eta2, name="eit-out",
                                embed=(atom_dim, 1))
-    return AtomPhotonState(state=apply_channel(s.state, ch), cutoff=s.cutoff,
-                           ladder_weight=s.ladder_weight)
-
-
-def storage_dephasing(s: AtomPhotonState, p: EITParams,
-                      delay_s: float) -> AtomPhotonState:
-    """Optional U/D coherence decay while stored; identity by default."""
-    if p.dephasing_rate_hz == 0.0 or delay_s == 0.0:
-        return s
-    factor = math.exp(-p.dephasing_rate_hz * delay_s)
-    arg = -math.log(factor)
-    atom_dim = dualrail.sector_dim(s.cutoff)
-    env = np.kron(np.ones((atom_dim, atom_dim)),
-                  np.exp(-np.abs(_dn_matrix(s.cutoff)) * arg))
-    state = DensityMatrix(s.state.mat * env, s.state.labels, s.state.weight)
-    return AtomPhotonState(state=state, cutoff=s.cutoff,
-                           ladder_weight=s.ladder_weight)
-
-
-def _dn_matrix(cutoff: int) -> np.ndarray:
-    n2 = dualrail.mode2_count_vector(cutoff)
-    return n2[:, None] - n2[None, :]
-
-
-def survival_probability(s: AtomPhotonState) -> float:
-    """Probability that the photonic factor holds at least one excitation."""
-    atom_dim = dualrail.sector_dim(s.cutoff)
-    photon_dim = dualrail.sector_dim(s.cutoff)
-    pops = s.state.probabilities().reshape(atom_dim, photon_dim)
-    occs = dualrail.occupations(s.cutoff)
-    vac = [j for j, occ in enumerate(occs) if occ == (0, 0)]
-    return float(1.0 - pops[:, vac].sum())
-
-
-def store_and_readout(s: AtomPhotonState, p: EITParams, delay_s: float = 0.0,
-                      rng: np.random.Generator | None = None
-                      ) -> tuple[AtomPhotonState, float]:
-    """Full storage round trip: map-in, hold, map-out.
-
-    The losses are trace preserving (failed storage lands in vacuum,
-    where it can still collect dark counts downstream), so the state
-    keeps its branch weight; the returned number is the probability
-    that the released light carries any excitation at all, which is
-    what a retrieval-survival measurement counts.  The map itself is
-    deterministic; ``rng`` is accepted for signature uniformity.
-    """
-    del rng
-    if delay_s < 0.0:
-        raise EITConfigError(f"storage delay must be non-negative, got {delay_s}")
-    out = map_in(s, p)
-    out = storage_dephasing(out, p, delay_s)
-    out = map_out(out, p)
-    return out, survival_probability(out)
+    return AtomPhotonState(state=apply_channel(s.state, ch), cutoff=s.cutoff)

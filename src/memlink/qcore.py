@@ -14,7 +14,7 @@ operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -231,44 +231,6 @@ def expectation(rho: DensityMatrix, obs: Observable) -> float:
     return float(val.real)
 
 
-def eigenprojectors(obs: Observable, atol: float = ATOL_ACCUM):
-    """Group eigenvectors by eigenvalue and return (value, projector) pairs."""
-    vals, vecs = np.linalg.eigh(obs.mat)
-    groups: list[tuple[float, np.ndarray]] = []
-    for v, vec in zip(vals, vecs.T):
-        proj = np.outer(vec, vec.conj())
-        for i, (gv, gp) in enumerate(groups):
-            if abs(gv - v) < atol:
-                groups[i] = (gv, gp + proj)
-                break
-        else:
-            groups.append((float(v), proj))
-    return groups
-
-
-def sample_measurement(rho: DensityMatrix, obs: Observable,
-                       rng: np.random.Generator) -> float:
-    """Draw one projective outcome of ``obs`` on ``rho``.
-
-    The outcome distribution comes from the eigenprojectors of the
-    observable; the draw consumes exactly one uniform variate from
-    ``rng`` so results are reproducible given the stream state.
-    """
-    groups = eigenprojectors(obs)
-    probs = np.array([max(0.0, np.real(np.trace(rho.mat @ p))) for _, p in groups])
-    total = probs.sum()
-    if total <= 0.0:
-        raise QuantumStateError("measurement has no support on this state")
-    probs = probs / total
-    u = rng.random()
-    acc = 0.0
-    for (val, _), p in zip(groups, probs):
-        acc += p
-        if u < acc:
-            return val
-    return groups[-1][0]
-
-
 def partial_trace(rho: DensityMatrix, dims: tuple[int, int],
                   keep: int, labels: Sequence[str]) -> DensityMatrix:
     """Trace out one factor of a bipartite state.
@@ -305,26 +267,3 @@ def post_select(rho: DensityMatrix, indices: Sequence[int]) -> DensityMatrix:
     if prob <= ATOL_EXACT:
         return DensityMatrix(np.eye(len(idx), dtype=complex) / len(idx), labels, 0.0)
     return DensityMatrix(sub / prob, labels, rho.weight * prob)
-
-
-def loss_channel_qubit(survival: float) -> KrausChannel:
-    """Amplitude-damping channel on {empty, occupied} with given survival.
-
-    Models one excitation surviving a lossy element with probability
-    ``survival``; the lost branch lands in the empty state.
-    """
-    if not 0.0 <= survival <= 1.0:
-        raise ValueError(f"survival probability {survival} outside [0, 1]")
-    k0 = np.array([[1, 0], [0, np.sqrt(survival)]], dtype=complex)
-    k1 = np.array([[0, np.sqrt(1 - survival)], [0, 0]], dtype=complex)
-    return KrausChannel([k0, k1], name=f"loss({survival:g})")
-
-
-def dephasing_channel_qubit(factor: float) -> KrausChannel:
-    """Phase-damping channel scaling off-diagonals by ``factor``."""
-    if not 0.0 <= factor <= 1.0:
-        raise ValueError(f"coherence factor {factor} outside [0, 1]")
-    p = (1.0 - factor) / 2.0
-    k0 = np.sqrt(1 - p) * np.eye(2, dtype=complex)
-    k1 = np.sqrt(p) * PAULI["Z"]
-    return KrausChannel([k0, k1], name=f"dephase({factor:g})")

@@ -108,17 +108,15 @@ def bell_delay_s(bundle: ExperimentBundle) -> float:
     return k * period
 
 
-def _analytic_correlator(bundle, setting: BasisSetting, delay_s: float
-                         ) -> tuple[float, float]:
-    """Exact post-selected correlator and its per-trial coincidence mass."""
+def _analytic_correlator(bundle, setting: BasisSetting,
+                         delay_s: float) -> float:
+    """Exact post-selected correlator."""
     dist = trial_distribution(bundle, setting, delay_s, "stored")
     bins = expected_outcome_probs(
         dist, bundle.detection.double_click_policy)
-    total = float(bins.sum())
-    if total <= 0.0:
+    if bins.sum() <= 0.0:
         raise ScenarioError(f"no coincidence mass for {setting.key}")
-    value = float((bins[0] + bins[3] - bins[1] - bins[2]) / total)
-    return value, total
+    return float(estimators.correlator_from_bins(bins).value)
 
 
 def _mc_correlator(bundle, setting: BasisSetting, delay_s: float,
@@ -210,7 +208,7 @@ def _scn_lifetime(cfg, bundle, mode, streams) -> ScenarioOutput:
 
 
 def _analytic_series(bundle, setting, sweep_us):
-    return np.array([_analytic_correlator(bundle, setting, t * 1e-6)[0]
+    return np.array([_analytic_correlator(bundle, setting, t * 1e-6)
                      for t in sweep_us])
 
 
@@ -233,7 +231,7 @@ def _scn_correlation_sweep(cfg, bundle, mode, streams) -> ScenarioOutput:
         for t_us in sweep:
             delay = t_us * 1e-6
             if mode == "analytic":
-                value, _ = _analytic_correlator(bundle, setting, delay)
+                value = _analytic_correlator(bundle, setting, delay)
                 sigma, n = 0.0, 0
             else:
                 try:
@@ -493,8 +491,8 @@ def _mains_envelope(bundle, sweep_us, mode, n_pt, rng):
     for t_us in sweep_us:
         delay = t_us * 1e-6
         if mode == "analytic":
-            exx, _ = _analytic_correlator(bundle, sx, delay)
-            exy, _ = _analytic_correlator(bundle, sy, delay)
+            exx = _analytic_correlator(bundle, sx, delay)
+            exy = _analytic_correlator(bundle, sy, delay)
             env = math.hypot(exx, exy)
             sigma, n = 0.0, 0
         else:

@@ -21,7 +21,7 @@ counted as unretrievable (a negligible O(chi^3) correction).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,14 +99,11 @@ class AtomPhotonState:
     """Joint atom-photon state right after a write attempt.
 
     ``state`` lives on (atomic sector) x (photonic sector), the atomic
-    factor first.  ``ladder_weight`` is the total probability assigned
-    to the modeled excitation branches (vacuum excluded); it is bounded
-    by 1 with the remainder sitting in the vacuum amplitude.
+    factor first.
     """
 
     state: DensityMatrix
     cutoff: int
-    ladder_weight: float
 
     @property
     def atom_dim(self) -> int:
@@ -202,7 +199,7 @@ def atom_photon_state(p: SourceParams,
 
     mat = np.outer(ket, ket.conj())
     state = DensityMatrix(mat, joint_labels(cutoff))
-    return AtomPhotonState(state=state, cutoff=cutoff, ladder_weight=ladder_weight)
+    return AtomPhotonState(state=state, cutoff=cutoff)
 
 
 def writeout_rate(p: SourceParams, coupling: float | None = None) -> float:

@@ -1,21 +1,21 @@
-"""Duty-cycle bookkeeping for trial scheduling.
+"""Duty-cycle parameters of the experiment.
 
 The apparatus runs at 10 Hz: each 100 ms cycle spends 97 ms preparing
 the ensembles and 3 ms running entanglement attempts.  Because one
 cycle is an exact multiple of the 20 ms line period, a sequence started
-on a line trigger keeps every run window at the same 50 Hz phase; a
-free-running sequence drifts, which is modeled as a uniformly random
-window phase per cycle.
+on a line trigger keeps every run window at the same 50 Hz phase.
+
+Campaigns read only ``analysis_delay_s``, the settling time of the
+receiving node's analysis before the checkpoint readouts.  The other
+fields are validated only: the cycle structure reaches no output, the
+distribution delay is ``ChannelParams.latency_s`` and the mains
+triggering is ``CoherenceParams.mains_synced``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-MAINS_PERIOD_S = 0.02
 
 
 class TimelineError(ValueError):
@@ -27,8 +27,9 @@ class TrialTimeline:
     """Cycle structure and per-attempt delays.
 
     ``attempts_per_window`` is a chosen default (the attempt rate inside
-    the 3 ms window is not a published number); it scales absolute
-    rates only, never a figure of merit.
+    the 3 ms window is not a published number).  The cycle and attempt
+    fields, ``distribution_delay_s`` and ``mains_synced`` are validated
+    only; no campaign output reads them.
     """
 
     cycle_rate_hz: float = 10.0
@@ -57,50 +58,3 @@ class TrialTimeline:
             raise TimelineError("analysis_delay_s must be within [0, 5 us]")
         if self.distribution_delay_s < 0.0:
             raise TimelineError("distribution_delay_s must be non-negative")
-
-    @property
-    def cycle_period_s(self) -> float:
-        return 1.0 / self.cycle_rate_hz
-
-    @property
-    def attempt_pitch_s(self) -> float:
-        return self.window_s / self.attempts_per_window
-
-    def attempts_per_second(self) -> float:
-        return self.attempts_per_window * self.cycle_rate_hz
-
-
-def schedule_trials(tl: TrialTimeline, n_cycles: int,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
-    """Start times of every attempt over n_cycles duty cycles.
-
-    Synced sequences open each run window at a fixed mains phase (the
-    cycle is an integer number of line periods).  Free-running
-    sequences get a uniformly random extra offset per cycle, modeling
-    the drift of the window relative to the 50 Hz line; this path needs
-    a random generator.
-    """
-    if n_cycles < 1:
-        raise TimelineError("n_cycles must be at least 1")
-    if not tl.mains_synced and rng is None:
-        raise TimelineError("free-running schedules need a random generator")
-    offsets = np.arange(tl.attempts_per_window) * tl.attempt_pitch_s
-    starts = np.arange(n_cycles) * tl.cycle_period_s + tl.prep_s
-    if not tl.mains_synced:
-        starts = starts + rng.uniform(0.0, MAINS_PERIOD_S, size=n_cycles)
-    return (starts[:, None] + offsets[None, :]).ravel()
-
-
-def window_mains_phase(tl: TrialTimeline, times_s: np.ndarray,
-                       phase_at_zero_rad: float = 0.0) -> np.ndarray:
-    """Line phase at the given times (radians in [0, 2*pi))."""
-    omega = 2.0 * math.pi / MAINS_PERIOD_S
-    return np.mod(phase_at_zero_rad + omega * np.asarray(times_s),
-                  2.0 * math.pi)
-
-
-def cycles_for_trials(tl: TrialTimeline, n_trials: int) -> int:
-    """Smallest cycle count whose windows hold n_trials attempts."""
-    if n_trials < 1:
-        raise TimelineError("n_trials must be at least 1")
-    return -(-n_trials // tl.attempts_per_window)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from memlink import dualrail
 from memlink.channel import (
     ChannelConfigError,
     ChannelParams,
@@ -12,7 +11,6 @@ from memlink.channel import (
     fiber_transmission,
     latency,
     photon_loss_joint,
-    sample_transmit,
     transmit,
 )
 from memlink.qcore import apply_channel, partial_trace, pure_state
@@ -27,7 +25,7 @@ from memlink.source import (
 
 def joint_pure(amps):
     return AtomPhotonState(state=pure_state(amps, joint_labels(2)),
-                           cutoff=2, ladder_weight=0.0)
+                           cutoff=2)
 
 
 def single_photon_input():
@@ -156,45 +154,3 @@ class TestTransmit:
         s = atom_photon_state(SourceParams(chi=0.2, double_amp_scale=0.9))
         out = transmit(s, ChannelParams(background_rate=0.01))
         out.state.validate()
-
-
-class TestSampleTransmit:
-    def test_survival_flag_is_bernoulli(self):
-        rng = np.random.default_rng(11)
-        p = ChannelParams()
-        s = single_photon_input()
-        eta = channel_efficiency(p)
-        n = 2000
-        hits = sum(sample_transmit(s, p, rng)[1] for _ in range(n))
-        sigma = np.sqrt(n * eta * (1 - eta))
-        assert abs(hits - n * eta) < 3.0 * sigma
-
-    def test_collapsed_branches(self):
-        rng = np.random.default_rng(3)
-        p = ChannelParams()
-        s = single_photon_input()
-        seen = set()
-        for _ in range(200):
-            out, survived = sample_transmit(s, p, rng)
-            seen.add(survived)
-            pops = out.state.probabilities()
-            top = out.state.labels[int(np.argmax(pops))]
-            if survived:
-                # photon-vacuum indices are projected away
-                assert all(not lab.endswith(",vac")
-                           for lab in out.state.labels)
-                assert top == "g,E"
-            else:
-                assert all(lab.endswith(",vac") for lab in out.state.labels)
-                assert top == "g,vac"
-            assert pops.max() == pytest.approx(1.0, abs=1e-9)
-        assert seen == {True, False}
-
-    def test_reproducible_with_seed(self):
-        p = ChannelParams()
-        s = single_photon_input()
-        flags_a = [sample_transmit(s, p, np.random.default_rng(42 + i))[1]
-                   for i in range(50)]
-        flags_b = [sample_transmit(s, p, np.random.default_rng(42 + i))[1]
-                   for i in range(50)]
-        assert flags_a == flags_b

@@ -1,4 +1,4 @@
-"""Detection layer: basis projection, trial distributions, click records."""
+"""Detection layer: basis projection, trial distributions, tallies."""
 
 import dataclasses
 import math
@@ -11,23 +11,19 @@ from memlink import channel as link
 from memlink import detection, dualrail, memory_a, memory_b, source
 from memlink.config import ExperimentBundle, calibrated_bundle
 from memlink.detection import (
-    EXPORT_HEADER,
     PATTERN_NAMES,
-    TICK_S,
+    PATTERNS,
     BasisSetting,
-    ClickRecord,
     CountsTable,
     DetectionConfig,
     DetectionConfigError,
     DetectorParams,
-    accumulate,
     analytic_counts,
     expected_click_probs,
     expected_outcome_probs,
     noise_distribution,
     project_basis,
     sample_counts,
-    simulate_trial,
     trial_distribution,
 )
 from memlink.estimators import correlator
@@ -159,23 +155,6 @@ class TestCountsTable:
         np.testing.assert_array_equal(t.outcome_counts["Z,Z"],
                                       [10, 20, 30, 40])
 
-    def test_merge_is_commutative_and_total(self):
-        t1 = self.build([("Z,Z", 1, 1, 5), ("X,X", 1, -1, 3)])
-        t1.noise_windows, t1.noise_counts = 100, 7
-        t2 = self.build([("Z,Z", -1, -1, 2)])
-        t2.noise_windows, t2.noise_counts = 50, 1
-        left = t1 + t2
-        right = t2 + t1
-        for key in ("Z,Z", "X,X"):
-            np.testing.assert_array_equal(left.outcome_counts[key],
-                                          right.outcome_counts[key])
-            assert left.trials[key] == right.trials[key]
-        np.testing.assert_array_equal(left.outcome_counts["Z,Z"],
-                                      [5, 0, 0, 2])
-        assert left.noise_windows == 150
-        assert left.noise_counts == 8
-        left.check()
-
     def test_check_rejects_outcome_excess(self):
         t = CountsTable()
         t._bucket("Z,Z")
@@ -192,24 +171,6 @@ class TestCountsTable:
         t.coincidences["Z,Z"] = 2
         with pytest.raises(ValueError):
             t.check()
-
-
-class TestClickRecords:
-    def record(self):
-        return ClickRecord(trial_id=7, setting=BasisSetting("Z", "X"),
-                           detectors=("a+", "b-"), ticks=(41200, 41200),
-                           post_selected=True)
-
-    def test_export_line_format(self):
-        lines = self.record().export_lines()
-        assert lines == ["7\tZ,X\ta+\t103000.0\t1",
-                         "7\tZ,X\tb-\t103000.0\t1"]
-        assert len(EXPORT_HEADER.split("\t")) == 5
-
-    def test_empty_record_exports_nothing(self):
-        rec = ClickRecord(trial_id=1, setting=BasisSetting(),
-                          detectors=(), ticks=(), post_selected=False)
-        assert rec.export_lines() == []
 
 
 class TestTrialDistribution:
@@ -237,15 +198,20 @@ class TestTrialDistribution:
                                   60e-6, "stored")
         assert dist.swing > 0.0
         u = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        numeric = dist.probabilities(dist.swing * np.sin(u)).mean(axis=0)
+        phi = dist.swing * np.sin(u)[:, None]
+        series = dist.base + sum(
+            2.0 * np.real(np.exp(-1j * k * phi) * coeff)
+            for k, coeff in enumerate(dist.fourier, start=1))
+        numeric = np.clip(series, 0.0, None).mean(axis=0)
         np.testing.assert_allclose(dist.mean_probabilities(), numeric,
                                    atol=1e-9)
 
     def test_pattern_index(self):
         dist = trial_distribution(ExperimentBundle(), BasisSetting(),
                                   0.0, "source")
-        assert dist.patterns[dist.index("plus", "none")] == ("plus", "none")
-        assert len(dist.patterns) == 16
+        assert PATTERNS.index(("plus", "none")) == 3
+        assert PATTERNS.index(("none", "plus")) == 12
+        assert dist.base.shape == (len(PATTERNS),) == (16,)
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(DetectionConfigError):
@@ -373,6 +339,24 @@ class TestSampling:
                                       b.outcome_counts["Y,Y"])
         assert a.noise_counts == b.noise_counts
 
+    def test_analytic_counts_round_each_pattern(self):
+        bundle = calibrated_bundle()
+        n = 300_000_000
+        for stage in ("source", "stored"):
+            table = analytic_counts(bundle, None, n, 103e-6, stage=stage)
+            dist = trial_distribution(bundle, None, 103e-6, stage)
+            mean = dist.mean_probabilities() * n
+            want = {"singles_a": 0, "singles_b": 0, "coincidences": 0}
+            for (a, b), m in zip(PATTERNS, mean):
+                n_pat = int(round(m))
+                want["singles_a"] += n_pat if a != "none" else 0
+                want["singles_b"] += n_pat if b != "none" else 0
+                want["coincidences"] += (n_pat if "none" not in (a, b)
+                                         else 0)
+            for name, value in want.items():
+                assert getattr(table, name)["bins"] == value, (stage, name)
+            assert table.trials["bins"] == n
+
     def test_double_click_policies_at_distribution_level(self):
         bundle = calibrated_bundle()
         dist = trial_distribution(bundle, BasisSetting("Z", "Z"), 103e-6,
@@ -385,128 +369,92 @@ class TestSampling:
                                    rtol=1e-12)
 
 
-class TestSimulateTrial:
-    def test_deterministic_given_seed(self):
-        bundle = calibrated_bundle()
-        recs_a = [simulate_trial(bundle, BasisSetting("Z", "Z"),
-                                 np.random.default_rng(1000 + i), trial_id=i)
-                  for i in range(40)]
-        recs_b = [simulate_trial(bundle, BasisSetting("Z", "Z"),
-                                 np.random.default_rng(1000 + i), trial_id=i)
-                  for i in range(40)]
-        assert recs_a == recs_b
-
-    def test_stored_stage_timestamps_share_the_delay(self):
-        bundle = noise_free_bundle()
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            rec = simulate_trial(bundle, BasisSetting("Z", "Z"), rng,
-                                 start_time_s=1e-3)
-            for tick in rec.ticks:
-                assert tick == int(round((1e-3 + 103e-6) / TICK_S))
-
-    def test_source_stage_monitor_clicks_at_emission(self):
-        bundle = noise_free_bundle()
-        rng = np.random.default_rng(3)
-        seen_monitor = False
-        for _ in range(400):
-            rec = simulate_trial(bundle, BasisSetting("Z", "Z"), rng,
-                                 start_time_s=2e-3, stage="source")
-            for det, tick in zip(rec.detectors, rec.ticks):
-                if det.startswith("m"):
-                    seen_monitor = True
-                    assert tick == int(round(2e-3 / TICK_S))
-                else:
-                    assert tick == int(round((2e-3 + 103e-6) / TICK_S))
-        assert seen_monitor
-
-    def test_post_selected_flag_tracks_far_node(self):
-        bundle = calibrated_bundle()
-        rng = np.random.default_rng(4)
-        for i in range(300):
-            rec = simulate_trial(bundle, BasisSetting("Z", "Z"), rng,
-                                 trial_id=i, stage="transferred")
-            b_clicks = [d for d in rec.detectors if d.startswith("b")]
-            assert rec.post_selected == bool(b_clicks)
-            assert rec.trial_id == i
-
-
 class TestAccumulate:
-    def make_record(self, trial_id, detectors, post):
-        return ClickRecord(trial_id=trial_id, setting=BasisSetting("Z", "Z"),
-                           detectors=detectors,
-                           ticks=tuple(0 for _ in detectors),
-                           post_selected=post)
+    """Pattern-count vectors folded into a CountsTable by the tally table."""
 
-    def fixture_records(self):
-        return [
-            self.make_record(0, ("a+", "b+"), True),
-            self.make_record(1, ("a-", "b+"), True),
-            self.make_record(2, ("a+",), False),
-            self.make_record(3, ("b-",), True),
-            self.make_record(4, (), False),
-            self.make_record(5, ("a+", "a-", "b+"), True),
-        ]
+    FIXTURE = (
+        (("plus", "plus"), 1),
+        (("minus", "plus"), 1),
+        (("plus", "none"), 1),
+        (("none", "minus"), 1),
+        (("none", "none"), 1),
+        (("both", "plus"), 1),
+    )
+
+    def counts(self, rows):
+        out = np.zeros(len(PATTERNS), dtype=np.int64)
+        for pattern, n in rows:
+            out[PATTERNS.index(pattern)] += n
+        return out
+
+    def tally(self, rows, policy="discard", seed=0):
+        return detection._tally_counts("Z,Z", self.counts(rows), policy,
+                                       np.random.default_rng(seed))
 
     def test_empty_input(self):
-        table = accumulate([])
-        assert table.outcome_counts == {}
+        table = self.tally(())
+        assert table.trials["Z,Z"] == 0
+        assert table.coincidences["Z,Z"] == 0
+        np.testing.assert_array_equal(table.outcome_counts["Z,Z"], 0)
         table.check()
 
     def test_hand_counted_fixture(self):
-        table = accumulate(self.fixture_records())
+        table = self.tally(self.FIXTURE)
         key = "Z,Z"
         assert table.trials[key] == 6
         assert table.singles_a[key] == 4
         assert table.singles_b[key] == 4
         assert table.coincidences[key] == 3
-        # the double-click record is discarded from the outcome bins
+        # the double-click pattern is discarded from the outcome bins
         np.testing.assert_array_equal(table.outcome_counts[key],
                                       [1, 0, 1, 0])
         table.check()
 
-    def test_order_independent(self):
-        records = self.fixture_records()
-        forward = accumulate(records)
-        backward = accumulate(list(reversed(records)))
-        key = "Z,Z"
-        np.testing.assert_array_equal(forward.outcome_counts[key],
-                                      backward.outcome_counts[key])
-        assert forward.trials == backward.trials
-        assert forward.coincidences == backward.coincidences
-
     def test_sharded_merge_matches_single_pass(self):
-        records = self.fixture_records()
-        merged = accumulate(records[:3]) + accumulate(records[3:])
-        whole = accumulate(records)
+        # the discard tally is linear: two batches tallied apart add up
+        # to the batches tallied together
+        first, second = self.FIXTURE[:3], self.FIXTURE[3:] + ((
+            ("both", "both"), 4), (("minus", "minus"), 2))
+        parts = [self.tally(rows) for rows in (first, second)]
+        whole = self.tally(first + second)
         key = "Z,Z"
-        np.testing.assert_array_equal(merged.outcome_counts[key],
-                                      whole.outcome_counts[key])
-        assert merged.trials[key] == whole.trials[key]
-        assert merged.singles_a[key] == whole.singles_a[key]
-        assert merged.singles_b[key] == whole.singles_b[key]
+        for name in ("trials", "singles_a", "singles_b", "coincidences"):
+            assert (getattr(parts[0], name)[key] + getattr(parts[1], name)[key]
+                    == getattr(whole, name)[key])
+        np.testing.assert_array_equal(
+            parts[0].outcome_counts[key] + parts[1].outcome_counts[key],
+            whole.outcome_counts[key])
 
-    def test_random_policy_rejected_after_the_fact(self):
-        records = [self.make_record(0, ("a+", "a-", "b+"), True)]
-        with pytest.raises(ValueError):
-            accumulate(records, policy="random")
+    def test_random_split_keeps_bins_summing_to_coincidences(self):
+        rows = self.FIXTURE + ((("plus", "both"), 37),
+                               (("both", "both"), 101),
+                               (("both", "none"), 9))
+        discard = self.tally(rows)
+        for seed in range(5):
+            table = self.tally(rows, policy="random", seed=seed)
+            key = "Z,Z"
+            assert table.outcome_counts[key].sum() == table.coincidences[key]
+            for name in ("trials", "singles_a", "singles_b", "coincidences"):
+                assert getattr(table, name) == getattr(discard, name)
+            table.check()
+        a = self.tally(rows, policy="random", seed=3)
+        b = self.tally(rows, policy="random", seed=3)
+        np.testing.assert_array_equal(a.outcome_counts["Z,Z"],
+                                      b.outcome_counts["Z,Z"])
 
-    def test_simulated_records_accumulate_consistently(self):
-        bundle = calibrated_bundle()
-        rng = np.random.default_rng(6)
-        records = [simulate_trial(bundle, BasisSetting("Z", "Z"), rng,
-                                  trial_id=i, stage="transferred")
-                   for i in range(5000)]
-        table = accumulate(records)
-        table.check()
-        key = "Z,Z"
-        assert table.trials[key] == 5000
-        coincident = sum(
-            1 for r in records
-            if any(d.startswith("a") for d in r.detectors)
-            and any(d.startswith("b") for d in r.detectors)
-        )
-        assert table.coincidences[key] == coincident
+    def test_expected_tallies_are_the_table_rows(self):
+        # the float reductions read the same table as the integer ones
+        rows = self.FIXTURE + ((("both", "both"), 2),)
+        probs = self.counts(rows) / 8.0
+        dist = detection.TrialDistribution(base=probs, fourier=(), swing=0.0)
+        clicks = expected_click_probs(dist)
+        assert (clicks["a"], clicks["b"], clicks["ab"]) == (0.75, 0.75, 0.625)
+        np.testing.assert_array_equal(
+            expected_outcome_probs(dist, "discard"), [1 / 8, 0, 1 / 8, 0])
+        # (both, plus) splits over ++ and -+, (both, both) over all four
+        np.testing.assert_array_equal(
+            expected_outcome_probs(dist, "random"),
+            [1 / 8 + 1 / 16 + 1 / 16, 1 / 16, 1 / 8 + 1 / 16 + 1 / 16, 1 / 16])
 
 
 class TestSampledInvariance:
@@ -583,14 +531,13 @@ def reference_distribution(bundle, setting, delay_s, stage):
     collect = link.photon_loss_joint(cutoff, bundle.source.collection,
                                      atom_dim)
     s = source.AtomPhotonState(state=apply_channel(s.state, collect),
-                               cutoff=cutoff, ladder_weight=s.ladder_weight)
+                               cutoff=cutoff)
     if stage != "source":
         s = memory_b.timebin_to_spatial(link.transmit(s, bundle.channel))
     if stage == "stored":
         s = memory_b.map_out(memory_b.map_in(s, bundle.eit), bundle.eit)
     q = memory_a.decohere(memory_a.AtomQubitA(state=s.state, cutoff=cutoff),
-                          delay_s, bundle.coherence, bundle.geometry,
-                          include_mains=False)
+                          delay_s, bundle.coherence, bundle.geometry)
     det = bundle.detection
     eta_a = det.det_a.eta_det
     loss_a = dualrail.loss_channel(cutoff, q.mode_weights[0] * eta_a,
@@ -646,8 +593,7 @@ class TestEngineMatchesReference:
                 base, fourier, swing = reference_distribution(
                     bundle, setting, delay, stage)
                 where = f"{name} {stage} {setting} {delay:g}"
-                assert dist.patterns == tuple(
-                    (a, b) for a in PATTERN_NAMES for b in PATTERN_NAMES)
+                assert dist.base.shape == (len(PATTERNS),), where
                 assert dist.swing == swing, where
                 np.testing.assert_allclose(dist.base, base, rtol=0.0,
                                            atol=1e-12, err_msg=where)

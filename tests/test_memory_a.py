@@ -1,12 +1,15 @@
 """Emitting-node memory: wavevectors, lifetimes, decoherence, readout."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.special import j0
 
+from memlink.config import ExperimentBundle
 from memlink.constants import CODATA
+from memlink.detection import (BasisSetting, DetectorParams,
+                               expected_click_probs, trial_distribution)
 from memlink.memory_a import (
     AtomQubitA,
     CoherenceParams,
@@ -15,19 +18,14 @@ from memlink.memory_a import (
     active_wavevector,
     decohere,
     from_qubit_block,
-    mains_ensemble_envelope,
     mains_phase_increment,
     mains_swing_amplitude,
     mode_lifetimes,
     motional_lifetime,
-    readout_a,
     retrieval_weights,
     spinwave_wavevectors,
     zeeman_phase_increment,
 )
-
-X_BASIS = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-Z_BASIS = np.eye(2)
 
 QUIET = CoherenceParams(t1_s=math.inf, t2_star_s=math.inf,
                         bias_field_gauss=0.0, mains_amplitude_gauss=0.0)
@@ -36,6 +34,24 @@ FROZEN = FreezingGeometry()
 
 def plus_qubit():
     return from_qubit_block(np.full((2, 2), 0.5))
+
+
+def single_pair_bundle(eta_a=1.0, **coherence):
+    """Default bundle without multi-pair emission and with a dark-free
+    node-A detector of efficiency eta_a."""
+    base = ExperimentBundle()
+    return dataclasses.replace(
+        base,
+        source=dataclasses.replace(base.source, double_amp_scale=0.0),
+        coherence=dataclasses.replace(base.coherence, **coherence),
+        detection=dataclasses.replace(
+            base.detection, det_a=DetectorParams(eta_det=eta_a)),
+    )
+
+
+def node_a_click_probability(bundle, delay_s=0.0, setting=None):
+    dist = trial_distribution(bundle, setting, delay_s, "source")
+    return expected_click_probs(dist)["a"]
 
 
 class TestWavevectors:
@@ -162,11 +178,6 @@ class TestQubitContainer:
         with pytest.raises(MemoryConfigError):
             from_qubit_block(np.eye(3))
 
-    def test_retrieval_weight_is_mode_average(self):
-        q = plus_qubit()
-        q.mode_weights = (0.4, 0.8)
-        assert q.retrieval_weight == pytest.approx(0.6)
-
     def test_rejects_incompatible_dimension(self):
         from memlink.qcore import pure_state
         state = pure_state([1.0, 0.0, 0.0, 0.0], ("a", "b", "c", "d"))
@@ -206,14 +217,6 @@ class TestPhaseIncrements:
                     for psi in np.linspace(0.0, 2.0 * math.pi, 721))
         assert worst <= swing + 1e-12
         np.testing.assert_allclose(worst, swing, rtol=1e-4)
-
-    def test_ensemble_envelope_is_bessel(self):
-        c = CoherenceParams(mains_amplitude_gauss=0.35e-3)
-        np.testing.assert_allclose(mains_ensemble_envelope(c, 60e-6),
-                                   0.9914920930894308, rtol=1e-12)
-        swing = mains_swing_amplitude(c, 60e-6)
-        np.testing.assert_allclose(mains_ensemble_envelope(c, 60e-6, dn=2),
-                                   float(j0(2.0 * swing)), rtol=1e-12)
 
 
 class TestDecohere:
@@ -270,38 +273,31 @@ class TestDecohere:
                                    rtol=1e-12)
 
     def test_synced_mains_adds_deterministic_phase(self):
+        # The pattern distribution folds the synced ripple in as a phase
+        # on mode 2, the same rotation a bias field of equal phase gives.
+        t = 80e-6
+        mains = single_pair_bundle(
+            t1_s=math.inf, t2_star_s=math.inf, bias_field_gauss=0.0,
+            mains_amplitude_gauss=1.61e-3, mains_synced=True,
+            mains_phase_rad=0.9)
+        phi = mains_phase_increment(mains.coherence, 0.0, t, 0.9)
+        rate = CODATA.zeeman_rate_rad_per_s_gauss
+        bias = single_pair_bundle(
+            t1_s=math.inf, t2_star_s=math.inf, bias_field_gauss=phi / (rate * t),
+            mains_amplitude_gauss=0.0)
+        assert abs(phi) > 0.1
+        for setting in (BasisSetting("X", "X"), BasisSetting("X", "Y")):
+            got = trial_distribution(mains, setting, t, "stored").base
+            want = trial_distribution(bias, setting, t, "stored").base
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    def test_include_mains_false_skips_ripple(self):
+        # decohere never applies the ripple; the pattern distribution does
         c = CoherenceParams(t1_s=math.inf, t2_star_s=math.inf,
                             bias_field_gauss=0.0,
                             mains_amplitude_gauss=1.61e-3,
                             mains_synced=True, mains_phase_rad=0.9)
-        t = 80e-6
-        out = decohere(plus_qubit(), t, c, FROZEN)
-        phi = mains_phase_increment(c, 0.0, t, 0.9)
-        coh = out.state.mat[1, 2]
-        np.testing.assert_allclose(np.angle(coh), phi, atol=1e-12)
-
-    def test_unsynced_mains_requires_rng(self):
-        c = CoherenceParams(mains_synced=False)
-        with pytest.raises(MemoryConfigError):
-            decohere(plus_qubit(), 50e-6, c, FROZEN)
-
-    def test_unsynced_mains_reproducible_with_seed(self):
-        c = CoherenceParams(t1_s=math.inf, t2_star_s=math.inf,
-                            bias_field_gauss=0.0,
-                            mains_amplitude_gauss=1.61e-3,
-                            mains_synced=False)
-        a = decohere(plus_qubit(), 80e-6, c, FROZEN,
-                     rng=np.random.default_rng(7))
-        b = decohere(plus_qubit(), 80e-6, c, FROZEN,
-                     rng=np.random.default_rng(7))
-        np.testing.assert_allclose(a.state.mat, b.state.mat, atol=1e-15)
-
-    def test_include_mains_false_skips_ripple(self):
-        c = CoherenceParams(t1_s=math.inf, t2_star_s=math.inf,
-                            bias_field_gauss=0.0,
-                            mains_amplitude_gauss=1.61e-3,
-                            mains_synced=False)
-        out = decohere(plus_qubit(), 80e-6, c, FROZEN, include_mains=False)
+        out = decohere(plus_qubit(), 80e-6, c, FROZEN)
         np.testing.assert_allclose(out.state.mat[1, 2], 0.5, atol=1e-12)
 
     def test_state_stays_physical(self):
@@ -312,59 +308,33 @@ class TestDecohere:
 
 
 class TestReadout:
-    def test_single_excitation_always_clicks_at_unit_efficiency(self):
-        rng = np.random.default_rng(0)
-        q = plus_qubit()
-        for _ in range(100):
-            clicked, outcome = readout_a(q, X_BASIS, 1.0, rng)
-            assert clicked
-            assert outcome == 1
+    """Node A's readout as the pattern distribution models it: retrieval
+    loss from the mode weights and the detector efficiency, then the
+    threshold-detector pair."""
 
-    def test_eigenstate_outcome_is_deterministic(self):
-        rng = np.random.default_rng(1)
-        q = from_qubit_block(np.diag([1.0, 0.0]))
-        for _ in range(100):
-            clicked, outcome = readout_a(q, Z_BASIS, 1.0, rng)
-            assert clicked and outcome == 1
-        q = from_qubit_block(np.diag([0.0, 1.0]))
-        for _ in range(100):
-            clicked, outcome = readout_a(q, Z_BASIS, 1.0, rng)
-            assert clicked and outcome == -1
+    def test_single_excitation_always_clicks_at_unit_efficiency(self):
+        bundle = single_pair_bundle(eta_a=1.0)
+        np.testing.assert_allclose(node_a_click_probability(bundle),
+                                   bundle.source.chi, rtol=1e-12)
 
     def test_click_rate_is_bernoulli_in_efficiency(self):
-        rng = np.random.default_rng(5)
-        q = plus_qubit()
-        eta, n = 0.3, 5000
-        clicks = sum(readout_a(q, Z_BASIS, eta, rng)[0] for _ in range(n))
-        sigma = math.sqrt(n * eta * (1.0 - eta))
-        assert abs(clicks - n * eta) < 3.0 * sigma
+        bundle = single_pair_bundle(eta_a=0.3)
+        np.testing.assert_allclose(node_a_click_probability(bundle),
+                                   0.3 * bundle.source.chi, rtol=1e-12)
 
     def test_mode_weights_scale_click_rate(self):
-        rng = np.random.default_rng(9)
-        q = from_qubit_block(np.diag([1.0, 0.0]))
-        q.mode_weights = (0.5, 0.5)
-        n = 5000
-        clicks = sum(readout_a(q, Z_BASIS, 1.0, rng)[0] for _ in range(n))
-        sigma = math.sqrt(n * 0.25)
-        assert abs(clicks - n * 0.5) < 3.0 * sigma
+        bundle = single_pair_bundle(eta_a=1.0)
+        t = 300e-6
+        w1, w2 = retrieval_weights(t, bundle.coherence, bundle.geometry)
+        assert w1 == w2 < 0.9
+        np.testing.assert_allclose(node_a_click_probability(bundle, t),
+                                   w1 * bundle.source.chi, rtol=1e-12)
 
     def test_transverse_outcomes_balanced(self):
-        rng = np.random.default_rng(13)
-        q = from_qubit_block(np.diag([1.0, 0.0]))
-        outcomes = [readout_a(q, X_BASIS, 1.0, rng)[1] for _ in range(4000)]
-        mean = np.mean(outcomes)
-        assert abs(mean) < 3.0 / math.sqrt(len(outcomes))
-
-    def test_decohered_plus_still_normalized_outcomes(self):
-        # the most likely outcome should follow the rotated coherence sign
-        c = CoherenceParams(t1_s=math.inf, t2_star_s=math.inf,
-                            mains_amplitude_gauss=0.0)
-        rng = np.random.default_rng(21)
-        period = 2.0 * math.pi / zeeman_phase_increment(c, 1.0)
-        q = decohere(plus_qubit(), period, c, FROZEN)
-        outcomes = [readout_a(q, X_BASIS, 1.0, rng)[1] for _ in range(600)]
-        assert np.mean(outcomes) > 0.9
-
-    def test_invalid_efficiency_rejected(self):
-        with pytest.raises(MemoryConfigError):
-            readout_a(plus_qubit(), Z_BASIS, 1.5, np.random.default_rng(0))
+        bundle = single_pair_bundle(eta_a=1.0)
+        dist = trial_distribution(bundle, BasisSetting("X", "Z"), 0.0,
+                                  "source")
+        plus, minus = dist.base.reshape(4, 4).sum(axis=1)[:2]
+        np.testing.assert_allclose(plus, minus, rtol=1e-12)
+        np.testing.assert_allclose(plus + minus, bundle.source.chi,
+                                   rtol=1e-12)

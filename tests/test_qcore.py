@@ -1,18 +1,30 @@
-"""Density-matrix engine: states, channels, observables, sampling."""
+"""Density-matrix engine: states, channels, observables."""
 
 import math
 
 import numpy as np
 import pytest
 
-from memlink.qcore import (ATOL_ACCUM, PAULI, DensityMatrix, KrausChannel,
+from memlink.qcore import (PAULI, DensityMatrix, KrausChannel,
                            Observable, QuantumStateError, apply_channel,
-                           dephasing_channel_qubit, eigenprojectors,
-                           expectation, loss_channel_qubit, partial_trace,
-                           post_select, pure_state, sample_measurement,
-                           tensor)
+                           expectation, partial_trace, post_select,
+                           pure_state, tensor)
 
 QUBIT = ("0", "1")
+
+
+def loss_channel_qubit(survival):
+    """Amplitude damping on {empty, occupied} with the given survival."""
+    k0 = np.array([[1, 0], [0, np.sqrt(survival)]], dtype=complex)
+    k1 = np.array([[0, np.sqrt(1 - survival)], [0, 0]], dtype=complex)
+    return KrausChannel([k0, k1])
+
+
+def dephasing_channel_qubit(factor):
+    """Phase damping that scales the off-diagonals by ``factor``."""
+    p = (1.0 - factor) / 2.0
+    return KrausChannel([np.sqrt(1 - p) * np.eye(2, dtype=complex),
+                         np.sqrt(p) * PAULI["Z"]])
 
 
 def plus_state():
@@ -167,56 +179,6 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(QuantumStateError):
             expectation(bell_phi_plus(), Observable(PAULI["Z"], QUBIT))
-
-
-class TestEigenprojectors:
-    def test_projectors_resolve_identity(self):
-        groups = eigenprojectors(Observable(PAULI["X"], QUBIT))
-        total = sum(p for _, p in groups)
-        np.testing.assert_allclose(total, np.eye(2), atol=1e-10)
-        assert sorted(v for v, _ in groups) == pytest.approx([-1.0, 1.0])
-
-    def test_degenerate_eigenvalues_are_grouped(self):
-        obs = Observable(np.eye(2, dtype=complex), QUBIT)
-        groups = eigenprojectors(obs)
-        assert len(groups) == 1
-
-
-class TestSampling:
-    def test_definite_outcome_is_deterministic(self):
-        rng = np.random.default_rng(7)
-        rho = pure_state([1.0, 0.0], QUBIT)
-        obs = Observable(PAULI["Z"], QUBIT)
-        outcomes = [sample_measurement(rho, obs, rng) for _ in range(200)]
-        assert set(outcomes) == {1.0}
-
-    def test_maximally_mixed_is_balanced(self):
-        rng = np.random.default_rng(11)
-        rho = DensityMatrix(np.eye(2) / 2.0, QUBIT)
-        obs = Observable(PAULI["Z"], QUBIT)
-        n = 100_000
-        hits = sum(sample_measurement(rho, obs, rng) > 0 for _ in range(n))
-        sigma = math.sqrt(0.25 / n)
-        assert abs(hits / n - 0.5) < 3.0 * sigma
-
-    def test_transverse_basis_mean_near_zero(self):
-        rng = np.random.default_rng(13)
-        rho = pure_state([1.0, 0.0], QUBIT)
-        obs = Observable(PAULI["X"], QUBIT)
-        n = 100_000
-        mean = np.mean([sample_measurement(rho, obs, rng)
-                        for _ in range(n)])
-        assert abs(mean) < 3.0 / math.sqrt(n)
-
-    def test_reproducible_given_stream_state(self):
-        rho = DensityMatrix(np.eye(2) / 2.0, QUBIT)
-        obs = Observable(PAULI["Z"], QUBIT)
-        runs = []
-        for _ in range(2):
-            rng = np.random.default_rng(123)
-            runs.append([sample_measurement(rho, obs, rng)
-                         for _ in range(50)])
-        assert runs[0] == runs[1]
 
 
 class TestReshaping:

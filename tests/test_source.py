@@ -117,7 +117,9 @@ class TestLadderConstruction:
         s.state.validate()
 
     def test_ladder_weight_monotone_in_chi(self):
-        weights = [atom_photon_state(SourceParams(chi=c)).ladder_weight
+        # the ladder weight is the population outside the joint vacuum
+        weights = [1.0 - atom_photon_state(SourceParams(chi=c))
+                   .state.probabilities()[0]
                    for c in (0.01, 0.054, 0.1, 0.2, 0.4)]
         assert all(0.0 < w < 1.0 for w in weights)
         assert all(a < b for a, b in zip(weights, weights[1:]))

@@ -1,25 +1,17 @@
-"""Duty-cycle scheduling and line-phase bookkeeping."""
+"""Duty-cycle parameters and their validation."""
 
-import math
-
-import numpy as np
 import pytest
 
-from memlink.timeline import (
-    MAINS_PERIOD_S,
-    TimelineError,
-    TrialTimeline,
-    cycles_for_trials,
-    schedule_trials,
-    window_mains_phase,
-)
+from memlink.timeline import TimelineError, TrialTimeline
+
+MAINS_PERIOD_S = 0.02
 
 
 class TestTimelineValidation:
     def test_defaults_fill_the_cycle(self):
         tl = TrialTimeline()
-        assert tl.cycle_period_s == pytest.approx(0.1)
-        assert tl.prep_s + tl.window_s == pytest.approx(tl.cycle_period_s)
+        assert 1.0 / tl.cycle_rate_hz == pytest.approx(0.1)
+        assert tl.prep_s + tl.window_s == pytest.approx(0.1)
 
     def test_cycle_fill_mismatch_rejected(self):
         with pytest.raises(TimelineError):
@@ -39,94 +31,7 @@ class TestTimelineValidation:
         with pytest.raises(TimelineError):
             TrialTimeline(analysis_delay_s=-1e-9)
 
-    def test_attempt_pitch(self):
-        tl = TrialTimeline()
-        assert tl.attempt_pitch_s == pytest.approx(0.003 / 25)
-        assert tl.attempts_per_second() == pytest.approx(250.0)
-
     def test_cycle_is_integer_number_of_line_periods(self):
         tl = TrialTimeline()
-        ratio = tl.cycle_period_s / MAINS_PERIOD_S
+        ratio = 1.0 / tl.cycle_rate_hz / MAINS_PERIOD_S
         assert ratio == pytest.approx(round(ratio))
-
-
-class TestSchedule:
-    def test_one_cycle_fits_inside_run_window(self):
-        tl = TrialTimeline()
-        times = schedule_trials(tl, 1)
-        assert len(times) == tl.attempts_per_window
-        assert times.min() >= tl.prep_s
-        assert times.max() < tl.prep_s + tl.window_s
-
-    def test_attempt_count_scales_with_cycles(self):
-        tl = TrialTimeline()
-        assert len(schedule_trials(tl, 7)) == 7 * tl.attempts_per_window
-
-    def test_synced_windows_share_line_phase(self):
-        tl = TrialTimeline(mains_synced=True)
-        times = schedule_trials(tl, 10)
-        window_starts = times.reshape(10, -1)[:, 0]
-        phases = np.mod(window_starts, MAINS_PERIOD_S)
-        np.testing.assert_allclose(phases, phases[0], atol=1e-12)
-
-    def test_free_running_windows_drift(self):
-        tl = TrialTimeline(mains_synced=False)
-        times = schedule_trials(tl, 50, rng=np.random.default_rng(12))
-        window_starts = times.reshape(50, -1)[:, 0]
-        phases = np.mod(window_starts, MAINS_PERIOD_S)
-        assert np.std(phases) > 1e-4
-
-    def test_free_running_needs_rng(self):
-        tl = TrialTimeline(mains_synced=False)
-        with pytest.raises(TimelineError):
-            schedule_trials(tl, 5)
-
-    def test_free_running_reproducible(self):
-        tl = TrialTimeline(mains_synced=False)
-        a = schedule_trials(tl, 5, rng=np.random.default_rng(3))
-        b = schedule_trials(tl, 5, rng=np.random.default_rng(3))
-        np.testing.assert_array_equal(a, b)
-
-    def test_zero_cycles_rejected(self):
-        with pytest.raises(TimelineError):
-            schedule_trials(TrialTimeline(), 0)
-
-
-class TestMainsPhase:
-    def test_phase_wraps_to_unit_circle(self):
-        tl = TrialTimeline()
-        phases = window_mains_phase(tl, np.array([0.0, 0.005, 0.02, 0.0305]))
-        assert np.all(phases >= 0.0)
-        assert np.all(phases < 2.0 * math.pi)
-        np.testing.assert_allclose(phases[0], 0.0, atol=1e-12)
-        np.testing.assert_allclose(phases[1], math.pi / 2.0, atol=1e-12)
-        np.testing.assert_allclose(phases[2], 0.0, atol=1e-12)
-
-    def test_offset_applied(self):
-        tl = TrialTimeline()
-        phase = window_mains_phase(tl, np.array([0.0]),
-                                   phase_at_zero_rad=1.2)
-        np.testing.assert_allclose(phase, [1.2], atol=1e-12)
-
-    def test_synced_schedule_constant_phase(self):
-        tl = TrialTimeline(mains_synced=True)
-        times = schedule_trials(tl, 20)
-        starts = times.reshape(20, -1)[:, 0]
-        phases = window_mains_phase(tl, starts)
-        np.testing.assert_allclose(phases, phases[0], atol=1e-9)
-
-
-class TestCyclesForTrials:
-    def test_exact_fill(self):
-        tl = TrialTimeline()
-        assert cycles_for_trials(tl, 25) == 1
-        assert cycles_for_trials(tl, 50) == 2
-
-    def test_ceiling_division(self):
-        tl = TrialTimeline()
-        assert cycles_for_trials(tl, 26) == 2
-        assert cycles_for_trials(tl, 1) == 1
-
-    def test_positive_trials_required(self):
-        with pytest.raises(TimelineError):
-            cycles_for_trials(TrialTimeline(), 0)
