@@ -41,10 +41,15 @@ def balanced_photon():
     return photon_only([0.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
 
+def survival(s):
+    """Probability that the photonic factor holds at least one excitation."""
+    return 1.0 - s.excitation_probabilities()[0]
+
+
 def round_trip(s, p):
     """Map-in then map-out, and the probability that light comes back."""
     out = map_out(map_in(s, p), p)
-    return out, 1.0 - out.excitation_probabilities()[0]
+    return out, survival(out)
 
 
 def qubit_block(s):
@@ -139,6 +144,26 @@ class TestStorageRoundTrip:
         whole = dualrail.loss_channel(2, p.eta_up, p.eta_down, embed=(6, 1))
         direct = apply_channel(balanced_photon().state, whole)
         np.testing.assert_allclose(staged.state.mat, direct.mat, atol=1e-12)
+
+
+class TestSurvivalProbability:
+    def test_vacuum_has_zero_survival(self):
+        s = photon_only([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        assert survival(s) == pytest.approx(0.0, abs=1e-12)
+
+    def test_single_photon_has_unit_survival(self):
+        assert survival(early_photon()) == pytest.approx(1.0)
+
+    def test_matches_analytic_for_source_state(self):
+        s = atom_photon_state(SourceParams(chi=0.1, double_amp_scale=0.8))
+        pops = s.state.probabilities().reshape(s.atom_dim, s.photon_dim)
+        vac = [j for j, occ in enumerate(dualrail.occupations(s.cutoff))
+               if occ == (0, 0)]
+        np.testing.assert_allclose(survival(s), 1.0 - pops[:, vac].sum(),
+                                   rtol=1e-12)
+        probs = s.excitation_probabilities()
+        np.testing.assert_allclose(survival(s), probs[1] + probs[2],
+                                   rtol=1e-12)
 
 
 class TestAsymmetryBias:

@@ -31,6 +31,11 @@ class TestTimelineValidation:
         with pytest.raises(TimelineError):
             TrialTimeline(analysis_delay_s=-1e-9)
 
+    def test_attempt_pitch(self):
+        tl = TrialTimeline()
+        assert tl.window_s / tl.attempts_per_window == pytest.approx(0.003 / 25)
+        assert tl.attempts_per_window * tl.cycle_rate_hz == pytest.approx(250.0)
+
     def test_cycle_is_integer_number_of_line_periods(self):
         tl = TrialTimeline()
         ratio = 1.0 / tl.cycle_rate_hz / MAINS_PERIOD_S
