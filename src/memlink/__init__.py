@@ -25,10 +25,10 @@ from .fitting import (FitResult, FittingError, fit_decay, fit_mains,
 from .memory_a import (AtomQubitA, CoherenceParams, FreezingGeometry,
                        decohere, mode_lifetimes, motional_lifetime,
                        retrieval_weights, spinwave_wavevectors)
-from .memory_b import EITParams, map_in, map_out, timebin_to_spatial
+from .memory_b import EITParams, map_in, map_out
 from .scenarios import CampaignResult, bell_delay_s, run_experiment
 from .source import (AtomPhotonState, SourceParams, atom_photon_state,
-                     evolution_phase, writeout_rate)
+                     writeout_rate)
 from .timeline import TrialTimeline
 
 __version__ = "0.1.0"
@@ -43,11 +43,11 @@ __all__ = [
     "TrialDistribution", "TrialTimeline", "analytic_counts",
     "atom_photon_state", "bell_delay_s", "calibrated_bundle",
     "channel_efficiency", "chsh", "config_hash", "correlator", "decohere",
-    "direct_transmission", "evolution_phase", "fiber_transmission",
-    "fidelity", "fit_decay", "fit_mains", "fit_oscillation", "g2_wr",
-    "latency", "load_config", "map_in", "map_out", "mode_lifetimes",
-    "model_predictions", "motional_lifetime", "project_basis",
-    "retrieval_weights", "run_experiment", "sample_counts", "save_config",
-    "snr", "spinwave_wavevectors", "timebin_to_spatial", "transmit",
-    "trial_distribution", "writeout_rate",
+    "direct_transmission", "fiber_transmission", "fidelity", "fit_decay",
+    "fit_mains", "fit_oscillation", "g2_wr", "latency", "load_config",
+    "map_in", "map_out", "mode_lifetimes", "model_predictions",
+    "motional_lifetime", "project_basis", "retrieval_weights",
+    "run_experiment", "sample_counts", "save_config", "snr",
+    "spinwave_wavevectors", "transmit", "trial_distribution",
+    "writeout_rate",
 ]

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dualrail
-from .qcore import (DensityMatrix, KrausChannel, apply_channel, partial_trace,
-                    tensor)
-from .source import AtomPhotonState, atom_labels, photon_labels
+from .qcore import DensityMatrix, KrausChannel, apply_channel, partial_trace
+from .source import AtomPhotonState
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
 
@@ -100,14 +99,14 @@ def latency(p: ChannelParams) -> float:
     return p.latency_s
 
 
-def _background_state(cutoff: int) -> DensityMatrix:
+def _background_state(cutoff: int) -> np.ndarray:
     """Unpolarized single background photon on the bin pair."""
     dim = dualrail.sector_dim(cutoff)
     i1, i2 = dualrail.qubit_indices(cutoff)
     mat = np.zeros((dim, dim), dtype=complex)
     mat[i1, i1] = 0.5
     mat[i2, i2] = 0.5
-    return DensityMatrix(mat, photon_labels(cutoff))
+    return mat
 
 
 def photon_loss_joint(cutoff: int, eta: float, atom_dim: int) -> KrausChannel:
@@ -129,10 +128,8 @@ def transmit(s: AtomPhotonState, p: ChannelParams) -> AtomPhotonState:
     lossy = apply_channel(s.state, photon_loss_joint(s.cutoff, eta, atom_dim))
     if p.background_rate > 0.0:
         atom_marginal = partial_trace(
-            lossy, (atom_dim, dualrail.sector_dim(s.cutoff)), keep=0,
-            labels=atom_labels(s.cutoff),
-        )
-        bg = tensor(atom_marginal, _background_state(s.cutoff))
-        mat = (1.0 - p.background_rate) * lossy.mat + p.background_rate * bg.mat
-        lossy = DensityMatrix(mat, lossy.labels, lossy.weight)
+            lossy, (atom_dim, dualrail.sector_dim(s.cutoff)), keep=0)
+        bg = np.kron(atom_marginal.mat, _background_state(s.cutoff))
+        lossy = DensityMatrix((1.0 - p.background_rate) * lossy.mat
+                              + p.background_rate * bg)
     return AtomPhotonState(state=lossy, cutoff=s.cutoff)

@@ -163,14 +163,10 @@ def _build_section(cls, mapping: dict, section: str, defaults=None):
         raise ConfigError(
             f"unknown keys in section {section!r}: {sorted(unknown)}"
         )
-    values = dict(mapping)
-    for key, val in values.items():
-        if isinstance(val, list):
-            values[key] = tuple(val)
     try:
         if defaults is not None:
-            return dataclasses.replace(defaults, **values)
-        return cls(**values)
+            return dataclasses.replace(defaults, **mapping)
+        return cls(**mapping)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"section {section!r}: {exc}") from exc
 
@@ -236,18 +232,6 @@ def config_from_mapping(raw: dict,
     for name, cls in _SECTION_TYPES.items():
         sections[name] = _build_section(cls, raw.get(name), name)
     detection = _build_detection(raw.get("detectors"))
-
-    # the schedule and the field model must agree on line triggering
-    tl_map = raw.get("timeline") or {}
-    if "mains_synced" in tl_map:
-        if tl_map["mains_synced"] != sections["coherence"].mains_synced:
-            raise ConfigError(
-                "timeline.mains_synced contradicts coherence.mains_synced"
-            )
-    else:
-        sections["timeline"] = dataclasses.replace(
-            sections["timeline"],
-            mains_synced=sections["coherence"].mains_synced)
 
     bundle = ExperimentBundle(
         source=sections["source"], channel=sections["channel"],

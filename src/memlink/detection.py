@@ -52,7 +52,6 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0
 
 from . import channel as link
 from . import dualrail, memory_a, memory_b, source
@@ -74,15 +73,10 @@ class DetectorParams:
     Attributes:
         eta_det: chain efficiency folded into the click probability.
         dark_rate: dark-count probability per detector per window.
-        window_s: coincidence window; validated only, no count reads it.
-        labels: names of the two detectors (plus-arm first); validated
-            only, no count reads them.
     """
 
     eta_det: float = 1.0
     dark_rate: float = 0.0
-    window_s: float = 50e-9
-    labels: tuple[str, str] = ("+", "-")
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.eta_det <= 1.0:
@@ -93,8 +87,6 @@ class DetectorParams:
             raise DetectionConfigError(
                 f"dark_rate must be in [0, 1), got {self.dark_rate}"
             )
-        if self.window_s <= 0.0:
-            raise DetectionConfigError("window_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -112,14 +104,11 @@ class DetectionConfig:
     conventions are inconsistent under any single labeling.
     """
 
-    det_monitor: DetectorParams = DetectorParams(labels=("m+", "m-"))
-    det_a: DetectorParams = DetectorParams(eta_det=0.15, labels=("a+", "a-"))
+    det_monitor: DetectorParams = DetectorParams()
+    det_a: DetectorParams = DetectorParams(eta_det=0.15)
     det_b: DetectorParams = dc_field(
         default_factory=lambda: DetectorParams(
-            eta_det=memory_b.EITParams().detection_residual(),
-            labels=("b+", "b-"),
-        )
-    )
+            eta_det=memory_b.EITParams().detection_residual()))
     double_click_policy: str = "discard"
     z_b_up_sign_chsh: float = -1.0
     z_b_up_sign_corr: float = 1.0
@@ -161,11 +150,11 @@ def project_basis(setting: BasisSetting,
                   ) -> tuple[Observable, Observable]:
     """Resolve a setting into one dichotomic observable per node."""
     cfg = cfg or DetectionConfig()
-    obs_a = Observable(_node_matrix(setting.node_a, 1.0), ("d", "u"),
+    obs_a = Observable(_node_matrix(setting.node_a, 1.0),
                        name=setting.node_a)
     obs_b = Observable(_node_matrix(setting.node_b,
                                     _z_sign_b(setting.node_b, cfg)),
-                       ("U", "D"), name=setting.node_b)
+                       name=setting.node_b)
     return obs_a, obs_b
 
 
@@ -195,7 +184,11 @@ def _plus_minus_basis(mat: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CountsTable:
-    """Coincidence and singles bookkeeping per setting key."""
+    """Coincidence and singles bookkeeping per setting key.
+
+    ``outcome_counts[key]`` holds the signed coincidences in the order
+    [++, +-, -+, --], node A's sign first.
+    """
 
     outcome_counts: dict[str, np.ndarray] = dc_field(default_factory=dict)
     trials: dict[str, int] = dc_field(default_factory=dict)
@@ -204,20 +197,6 @@ class CountsTable:
     coincidences: dict[str, int] = dc_field(default_factory=dict)
     noise_windows: int = 0
     noise_counts: int = 0
-
-    def _bucket(self, key: str) -> None:
-        if key not in self.outcome_counts:
-            self.outcome_counts[key] = np.zeros(4, dtype=np.int64)
-            self.trials[key] = 0
-            self.singles_a[key] = 0
-            self.singles_b[key] = 0
-            self.coincidences[key] = 0
-
-    def add_outcome(self, key: str, a: int, b: int, n: int = 1) -> None:
-        """Add n coincidences with signed outcomes a, b in {+1, -1}."""
-        self._bucket(key)
-        idx = (0 if a > 0 else 2) + (0 if b > 0 else 1)
-        self.outcome_counts[key][idx] += n
 
     def check(self) -> None:
         for key, counts in self.outcome_counts.items():
@@ -257,7 +236,7 @@ def _prefix_state(src, channel, eit, stage: str) -> source.AtomPhotonState:
                                    cutoff=s.cutoff)
     elif stage == "transferred":
         s = _prefix_state(src, None, None, "source")
-        s = memory_b.timebin_to_spatial(link.transmit(s, channel))
+        s = link.transmit(s, channel)
     else:
         s = _prefix_state(src, channel, None, "transferred")
         s = memory_b.map_out(memory_b.map_in(s, eit), eit)
@@ -317,8 +296,12 @@ class TrialDistribution:
     def mean_probabilities(self) -> np.ndarray:
         """Exact trial-averaged probabilities (mains phase averaged)."""
         out = self.base.copy()
-        for k, coeff in enumerate(self.fourier, start=1):
-            out += 2.0 * float(j0(k * self.swing)) * np.real(coeff)
+        if self.fourier:
+            # imported here: only an unsynced mains phase needs j0, and
+            # scipy.special outweighs the rest of a campaign's start-up
+            from scipy.special import j0
+            for k, coeff in enumerate(self.fourier, start=1):
+                out += 2.0 * float(j0(k * self.swing)) * np.real(coeff)
         return np.clip(out, 0.0, None)
 
 

@@ -53,17 +53,6 @@ def index_of(cutoff: int) -> dict:
     return {occ: i for i, occ in enumerate(occupations(cutoff))}
 
 
-def sector_labels(cutoff: int, vacuum: str, mode1: str, mode2: str) -> tuple[str, ...]:
-    """Readable label per basis state, e.g. vac, E, L, EE, LL, EL."""
-    out = []
-    for n1, n2 in occupations(cutoff):
-        if n1 == 0 and n2 == 0:
-            out.append(vacuum)
-        else:
-            out.append(mode1 * n1 + mode2 * n2)
-    return tuple(out)
-
-
 def qubit_indices(cutoff: int) -> tuple[int, int]:
     """Indices of the single-excitation states (mode1, mode2)."""
     idx = index_of(cutoff)
@@ -295,7 +284,7 @@ def detection_povm(cutoff: int, basis: np.ndarray | None, eta: float,
 
 
 def qubit_observable(cutoff: int, obs2: np.ndarray,
-                     labels: tuple[str, ...], name: str = "") -> Observable:
+                     name: str = "") -> Observable:
     """Embed a 2x2 observable on the single-excitation block of the sector.
 
     All other basis states are assigned eigenvalue zero, which is the
@@ -307,4 +296,4 @@ def qubit_observable(cutoff: int, obs2: np.ndarray,
     mat = np.zeros((dim, dim), dtype=complex)
     sel = np.ix_((i1, i2), (i1, i2))
     mat[sel] = obs2
-    return Observable(mat, labels, name=name)
+    return Observable(mat, name=name)

@@ -218,7 +218,6 @@ class AtomQubitA:
 
 
 def from_qubit_block(mat2: np.ndarray, cutoff: int = 2,
-                     labels2: tuple[str, str] = ("d", "u"),
                      age_s: float = 0.0) -> AtomQubitA:
     """Embed a bare 2x2 qubit state into the single-excitation sector.
 
@@ -232,9 +231,7 @@ def from_qubit_block(mat2: np.ndarray, cutoff: int = 2,
     i1, i2 = dualrail.qubit_indices(cutoff)
     mat = np.zeros((dim, dim), dtype=complex)
     mat[np.ix_((i1, i2), (i1, i2))] = mat2
-    labels = list(dualrail.sector_labels(cutoff, "g", labels2[0], labels2[1]))
-    state = DensityMatrix(mat, tuple(labels))
-    return AtomQubitA(state=state, cutoff=cutoff, age_s=age_s)
+    return AtomQubitA(state=DensityMatrix(mat), cutoff=cutoff, age_s=age_s)
 
 
 def _lift_unitary(u_atom: np.ndarray, rest_dim: int) -> np.ndarray:
@@ -305,7 +302,7 @@ def decohere(q: AtomQubitA, duration_s: float, c: CoherenceParams,
     # (2) motional retrieval weights, Gaussian in total age
     weights = retrieval_weights(age1, c, g, constants)
 
-    state = DensityMatrix(mat, q.state.labels, q.state.weight)
+    state = DensityMatrix(mat)
 
     # (3) population transfer with T1
     gamma = 1.0 - math.exp(-duration_s / c.t1_s)
@@ -318,7 +315,7 @@ def decohere(q: AtomQubitA, duration_s: float, c: CoherenceParams,
         arg = (age1 ** 2 - age0 ** 2) / c.t2_star_s ** 2
         env = np.kron(dualrail.dephasing_envelope(q.cutoff, arg),
                       np.ones((rest, rest)))
-        state = DensityMatrix(state.mat * env, state.labels, state.weight)
+        state = DensityMatrix(state.mat * env)
 
     return AtomQubitA(state=state, cutoff=q.cutoff, age_s=age1,
                       mode_weights=weights)

@@ -3,11 +3,13 @@
 The arriving time-bin qubit is converted to two spatial modes (an
 interferometer sends the early bin one way and the late bin the other)
 and each mode is absorbed into its own atomic ensemble behind a control
-field.  Conversion is a relabeling isometry; storage and retrieval act
-as independent per-mode losses.  The two ensembles have slightly
-different overall efficiencies, and that asymmetry is deliberately kept:
-it biases post-selected populations and is one of the real infidelity
-sources of the link.
+field.  The conversion maps the early bin to the first spatial mode and
+the late bin to the second with amplitudes untouched, so it is the
+identity on the state's matrix and no function applies it.  Storage
+and retrieval act as independent per-mode losses.  The two ensembles
+have slightly different overall efficiencies, and that asymmetry is
+deliberately kept: it biases post-selected populations and is one of
+the real infidelity sources of the link.
 
 Storage intervals here are a few microseconds, far below any memory
 timescale, so the stored state is treated as phase stable: no
@@ -20,11 +22,7 @@ from dataclasses import dataclass
 
 from . import dualrail
 from .qcore import apply_channel
-from .source import AtomPhotonState, PHOTON_MODE1, PHOTON_MODE2, PHOTON_VACUUM
-
-B_VACUUM = "vac"
-B_MODE1 = "U"   # spatial mode fed by the early bin
-B_MODE2 = "D"   # spatial mode fed by the late bin
+from .source import AtomPhotonState
 
 
 class EITConfigError(ValueError):
@@ -45,15 +43,12 @@ class EITParams:
         readout_eta_b: efficiency of the full readout chain at this
             node, counted from the stored excitation to a detector
             click; it therefore contains the map-out loss.
-        dephasing_rate_hz: U/D dephasing rate during storage; validated
-            only, no map reads it (storage is treated as phase stable).
     """
 
     eta_up: float = 0.22
     eta_down: float = 0.25
     eta_map_in_fraction: float = 0.5
     readout_eta_b: float = 0.13
-    dephasing_rate_hz: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("eta_up", "eta_down", "readout_eta_b"):
@@ -62,8 +57,6 @@ class EITParams:
                 raise EITConfigError(f"{name} must be in (0, 1], got {v}")
         if not 0.0 <= self.eta_map_in_fraction <= 1.0:
             raise EITConfigError("eta_map_in_fraction must be in [0, 1]")
-        if self.dephasing_rate_hz < 0.0:
-            raise EITConfigError("dephasing_rate_hz must be non-negative")
         if self.readout_eta_b > self.mean_map_out():
             raise EITConfigError(
                 f"readout_eta_b {self.readout_eta_b} exceeds the map-out "
@@ -91,35 +84,6 @@ class EITParams:
         purely photonic chain efficiency applied at detection.
         """
         return self.readout_eta_b / self.mean_map_out()
-
-
-def b_labels(cutoff: int) -> tuple[str, ...]:
-    return dualrail.sector_labels(cutoff, B_VACUUM, B_MODE1, B_MODE2)
-
-
-def _translate_label(label: str) -> str:
-    table = str.maketrans({PHOTON_MODE1: B_MODE1, PHOTON_MODE2: B_MODE2})
-    if label == PHOTON_VACUUM:
-        return B_VACUUM
-    return label.translate(table)
-
-
-def timebin_to_spatial(s: AtomPhotonState) -> AtomPhotonState:
-    """Convert the photonic factor from time bins to spatial modes.
-
-    The interferometric conversion is a relabeling isometry: early goes
-    up, late goes down, amplitudes untouched.  Joint labels of the form
-    "atom,photon" keep their atomic half.
-    """
-    new_labels = []
-    for lab in s.state.labels:
-        head, sep, tail = lab.partition(",")
-        if sep:
-            new_labels.append(f"{head},{_translate_label(tail)}")
-        else:
-            new_labels.append(_translate_label(lab))
-    return AtomPhotonState(state=s.state.relabeled(new_labels),
-                           cutoff=s.cutoff)
 
 
 def map_in(s: AtomPhotonState, p: EITParams) -> AtomPhotonState:

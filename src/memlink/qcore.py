@@ -2,10 +2,10 @@
 
 Every state in the simulator lives in a space of dimension ~40 or less,
 so plain complex numpy matrices are used throughout: no sparsity, no
-symbolic layer.  States keep their matrix normalized to unit trace and
-carry branch probability in a separate ``weight`` field, which lets
-lossy, post-selected branches stay explicit instead of being silently
-renormalized away.
+symbolic layer and no basis names.  States keep their matrix
+normalized to unit trace, and every channel must preserve trace, so
+no probability can leak out of a state unnoticed.  The one step that
+discards probability, ``post_select``, returns it beside the state.
 
 Tolerances follow two tiers: ``ATOL_EXACT`` for single algebraic steps
 and ``ATOL_ACCUM`` for quantities assembled from longer chains of
@@ -15,7 +15,7 @@ operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,29 +44,13 @@ def _as_complex_matrix(mat: np.ndarray | Sequence) -> np.ndarray:
 
 @dataclass(eq=False)
 class DensityMatrix:
-    """A normalized density matrix plus the probability of its branch.
-
-    Attributes:
-        mat: trace-one Hermitian positive semidefinite matrix.
-        labels: physical name of each basis index, e.g. ("dn,E", ...).
-        weight: probability that the experiment is in this branch.  A
-            freshly prepared state has weight 1; conditioning on a lossy
-            event multiplies it down.
-    """
+    """A density matrix: a square complex matrix, checked by ``validate``
+    to be Hermitian, of unit trace and positive semidefinite."""
 
     mat: np.ndarray
-    labels: tuple[str, ...]
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
         self.mat = _as_complex_matrix(self.mat)
-        self.labels = tuple(self.labels)
-        if len(self.labels) != self.mat.shape[0]:
-            raise QuantumStateError(
-                f"{len(self.labels)} labels for dimension {self.mat.shape[0]}"
-            )
-        if not (0.0 <= self.weight <= 1.0 + ATOL_ACCUM):
-            raise QuantumStateError(f"branch weight {self.weight} outside [0, 1]")
 
     @property
     def dim(self) -> int:
@@ -83,9 +67,6 @@ class DensityMatrix:
         if eigs.min() < -atol:
             raise QuantumStateError(f"negative eigenvalue {eigs.min()}")
 
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.mat.copy(), self.labels, self.weight)
-
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
 
@@ -93,36 +74,26 @@ class DensityMatrix:
         """Diagonal populations as a real vector."""
         return np.real(np.diag(self.mat)).copy()
 
-    def relabeled(self, labels: Iterable[str]) -> "DensityMatrix":
-        return DensityMatrix(self.mat.copy(), tuple(labels), self.weight)
 
-
-def pure_state(amplitudes: Sequence[complex], labels: Sequence[str],
-               weight: float = 1.0) -> DensityMatrix:
+def pure_state(amplitudes: Sequence[complex]) -> DensityMatrix:
     """Build a DensityMatrix from ket amplitudes (normalized internally)."""
     vec = np.asarray(amplitudes, dtype=complex)
     norm = np.linalg.norm(vec)
     if norm < ATOL_EXACT:
         raise QuantumStateError("cannot normalize a zero ket")
     vec = vec / norm
-    return DensityMatrix(np.outer(vec, vec.conj()), tuple(labels), weight)
+    return DensityMatrix(np.outer(vec, vec.conj()))
 
 
 @dataclass(eq=False)
 class Observable:
-    """Hermitian operator with named basis indices."""
+    """Hermitian operator, named for error messages."""
 
     mat: np.ndarray
-    labels: tuple[str, ...]
     name: str = ""
 
     def __post_init__(self) -> None:
         self.mat = _as_complex_matrix(self.mat)
-        self.labels = tuple(self.labels)
-        if len(self.labels) != self.mat.shape[0]:
-            raise QuantumStateError(
-                f"{len(self.labels)} labels for dimension {self.mat.shape[0]}"
-            )
         if not np.allclose(self.mat, self.mat.conj().T, atol=ATOL_EXACT):
             raise QuantumStateError(f"observable {self.name!r} is not Hermitian")
 
@@ -137,11 +108,10 @@ class Observable:
 
 @dataclass(eq=False)
 class KrausChannel:
-    """A completely positive map given by its Kraus operators.
-
-    ``trace_preserving`` channels satisfy sum(K^dag K) = I; sub-unital
-    collections (sum <= I) model conditioning on a surviving branch and
-    shrink the state weight when applied.
+    """A completely positive, trace-preserving map given by its Kraus
+    operators: the constructor rejects a set whose sum(K^dag K) is not
+    the identity, so a sub-unital set cannot silently renormalize
+    probability away when applied.
     """
 
     operators: list[np.ndarray]
@@ -154,50 +124,22 @@ class KrausChannel:
         dim = self.operators[0].shape[0]
         if any(k.shape != (dim, dim) for k in self.operators):
             raise QuantumStateError("Kraus operators must share one dimension")
-        total = self._completeness()
-        excess = np.linalg.eigvalsh(total - np.eye(dim)).max()
-        if excess > ATOL_ACCUM:
+        total = sum(k.conj().T @ k for k in self.operators)
+        deviation = np.abs(np.linalg.eigvalsh(total - np.eye(dim))).max()
+        if deviation > ATOL_ACCUM:
             raise QuantumStateError(
-                f"channel {self.name!r} over-complete by {excess:.2e}"
+                f"channel {self.name!r} is not trace preserving "
+                f"(sum of K^dag K deviates from I by {deviation:.2e})"
             )
 
     @property
     def dim(self) -> int:
         return self.operators[0].shape[0]
 
-    def _completeness(self) -> np.ndarray:
-        return sum(k.conj().T @ k for k in self.operators)
-
-    def is_trace_preserving(self, atol: float = ATOL_ACCUM) -> bool:
-        return bool(np.allclose(self._completeness(), np.eye(self.dim), atol=atol))
-
-
-def tensor(a, b):
-    """Kronecker product of two objects of the same kind.
-
-    Accepts two DensityMatrix or two Observable instances; the result's
-    labels are the pairwise-joined labels of the factors.
-    """
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        labels = tuple(f"{la},{lb}" for la in a.labels for lb in b.labels)
-        return DensityMatrix(np.kron(a.mat, b.mat), labels, a.weight * b.weight)
-    if isinstance(a, Observable) and isinstance(b, Observable):
-        labels = tuple(f"{la},{lb}" for la in a.labels for lb in b.labels)
-        name = f"{a.name}*{b.name}" if a.name or b.name else ""
-        return Observable(np.kron(a.mat, b.mat), labels, name)
-    raise TypeError(
-        f"tensor requires two states or two observables, got "
-        f"{type(a).__name__} and {type(b).__name__}"
-    )
-
 
 def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
-    """Apply sum_k K rho K^dag, renormalizing and updating the weight.
-
-    For a trace-preserving channel the weight is unchanged.  For a
-    sub-unital channel the trace that leaks away multiplies the branch
-    weight, so probability is tracked explicitly rather than lost.
-    """
+    """Apply sum_k K rho K^dag and divide by the trace, which the
+    channel preserves up to rounding."""
     if channel.dim != rho.dim:
         raise QuantumStateError(
             f"channel dimension {channel.dim} != state dimension {rho.dim}"
@@ -205,12 +147,7 @@ def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
     out = np.zeros_like(rho.mat)
     for k in channel.operators:
         out += k @ rho.mat @ k.conj().T
-    survival = float(np.real(np.trace(out)))
-    if survival <= ATOL_EXACT:
-        # The branch is extinguished; keep a well-formed placeholder state.
-        dim = rho.dim
-        return DensityMatrix(np.eye(dim, dtype=complex) / dim, rho.labels, 0.0)
-    return DensityMatrix(out / survival, rho.labels, rho.weight * survival)
+    return DensityMatrix(out / float(np.real(np.trace(out))))
 
 
 def expectation(rho: DensityMatrix, obs: Observable) -> float:
@@ -232,14 +169,13 @@ def expectation(rho: DensityMatrix, obs: Observable) -> float:
 
 
 def partial_trace(rho: DensityMatrix, dims: tuple[int, int],
-                  keep: int, labels: Sequence[str]) -> DensityMatrix:
+                  keep: int) -> DensityMatrix:
     """Trace out one factor of a bipartite state.
 
     Args:
         rho: state on a space of dimension dims[0] * dims[1].
         dims: factor dimensions, in tensor order.
         keep: 0 to keep the first factor, 1 the second.
-        labels: labels of the kept factor.
     """
     d0, d1 = dims
     if d0 * d1 != rho.dim:
@@ -251,19 +187,19 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int],
         mat = np.einsum("kikj->ij", t)
     else:
         raise ValueError("keep must be 0 or 1")
-    return DensityMatrix(mat, tuple(labels), rho.weight)
+    return DensityMatrix(mat)
 
 
-def post_select(rho: DensityMatrix, indices: Sequence[int]) -> DensityMatrix:
+def post_select(rho: DensityMatrix, indices: Sequence[int]
+                ) -> tuple[DensityMatrix, float]:
     """Project onto a subset of basis indices and renormalize.
 
-    The projection probability multiplies the branch weight.  Labels of
-    the kept indices carry over.
+    Returns the renormalized state and the projection probability; a
+    projection of probability zero gives the maximally mixed state.
     """
     idx = np.asarray(indices, dtype=int)
     sub = rho.mat[np.ix_(idx, idx)]
     prob = float(np.real(np.trace(sub)))
-    labels = tuple(rho.labels[i] for i in idx)
     if prob <= ATOL_EXACT:
-        return DensityMatrix(np.eye(len(idx), dtype=complex) / len(idx), labels, 0.0)
-    return DensityMatrix(sub / prob, labels, rho.weight * prob)
+        return DensityMatrix(np.eye(len(idx), dtype=complex) / len(idx)), 0.0
+    return DensityMatrix(sub / prob), prob

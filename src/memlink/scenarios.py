@@ -536,10 +536,7 @@ def _scn_mains(cfg, bundle, mode, streams) -> ScenarioOutput:
     out = ScenarioOutput()
     taus = {}
     for name, coh in arms.items():
-        arm_bundle = dataclasses.replace(
-            bundle, coherence=coh,
-            timeline=dataclasses.replace(bundle.timeline,
-                                         mains_synced=coh.mains_synced))
+        arm_bundle = dataclasses.replace(bundle, coherence=coh)
         rng = streams.take()
         rows, xs, ys = _mains_envelope(arm_bundle, sweep, mode, n_pt, rng)
         out.tables[name] = rows

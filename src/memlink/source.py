@@ -7,10 +7,12 @@ maximally entangled pair
 
     (|dn>|E> + e^{-i phi(t)} |up>|L>) / sqrt(2)
 
-where the relative phase precesses at the differential Zeeman rate set
-by the bias field.  Higher-order terms (two excitations in one bin, or
-one in each) are retained up to the configured Fock cutoff because they
-are the dominant intrinsic noise of the protocol.
+where the relative phase starts at ``phi0`` and then precesses at the
+differential Zeeman rate set by the bias field, which belongs to the
+stored qubit (``memory_a.CoherenceParams``), not to the source.
+Higher-order terms (two excitations in one bin, or one in each) are
+retained up to the configured Fock cutoff because they are the
+dominant intrinsic noise of the protocol.
 
 Branch probabilities use the convention that the single-pair
 probability is exactly ``chi``; the vacuum amplitude absorbs whatever
@@ -26,15 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dualrail
-from .constants import CODATA, PhysicalConstants
 from .qcore import DensityMatrix, post_select
-
-ATOM_VACUUM = "g"
-ATOM_MODE1 = "d"   # spin-wave mode paired with the early bin
-ATOM_MODE2 = "u"   # spin-wave mode paired with the late bin
-PHOTON_VACUUM = "vac"
-PHOTON_MODE1 = "E"
-PHOTON_MODE2 = "L"
 
 
 class SourceConfigError(ValueError):
@@ -49,8 +43,6 @@ class SourceParams:
         chi: probability of emitting exactly one photon/spin-wave pair
             per write attempt.
         phi0: initial relative phase between the two branches (rad).
-        bias_field_gauss: bias magnetic field driving the phase
-            precession between the spin-wave modes.
         fock_cutoff: maximum total excitation number retained per side.
         double_amp_scale: multiplier on the within-bin double-excitation
             amplitude relative to the uncorrelated-ladder value 1.0.
@@ -65,7 +57,6 @@ class SourceParams:
 
     chi: float = 0.054
     phi0: float = 0.0
-    bias_field_gauss: float = 6.93e-3
     fock_cutoff: int = 2
     double_amp_scale: float = 1.0
     write_imbalance: float = 0.0
@@ -124,31 +115,6 @@ class AtomPhotonState:
         return out
 
 
-def atom_labels(cutoff: int) -> tuple[str, ...]:
-    return dualrail.sector_labels(cutoff, ATOM_VACUUM, ATOM_MODE1, ATOM_MODE2)
-
-
-def photon_labels(cutoff: int) -> tuple[str, ...]:
-    return dualrail.sector_labels(cutoff, PHOTON_VACUUM, PHOTON_MODE1, PHOTON_MODE2)
-
-
-def joint_labels(cutoff: int) -> tuple[str, ...]:
-    return tuple(
-        f"{a},{p}" for a in atom_labels(cutoff) for p in photon_labels(cutoff)
-    )
-
-
-def evolution_phase(t: float, p: SourceParams,
-                    constants: PhysicalConstants = CODATA) -> float:
-    """Relative phase phi(t) between the two branches after storage time t.
-
-    phi(t) = mu_B * B * t / hbar + phi0, with B the bias field in gauss.
-    """
-    if t < 0.0:
-        raise ValueError(f"storage time must be non-negative, got {t}")
-    return constants.zeeman_rate_rad_per_s_gauss * p.bias_field_gauss * t + p.phi0
-
-
 def _bin_amplitudes(chi_bin: float, cutoff: int) -> list[float]:
     """Amplitude ladder within one time bin: a_k for k = 0..cutoff.
 
@@ -161,8 +127,7 @@ def _bin_amplitudes(chi_bin: float, cutoff: int) -> list[float]:
     return [chi_bin ** (k / 2.0) for k in range(cutoff + 1)]
 
 
-def atom_photon_state(p: SourceParams,
-                      constants: PhysicalConstants = CODATA) -> AtomPhotonState:
+def atom_photon_state(p: SourceParams) -> AtomPhotonState:
     """Build the joint density matrix of one write attempt at t = 0.
 
     The two bins are independent ladders with single-pair probability
@@ -198,8 +163,7 @@ def atom_photon_state(p: SourceParams,
     ket[0] = math.sqrt(1.0 - ladder_weight)
 
     mat = np.outer(ket, ket.conj())
-    state = DensityMatrix(mat, joint_labels(cutoff))
-    return AtomPhotonState(state=state, cutoff=cutoff)
+    return AtomPhotonState(state=DensityMatrix(mat), cutoff=cutoff)
 
 
 def writeout_rate(p: SourceParams, coupling: float | None = None) -> float:
@@ -210,11 +174,12 @@ def writeout_rate(p: SourceParams, coupling: float | None = None) -> float:
     return p.chi * c
 
 
-def single_excitation_block(s: AtomPhotonState) -> DensityMatrix:
+def single_excitation_block(s: AtomPhotonState
+                            ) -> tuple[DensityMatrix, float]:
     """Post-select the one-spin-wave x one-photon qubit pair.
 
-    Returns a 4-dimensional state ordered (dn,E), (dn,L), (up,E),
-    (up,L); its weight is the branch probability of that sector.
+    Returns the 4-dimensional state ordered (dn,E), (dn,L), (up,E),
+    (up,L) and the probability of that sector.
     """
     dim = dualrail.sector_dim(s.cutoff)
     a1, a2 = dualrail.qubit_indices(s.cutoff)

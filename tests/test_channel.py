@@ -14,18 +14,11 @@ from memlink.channel import (
     transmit,
 )
 from memlink.qcore import apply_channel, partial_trace, pure_state
-from memlink.source import (
-    AtomPhotonState,
-    SourceParams,
-    atom_labels,
-    atom_photon_state,
-    joint_labels,
-)
+from memlink.source import AtomPhotonState, SourceParams, atom_photon_state
 
 
 def joint_pure(amps):
-    return AtomPhotonState(state=pure_state(amps, joint_labels(2)),
-                           cutoff=2)
+    return AtomPhotonState(state=pure_state(amps), cutoff=2)
 
 
 def single_photon_input():
@@ -120,8 +113,8 @@ class TestTransmit:
     def test_atom_marginal_untouched(self):
         s = atom_photon_state(SourceParams(chi=0.1, double_amp_scale=0.8))
         out = transmit(s, ChannelParams())
-        before = partial_trace(s.state, (6, 6), keep=0, labels=atom_labels(2))
-        after = partial_trace(out.state, (6, 6), keep=0, labels=atom_labels(2))
+        before = partial_trace(s.state, (6, 6), keep=0)
+        after = partial_trace(out.state, (6, 6), keep=0)
         np.testing.assert_allclose(after.mat, before.mat, atol=1e-12)
 
     def test_no_photon_population_gain(self):

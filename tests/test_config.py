@@ -4,6 +4,7 @@ import dataclasses
 import math
 
 import pytest
+import yaml
 
 from memlink.config import (
     CAL_BACKGROUND_RATE,
@@ -168,26 +169,44 @@ class TestMappingRoundTrip:
         assert cfg.bundle == ExperimentBundle()
 
 
-class TestSyncConsistency:
-    def test_timeline_inherits_coherence_sync(self):
-        cfg = config_from_mapping({"coherence": {"mains_synced": False}})
-        assert cfg.bundle.timeline.mains_synced is False
+# (section path, key, a value the key once took): values no output read
+REMOVED_KEYS = (
+    [(("source",), "bias_field_gauss", 6.93e-3),
+     (("eit",), "dephasing_rate_hz", 0.0)]
+    + [(("timeline",), key, value) for key, value in (
+        ("cycle_rate_hz", 10.0), ("prep_s", 0.097), ("window_s", 0.003),
+        ("attempts_per_window", 25), ("distribution_delay_s", 103e-6),
+        ("mains_synced", True))]
+    + [(("detectors", node), key, value)
+       for node in ("monitor", "node_a", "node_b")
+       for key, value in (("window_s", 50e-9), ("labels", ["+", "-"]))]
+)
 
+
+class TestSyncConsistency:
     def test_contradictory_sync_rejected(self):
+        # coherence.mains_synced is the only line-trigger flag, so a
+        # timeline that contradicts it cannot be written at all
         raw = {
             "coherence": {"mains_synced": False},
             "timeline": {"mains_synced": True},
         }
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown keys"):
             config_from_mapping(raw)
 
-    def test_agreeing_sync_accepted(self):
-        raw = {
-            "coherence": {"mains_synced": False},
-            "timeline": {"mains_synced": False},
-        }
-        cfg = config_from_mapping(raw)
-        assert cfg.bundle.timeline.mains_synced is False
+
+class TestRemovedKeys:
+    @pytest.mark.parametrize(
+        "path,key,value", REMOVED_KEYS,
+        ids=[".".join(path + (key,)) for path, key, _ in REMOVED_KEYS])
+    def test_removed_key_rejected(self, tmp_path, path, key, value):
+        raw = {key: value}
+        for section in reversed(path):
+            raw = {section: raw}
+        cfg_path = tmp_path / "removed.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match="unknown keys"):
+            load_config(str(cfg_path))
 
 
 class TestConfigHash:

@@ -28,11 +28,11 @@ from memlink.detection import (
 )
 from memlink.estimators import correlator
 from memlink.memory_b import EITParams
-from memlink.qcore import (KrausChannel, apply_channel, expectation,
-                           pure_state, tensor)
+from memlink.qcore import (KrausChannel, Observable, apply_channel,
+                           expectation, pure_state)
 from memlink.scenarios import bell_delay_s
 
-IDEAL_PAIR = pure_state([1.0, 0.0, 0.0, 1.0], ("d,U", "d,D", "u,U", "u,D"))
+IDEAL_PAIR = pure_state([1.0, 0.0, 0.0, 1.0])
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
@@ -44,6 +44,12 @@ def noise_free_bundle():
         source=dataclasses.replace(base.source, double_amp_scale=0.0),
         eit=EITParams(eta_up=0.25, eta_down=0.25),
     )
+
+
+def ideal_expectation(a, b):
+    """<A x B> of the ideal pair for the named basis setting."""
+    obs_a, obs_b = project_basis(BasisSetting(a, b))
+    return expectation(IDEAL_PAIR, Observable(np.kron(obs_a.mat, obs_b.mat)))
 
 
 def conditional_correlator(bundle, setting, delay_s=0.0, stage="stored"):
@@ -75,29 +81,23 @@ class TestProjectBasis:
     def test_ideal_state_correlators(self):
         values = {("Z", "Z"): 1.0, ("X", "X"): 1.0, ("Y", "Y"): -1.0}
         for (a, b), want in values.items():
-            obs_a, obs_b = project_basis(BasisSetting(a, b))
-            got = expectation(IDEAL_PAIR, tensor(obs_a, obs_b))
-            np.testing.assert_allclose(got, want, atol=1e-12)
+            np.testing.assert_allclose(ideal_expectation(a, b), want,
+                                       atol=1e-12)
 
     def test_ideal_state_fidelity_formula(self):
-        corr = {}
-        for name in (("X", "X"), ("Y", "Y"), ("Z", "Z")):
-            obs_a, obs_b = project_basis(BasisSetting(*name))
-            corr[name[0]] = expectation(IDEAL_PAIR, tensor(obs_a, obs_b))
+        corr = {name: ideal_expectation(name, name) for name in "XYZ"}
         f = (1.0 + corr["X"] - corr["Y"] + corr["Z"]) / 4.0
         np.testing.assert_allclose(f, 1.0, atol=1e-12)
 
     def test_ideal_state_tilted_expectation(self):
-        obs_a, obs_b = project_basis(BasisSetting("A0", "B0"))
-        got = expectation(IDEAL_PAIR, tensor(obs_a, obs_b))
-        np.testing.assert_allclose(got, SQRT_HALF, atol=1e-12)
+        np.testing.assert_allclose(ideal_expectation("A0", "B0"), SQRT_HALF,
+                                   atol=1e-12)
 
     def test_ideal_state_reaches_tsirelson(self):
         s = 0.0
         for a, b, sign in (("A0", "B0", 1), ("A0", "B1", 1),
                            ("A1", "B0", 1), ("A1", "B1", -1)):
-            obs_a, obs_b = project_basis(BasisSetting(a, b))
-            s += sign * expectation(IDEAL_PAIR, tensor(obs_a, obs_b))
+            s += sign * ideal_expectation(a, b)
         np.testing.assert_allclose(s, 2.0 * math.sqrt(2.0), atol=1e-12)
 
     def test_corr_sign_convention_flips_z(self):
@@ -121,8 +121,6 @@ class TestConfigValidation:
             DetectorParams(eta_det=1.5)
         with pytest.raises(DetectionConfigError):
             DetectorParams(dark_rate=1.0)
-        with pytest.raises(DetectionConfigError):
-            DetectorParams(window_s=0.0)
 
     def test_double_click_policy_names(self):
         with pytest.raises(DetectionConfigError):
@@ -134,41 +132,32 @@ class TestConfigValidation:
 
 
 class TestCountsTable:
-    def build(self, rows):
-        t = CountsTable()
-        for key, a, b, n in rows:
-            t._bucket(key)
-            t.trials[key] += n
-            t.singles_a[key] += n
-            t.singles_b[key] += n
-            t.coincidences[key] += n
-            t.add_outcome(key, a, b, n)
-        return t
+    def table(self, trials, coincidences, bins):
+        key = "Z,Z"
+        return CountsTable(outcome_counts={key: np.array(bins)},
+                           trials={key: trials}, singles_a={key: trials},
+                           singles_b={key: trials},
+                           coincidences={key: coincidences})
 
     def test_outcome_bin_order(self):
-        t = CountsTable()
-        t._bucket("Z,Z")
-        t.add_outcome("Z,Z", 1, 1, 10)
-        t.add_outcome("Z,Z", 1, -1, 20)
-        t.add_outcome("Z,Z", -1, 1, 30)
-        t.add_outcome("Z,Z", -1, -1, 40)
+        # [++, +-, -+, --], node A's sign first
+        counts = np.zeros(len(PATTERNS), dtype=np.int64)
+        for n, pattern in zip((10, 20, 30, 40),
+                              (("plus", "plus"), ("plus", "minus"),
+                               ("minus", "plus"), ("minus", "minus"))):
+            counts[PATTERNS.index(pattern)] = n
+        t = detection._tally_counts("Z,Z", counts, "discard",
+                                    np.random.default_rng(0))
         np.testing.assert_array_equal(t.outcome_counts["Z,Z"],
                                       [10, 20, 30, 40])
 
     def test_check_rejects_outcome_excess(self):
-        t = CountsTable()
-        t._bucket("Z,Z")
-        t.trials["Z,Z"] = 10
-        t.coincidences["Z,Z"] = 1
-        t.add_outcome("Z,Z", 1, 1, 5)
+        t = self.table(trials=10, coincidences=1, bins=[5, 0, 0, 0])
         with pytest.raises(ValueError):
             t.check()
 
     def test_check_rejects_coincidences_beyond_trials(self):
-        t = CountsTable()
-        t._bucket("Z,Z")
-        t.trials["Z,Z"] = 1
-        t.coincidences["Z,Z"] = 2
+        t = self.table(trials=1, coincidences=2, bins=[0, 0, 0, 0])
         with pytest.raises(ValueError):
             t.check()
 
@@ -533,7 +522,7 @@ def reference_distribution(bundle, setting, delay_s, stage):
     s = source.AtomPhotonState(state=apply_channel(s.state, collect),
                                cutoff=cutoff)
     if stage != "source":
-        s = memory_b.timebin_to_spatial(link.transmit(s, bundle.channel))
+        s = link.transmit(s, bundle.channel)
     if stage == "stored":
         s = memory_b.map_out(memory_b.map_in(s, bundle.eit), bundle.eit)
     q = memory_a.decohere(memory_a.AtomQubitA(state=s.state, cutoff=cutoff),

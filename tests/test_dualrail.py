@@ -9,9 +9,9 @@ from memlink import dualrail
 from memlink.qcore import DensityMatrix, apply_channel, pure_state
 
 
-def sector_state(amps, cutoff=2):
-    labels = dualrail.sector_labels(cutoff, "vac", "E", "L")
-    return pure_state(amps, labels)
+def completeness(channel):
+    """sum_k K^dag K, the identity for a trace-preserving set."""
+    return sum(k.conj().T @ k for k in channel.operators)
 
 
 class TestBasisLayout:
@@ -23,10 +23,6 @@ class TestBasisLayout:
         assert dualrail.sector_dim(1) == 3
         assert dualrail.sector_dim(2) == 6
         assert dualrail.sector_dim(3) == 10
-
-    def test_labels(self):
-        assert dualrail.sector_labels(2, "vac", "E", "L") == (
-            "vac", "E", "L", "EE", "EL", "LL")
 
     def test_qubit_indices(self):
         assert dualrail.qubit_indices(2) == (1, 2)
@@ -62,16 +58,16 @@ class TestNumberOperators:
 class TestLossChannel:
     def test_trace_preserving(self):
         ch = dualrail.loss_channel(2, 0.3, 0.8)
-        assert ch.is_trace_preserving()
+        np.testing.assert_allclose(completeness(ch), np.eye(6), atol=1e-12)
 
     def test_unit_survival_is_identity(self):
         ch = dualrail.loss_channel(2, 1.0, 1.0)
-        rho = sector_state([0.2, 0.4, 0.5, 0.3, 0.4, 0.2])
+        rho = pure_state([0.2, 0.4, 0.5, 0.3, 0.4, 0.2])
         out = apply_channel(rho, ch)
         np.testing.assert_allclose(out.mat, rho.mat, atol=1e-12)
 
     def test_single_photon_survival_probability(self):
-        rho = sector_state([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        rho = pure_state([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
         out = apply_channel(rho, dualrail.loss_channel(2, 0.22, 0.9))
         pops = out.probabilities()
         assert pops[1] == pytest.approx(0.22, abs=1e-12)
@@ -79,14 +75,14 @@ class TestLossChannel:
 
     def test_two_photon_loss_is_binomial(self):
         # |EE> through survival 0.5 per photon: 0.25 / 0.5 / 0.25 split
-        rho = sector_state([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+        rho = pure_state([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
         out = apply_channel(rho, dualrail.loss_channel(2, 0.5, 1.0))
         pops = out.probabilities()
         np.testing.assert_allclose([pops[0], pops[1], pops[3]],
                                    [0.25, 0.5, 0.25], atol=1e-12)
 
     def test_coherence_picks_up_amplitude_factors(self):
-        rho = sector_state([0.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+        rho = pure_state([0.0, 1.0, 1.0, 0.0, 0.0, 0.0])
         out = apply_channel(rho, dualrail.loss_channel(2, 0.5, 0.5))
         # qubit block coherence scales by sqrt(eta1*eta2) over the
         # now-subnormalized block
@@ -141,11 +137,12 @@ class TestModeRotation:
 
 class TestTransferChannel:
     def test_trace_preserving(self):
-        assert dualrail.transfer_channel(2, 0.37).is_trace_preserving()
+        ch = dualrail.transfer_channel(2, 0.37)
+        np.testing.assert_allclose(completeness(ch), np.eye(6), atol=1e-12)
 
     def test_qubit_block_is_amplitude_damping(self):
         gamma = 0.3
-        rho = sector_state([0.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+        rho = pure_state([0.0, 1.0, 1.0, 0.0, 0.0, 0.0])
         out = apply_channel(rho, dualrail.transfer_channel(2, gamma))
         pops = out.probabilities()
         assert pops[2] == pytest.approx(0.5 * (1 - gamma), abs=1e-12)
@@ -154,7 +151,7 @@ class TestTransferChannel:
                                    0.5 * math.sqrt(1 - gamma), atol=1e-12)
 
     def test_full_transfer_moves_everything(self):
-        rho = sector_state([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        rho = pure_state([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
         out = apply_channel(rho, dualrail.transfer_channel(2, 1.0))
         assert out.probabilities()[3] == pytest.approx(1.0, abs=1e-12)
 
@@ -219,15 +216,13 @@ class TestDetectionPovm:
 class TestQubitObservable:
     def test_embedding_matches_block(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
-        labels = dualrail.sector_labels(2, "vac", "E", "L")
-        obs = dualrail.qubit_observable(2, x, labels, name="X")
+        obs = dualrail.qubit_observable(2, x, name="X")
         assert obs.mat[1, 2] == pytest.approx(1.0)
         assert obs.mat[0, 0] == pytest.approx(0.0)
         assert obs.mat[3, 3] == pytest.approx(0.0)
 
     def test_rest_of_sector_has_zero_eigenvalue(self):
         z = np.diag([1.0, -1.0]).astype(complex)
-        labels = dualrail.sector_labels(2, "vac", "E", "L")
-        obs = dualrail.qubit_observable(2, z, labels)
+        obs = dualrail.qubit_observable(2, z)
         vals = np.linalg.eigvalsh(obs.mat)
         assert sorted(np.round(vals, 9)) == [-1.0, 0.0, 0.0, 0.0, 0.0, 1.0]

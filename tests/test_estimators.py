@@ -22,18 +22,12 @@ from memlink.estimators import (
 
 
 def table(key="bins", trials=0, singles_a=0, singles_b=0, coincidences=0,
-          bins=None, noise_windows=0, noise_counts=0):
-    t = CountsTable()
-    t._bucket(key)
-    t.trials[key] = trials
-    t.singles_a[key] = singles_a
-    t.singles_b[key] = singles_b
-    t.coincidences[key] = coincidences
-    if bins is not None:
-        t.outcome_counts[key] = np.asarray(bins, dtype=np.int64)
-    t.noise_windows = noise_windows
-    t.noise_counts = noise_counts
-    return t
+          bins=(0, 0, 0, 0), noise_windows=0, noise_counts=0):
+    return CountsTable(
+        outcome_counts={key: np.asarray(bins, dtype=np.int64)},
+        trials={key: trials}, singles_a={key: singles_a},
+        singles_b={key: singles_b}, coincidences={key: coincidences},
+        noise_windows=noise_windows, noise_counts=noise_counts)
 
 
 class TestEstimateWithError:
@@ -90,7 +84,8 @@ class TestSnr:
     def test_ambiguous_bucket_rejected(self):
         t = table("Z,Z", trials=10, singles_b=1,
                   noise_windows=10, noise_counts=1)
-        t._bucket("X,X")
+        t.trials["X,X"] = 0
+        t.singles_b["X,X"] = 0
         with pytest.raises(EstimatorError):
             snr(t)
         assert snr(t, key="Z,Z").value == pytest.approx(1.0)

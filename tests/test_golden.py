@@ -3,7 +3,9 @@
 ``tests/golden/<scenario>/`` holds ``summary.kv`` and the CSV tables of
 each scenario at the default seed in ``auto`` mode.  A change to the
 chain engine, the samplers or the writers must leave these bytes as
-they are; the files are never regenerated to absorb a difference.
+they are; the files never absorb a numeric difference.  A change to
+the config schema may move only the ``config_hash`` line, and the
+change states the old and the new hash of each scenario.
 """
 
 from pathlib import Path

@@ -169,7 +169,6 @@ class TestQubitContainer:
     def test_from_qubit_block_layout(self):
         q = from_qubit_block(np.diag([0.3, 0.7]))
         assert q.state.dim == 6
-        assert q.state.labels[:3] == ("g", "d", "u")
         pops = q.state.probabilities()
         np.testing.assert_allclose([pops[1], pops[2]], [0.3, 0.7], atol=1e-12)
         assert q.rest_dim == 1
@@ -180,7 +179,7 @@ class TestQubitContainer:
 
     def test_rejects_incompatible_dimension(self):
         from memlink.qcore import pure_state
-        state = pure_state([1.0, 0.0, 0.0, 0.0], ("a", "b", "c", "d"))
+        state = pure_state([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(MemoryConfigError):
             AtomQubitA(state=state, cutoff=2)
 
@@ -190,6 +189,11 @@ class TestPhaseIncrements:
         c = CoherenceParams(bias_field_gauss=1e-3)
         np.testing.assert_allclose(zeeman_phase_increment(c, 100e-6),
                                    0.8794100059190187, rtol=1e-12)
+        # linear in time and field: twice the field for half the time
+        np.testing.assert_allclose(
+            zeeman_phase_increment(CoherenceParams(bias_field_gauss=2e-3),
+                                   50e-6),
+            0.8794100059190187, rtol=1e-12)
 
     def test_mains_increment_telescopes(self):
         c = CoherenceParams(mains_amplitude_gauss=1.61e-3)

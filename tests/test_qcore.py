@@ -8,9 +8,7 @@ import pytest
 from memlink.qcore import (PAULI, DensityMatrix, KrausChannel,
                            Observable, QuantumStateError, apply_channel,
                            expectation, partial_trace, post_select,
-                           pure_state, tensor)
-
-QUBIT = ("0", "1")
+                           pure_state)
 
 
 def loss_channel_qubit(survival):
@@ -28,54 +26,45 @@ def dephasing_channel_qubit(factor):
 
 
 def plus_state():
-    return pure_state([1.0, 1.0], QUBIT)
+    return pure_state([1.0, 1.0])
 
 
 def bell_phi_plus():
-    labels = ("0,0", "0,1", "1,0", "1,1")
-    return pure_state([1.0, 0.0, 0.0, 1.0], labels)
+    return pure_state([1.0, 0.0, 0.0, 1.0])
 
 
 class TestDensityMatrix:
     def test_validate_accepts_physical_state(self):
-        rho = pure_state([1.0, 1.0j], QUBIT)
+        rho = pure_state([1.0, 1.0j])
         rho.validate()
         np.testing.assert_allclose(rho.mat.trace(), 1.0, atol=1e-12)
 
     def test_purity_of_pure_and_mixed(self):
         assert plus_state().purity() == pytest.approx(1.0, abs=1e-12)
-        mixed = DensityMatrix(np.eye(2) / 2.0, QUBIT)
+        mixed = DensityMatrix(np.eye(2) / 2.0)
         assert mixed.purity() == pytest.approx(0.5, abs=1e-12)
 
     def test_validate_rejects_non_hermitian(self):
-        bad = DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]), QUBIT)
+        bad = DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
         with pytest.raises(QuantumStateError):
             bad.validate()
 
     def test_validate_rejects_wrong_trace(self):
-        bad = DensityMatrix(np.eye(2), QUBIT)
+        bad = DensityMatrix(np.eye(2))
         with pytest.raises(QuantumStateError):
             bad.validate()
 
     def test_validate_rejects_negative_eigenvalue(self):
         mat = np.array([[1.2, 0.0], [0.0, -0.2]])
         with pytest.raises(QuantumStateError):
-            DensityMatrix(mat, QUBIT).validate()
-
-    def test_label_count_must_match_dimension(self):
-        with pytest.raises(QuantumStateError):
-            DensityMatrix(np.eye(2) / 2.0, ("only",))
-
-    def test_weight_bounds(self):
-        with pytest.raises(QuantumStateError):
-            DensityMatrix(np.eye(2) / 2.0, QUBIT, weight=1.5)
+            DensityMatrix(mat).validate()
 
     def test_zero_ket_rejected(self):
         with pytest.raises(QuantumStateError):
-            pure_state([0.0, 0.0], QUBIT)
+            pure_state([0.0, 0.0])
 
     def test_probabilities_are_diagonal(self):
-        rho = pure_state([1.0, 1.0j], QUBIT)
+        rho = pure_state([1.0, 1.0j])
         np.testing.assert_allclose(rho.probabilities(), [0.5, 0.5],
                                    atol=1e-12)
 
@@ -83,23 +72,18 @@ class TestDensityMatrix:
 class TestObservable:
     def test_pauli_set_is_dichotomic(self):
         for name in ("X", "Y", "Z"):
-            obs = Observable(PAULI[name], QUBIT, name=name)
+            obs = Observable(PAULI[name], name=name)
             assert obs.is_dichotomic()
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(QuantumStateError):
-            Observable(np.array([[0, 1], [0, 0]]), QUBIT)
+            Observable(np.array([[0, 1], [0, 0]]))
 
     def test_tensor_of_observables(self):
-        zz = tensor(Observable(PAULI["Z"], QUBIT, name="Z"),
-                    Observable(PAULI["Z"], QUBIT, name="Z"))
+        zz = Observable(np.kron(PAULI["Z"], PAULI["Z"]), name="Z*Z")
         np.testing.assert_allclose(zz.mat, np.diag([1, -1, -1, 1]),
                                    atol=1e-15)
-        assert zz.labels == ("0,0", "0,1", "1,0", "1,1")
-
-    def test_tensor_rejects_mixed_kinds(self):
-        with pytest.raises(TypeError):
-            tensor(plus_state(), Observable(PAULI["Z"], QUBIT))
+        assert zz.is_dichotomic()
 
 
 class TestChannels:
@@ -108,7 +92,6 @@ class TestChannels:
         ident = KrausChannel([np.eye(2, dtype=complex)])
         out = apply_channel(rho, ident)
         np.testing.assert_allclose(out.mat, rho.mat, atol=1e-15)
-        assert out.weight == pytest.approx(1.0)
 
     def test_full_dephasing_kills_coherence(self):
         out = apply_channel(plus_state(), dephasing_channel_qubit(0.0))
@@ -116,11 +99,10 @@ class TestChannels:
 
     def test_amplitude_damping_hand_value(self):
         # excited state through survival 0.7: population drops to 0.7
-        rho = pure_state([0.0, 1.0], QUBIT)
+        rho = pure_state([0.0, 1.0])
         out = apply_channel(rho, loss_channel_qubit(0.7))
         np.testing.assert_allclose(out.probabilities(), [0.3, 0.7],
                                    atol=1e-12)
-        assert out.weight == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_dephasing_scales_off_diagonals(self):
         out = apply_channel(plus_state(), dephasing_channel_qubit(0.25))
@@ -131,92 +113,85 @@ class TestChannels:
         with pytest.raises(QuantumStateError):
             KrausChannel(ops)
 
-    def test_trace_preserving_flag(self):
-        assert loss_channel_qubit(0.3).is_trace_preserving()
-        half = KrausChannel([np.sqrt(0.5) * np.eye(2, dtype=complex)])
-        assert not half.is_trace_preserving()
-
-    def test_subunital_channel_shrinks_weight(self):
-        half = KrausChannel([np.sqrt(0.5) * np.eye(2, dtype=complex)])
-        out = apply_channel(plus_state(), half)
-        assert out.weight == pytest.approx(0.5, abs=1e-12)
-        np.testing.assert_allclose(out.mat.trace(), 1.0, atol=1e-12)
+    def test_subunital_channel_rejected(self):
+        # applied, a sub-unital set would renormalize the lost
+        # probability away unnoticed
+        with pytest.raises(QuantumStateError):
+            KrausChannel([np.sqrt(0.5) * np.eye(2, dtype=complex)])
+        with pytest.raises(QuantumStateError):
+            KrausChannel(loss_channel_qubit(0.3).operators[:1])
 
     def test_channel_composition_matches_composed_kraus(self):
         """Applying two channels in sequence equals the composed map."""
         a = loss_channel_qubit(0.8)
         b = dephasing_channel_qubit(0.6)
-        rho = pure_state([0.6, 0.8j], QUBIT)
+        rho = pure_state([0.6, 0.8j])
         seq = apply_channel(apply_channel(rho, a), b)
         composed = KrausChannel(
             [kb @ ka for kb in b.operators for ka in a.operators])
         direct = apply_channel(rho, composed)
         np.testing.assert_allclose(seq.mat, direct.mat, atol=1e-9)
-        np.testing.assert_allclose(seq.weight, direct.weight, atol=1e-12)
 
 
 class TestExpectation:
     def test_z_on_ground_state(self):
-        rho = pure_state([1.0, 0.0], QUBIT)
-        assert expectation(rho, Observable(PAULI["Z"], QUBIT)) == \
+        rho = pure_state([1.0, 0.0])
+        assert expectation(rho, Observable(PAULI["Z"])) == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_bell_state_identities(self):
         rho = bell_phi_plus()
-        labels = rho.labels
         for name, value in (("X", 1.0), ("Y", -1.0), ("Z", 1.0)):
-            obs = Observable(np.kron(PAULI[name], PAULI[name]), labels)
+            obs = Observable(np.kron(PAULI[name], PAULI[name]))
             assert expectation(rho, obs) == pytest.approx(value, abs=1e-10)
 
     def test_tilted_basis_trace_oracle(self):
         # <Z (x) (-Z+X)/sqrt(2)> on the maximally correlated pair
         rho = bell_phi_plus()
         tilted = (-PAULI["Z"] + PAULI["X"]) / math.sqrt(2.0)
-        obs = Observable(np.kron(PAULI["Z"], tilted), rho.labels)
+        obs = Observable(np.kron(PAULI["Z"], tilted))
         assert expectation(rho, obs) == pytest.approx(-1.0 / math.sqrt(2.0),
                                                       abs=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(QuantumStateError):
-            expectation(bell_phi_plus(), Observable(PAULI["Z"], QUBIT))
+            expectation(bell_phi_plus(), Observable(PAULI["Z"]))
 
 
 class TestReshaping:
     def test_partial_trace_of_product(self):
-        a = pure_state([1.0, 0.0], QUBIT)
+        a = pure_state([1.0, 0.0])
         b = plus_state()
-        joint = tensor(a, b)
-        kept = partial_trace(joint, (2, 2), keep=1, labels=QUBIT)
+        joint = DensityMatrix(np.kron(a.mat, b.mat))
+        kept = partial_trace(joint, (2, 2), keep=1)
         np.testing.assert_allclose(kept.mat, b.mat, atol=1e-12)
 
     def test_partial_trace_of_entangled_pair_is_mixed(self):
-        red = partial_trace(bell_phi_plus(), (2, 2), keep=0, labels=QUBIT)
+        red = partial_trace(bell_phi_plus(), (2, 2), keep=0)
         np.testing.assert_allclose(red.mat, np.eye(2) / 2.0, atol=1e-12)
 
     def test_post_select_tracks_probability(self):
-        rho = pure_state([1.0, 0.0, 0.0, 1.0],
-                         ("0,0", "0,1", "1,0", "1,1"))
-        sub = post_select(rho, [0, 3])
-        assert sub.weight == pytest.approx(1.0, abs=1e-12)
-        sub2 = post_select(rho, [0, 1])
-        assert sub2.weight == pytest.approx(0.5, abs=1e-12)
+        rho = pure_state([1.0, 0.0, 0.0, 1.0])
+        _, prob = post_select(rho, [0, 3])
+        assert prob == pytest.approx(1.0, abs=1e-12)
+        sub2, prob2 = post_select(rho, [0, 1])
+        assert prob2 == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(sub2.mat, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_post_select_on_dead_branch(self):
-        rho = pure_state([1.0, 0.0], QUBIT)
-        dead = post_select(rho, [1])
-        assert dead.weight == 0.0
+        rho = pure_state([1.0, 0.0])
+        dead, prob = post_select(rho, [1])
+        assert prob == 0.0
         dead.validate()
 
     def test_every_engine_output_stays_physical(self):
         """Invariant sweep: states coming out of the toolbox validate."""
         rng = np.random.default_rng(3)
-        rho = pure_state(rng.normal(size=4) + 1j * rng.normal(size=4),
-                         ("a", "b", "c", "d"))
+        rho = pure_state(rng.normal(size=4) + 1j * rng.normal(size=4))
         rho.validate()
         ch = KrausChannel([np.kron(k, np.eye(2))
                            for k in loss_channel_qubit(0.4).operators])
         out = apply_channel(rho, ch)
         out.validate()
-        partial_trace(out, (2, 2), 0, QUBIT).validate()
-        post_select(out, [0, 1]).validate()
+        partial_trace(out, (2, 2), 0).validate()
+        post_select(out, [0, 1])[0].validate()
