@@ -20,8 +20,7 @@ from .detection import (BasisSetting, CountsTable, DetectionConfig,
                         project_basis, sample_counts, trial_distribution)
 from .estimators import (EstimateWithError, EstimatorError, chsh,
                          correlator, fidelity, g2_wr, snr)
-from .fitting import (FitResult, FittingError, fit_decay, fit_mains,
-                      fit_oscillation)
+from .fitting import FitResult, FittingError, fit_decay, fit_oscillation
 from .memory_a import (AtomQubitA, CoherenceParams, FreezingGeometry,
                        decohere, mode_lifetimes, motional_lifetime,
                        retrieval_weights, spinwave_wavevectors)
@@ -44,7 +43,7 @@ __all__ = [
     "atom_photon_state", "bell_delay_s", "calibrated_bundle",
     "channel_efficiency", "chsh", "config_hash", "correlator", "decohere",
     "direct_transmission", "fiber_transmission", "fidelity", "fit_decay",
-    "fit_mains", "fit_oscillation", "g2_wr", "latency", "load_config",
+    "fit_oscillation", "g2_wr", "latency", "load_config",
     "map_in", "map_out", "mode_lifetimes", "model_predictions",
     "motional_lifetime", "project_basis", "retrieval_weights",
     "run_experiment", "sample_counts", "save_config", "snr",

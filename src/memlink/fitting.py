@@ -1,4 +1,4 @@
-"""Weighted nonlinear fits for decay curves and damped oscillations.
+"""Separable least-squares fits for decay curves and damped oscillations.
 
 Four model families cover every sweep in the campaigns:
 
@@ -7,12 +7,24 @@ Four model families cover every sweep in the campaigns:
     damped-cosine       a * exp(-(t/tau)^2) * cos(2*pi*f*t + phi) + c
     sinusoid            a * cos(2*pi*f*t + phi) + c
 
-Fits are weighted least squares (scipy's trust-region reflective
-solver).  The damped-cosine model is started from five seeds spread
-around the FFT frequency estimate to avoid the local minima this model
-family is known for; the best converged start wins.  Time units are
-whatever the caller passes in; the derived 1/e time comes back in the
-same units.
+Every model is linear in its amplitude, phase and offset, written as
+quadratures: a*e*cos(2*pi*f*t + phi) + c = e*(alpha*cos(2*pi*f*t) +
+beta*sin(2*pi*f*t)) + c with envelope e, a = hypot(alpha, beta) and
+phi = atan2(-beta, alpha).  So the fits use variable projection (Golub
+& Pereyra, SIAM J. Numer. Anal. 10:413, 1973): scipy's trust-region
+reflective solver runs over the nonlinear parameters only (tau for a
+decay, tau and f for a damped cosine, f for a sinusoid), and every
+residual evaluation solves the linear coefficients exactly by weighted
+linear least squares on the columns [e cos, e sin, 1] or [e].  The
+objective is that of the full model with every parameter free.
+
+Decays start from three tau seeds, oscillations from five seeds spread
+around the FFT frequency estimate (this model family has local minima).
+A start may spend 200 residual evaluations per nonlinear parameter; one
+that runs out counts as not converged, and the best converged start
+wins.  One-sigma errors come from the full model's Jacobian at the
+optimum.  Time units are whatever the caller passes in; the derived 1/e
+time comes back in the same units.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ MODELS = ("gaussian-decay", "exponential-decay", "damped-cosine", "sinusoid")
 
 _COST_TOL = 1e-10      # relative cost convergence tolerance
 _FLAT_REL = 1e-12      # below this relative spread, data counts as constant
+_NFEV_PER_PARAM = 200  # outer residual evaluations per nonlinear parameter
 
 
 class FittingError(RuntimeError):
@@ -39,6 +52,8 @@ class FitResult:
     ``one_over_e_time`` is the time at which the fitted envelope drops
     to 1/e (infinite for an undamped sinusoid or constant data); it is
     derived directly from the tau parameter, so the two always agree.
+    ``nfev`` counts the outer solver's residual evaluations, summed over
+    starts (scipy's count, without finite-difference Jacobian steps).
     """
 
     model: str
@@ -47,27 +62,11 @@ class FitResult:
     one_over_e_time: float = math.inf
     residual_norm: float = 0.0
     n_points: int = 0
+    nfev: int = 0
 
     @property
     def frequency(self) -> float:
         return self.params.get("frequency", math.nan)
-
-
-def _evaluate(model: str, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if model == "gaussian-decay":
-        a, tau = x
-        return a * np.exp(-((t / tau) ** 2))
-    if model == "exponential-decay":
-        a, tau = x
-        return a * np.exp(-t / tau)
-    if model == "damped-cosine":
-        a, tau, f, phi, c = x
-        return a * np.exp(-((t / tau) ** 2)) * np.cos(
-            2.0 * math.pi * f * t + phi) + c
-    if model == "sinusoid":
-        a, f, phi, c = x
-        return a * np.cos(2.0 * math.pi * f * t + phi) + c
-    raise FittingError(f"unknown model {model!r}; choose from {MODELS}")
 
 
 _PARAM_NAMES = {
@@ -77,20 +76,58 @@ _PARAM_NAMES = {
     "sinusoid": ("amplitude", "frequency", "phase", "offset"),
 }
 
+# the parameters the outer solver sees, in its order
+_NONLINEAR = {
+    "gaussian-decay": ("tau",),
+    "exponential-decay": ("tau",),
+    "damped-cosine": ("tau", "frequency"),
+    "sinusoid": ("frequency",),
+}
+
+
+def _envelope(model: str, t: np.ndarray, tau: float):
+    """Envelope e(t; tau) and its derivative de/dtau (e = 1 at tau = inf)."""
+    if model == "exponential-decay":
+        e = np.exp(-t / tau)
+        return e, e * t / tau ** 2
+    e = np.exp(-((t / tau) ** 2))
+    return e, e * 2.0 * t ** 2 / tau ** 3
+
+
+def _columns(model: str, t: np.ndarray, theta) -> np.ndarray:
+    """Design matrix of the linear coefficients at nonlinear ``theta``."""
+    p = dict(zip(_NONLINEAR[model], theta))
+    e, _ = _envelope(model, t, p.get("tau", math.inf))
+    if "frequency" not in p:
+        return e[:, None]
+    arg = 2.0 * math.pi * p["frequency"] * t
+    return np.column_stack((e * np.cos(arg), e * np.sin(arg), np.ones_like(t)))
+
+
+def _full_jacobian(model: str, t: np.ndarray, p: dict) -> np.ndarray:
+    """d(model)/d(parameter) for every parameter in ``_PARAM_NAMES`` order."""
+    e, de = _envelope(model, t, p.get("tau", math.inf))
+    a = p["amplitude"]
+    arg = 2.0 * math.pi * p.get("frequency", 0.0) * t + p.get("phase", 0.0)
+    cos, sin = np.cos(arg), np.sin(arg)
+    cols = {"amplitude": e * cos, "tau": a * de * cos,
+            "frequency": -2.0 * math.pi * t * a * e * sin,
+            "phase": -a * e * sin, "offset": np.ones_like(t)}
+    return np.column_stack([cols[name] for name in _PARAM_NAMES[model]])
+
 
 def _prepare(t, y, sigma):
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise FittingError("t and y must be 1-d arrays of equal length")
-    if sigma is None:
-        w = np.ones_like(y)
-    else:
-        w = np.asarray(sigma, dtype=float)
-        if w.shape != y.shape:
-            raise FittingError("sigma must match the data shape")
-        if np.any(w <= 0.0):
-            raise FittingError("sigma values must be positive")
+    w = np.ones_like(y) if sigma is None else np.asarray(sigma, dtype=float)
+    if w.shape != y.shape:
+        raise FittingError("sigma must match the data shape")
+    if not all(np.all(np.isfinite(v)) for v in (t, y, w)):
+        raise FittingError("t, y and sigma must be finite")
+    if np.any(w <= 0.0):
+        raise FittingError("sigma values must be positive")
     order = np.argsort(t)
     return t[order], y[order], w[order]
 
@@ -100,20 +137,25 @@ def _run_starts(model, t, y, w, starts, bounds):
     from scipy.optimize import least_squares
 
     names = _PARAM_NAMES[model]
-    best = None
-    diagnostics = []
+    yw = y / w
 
-    def residuals(x):
-        return (_evaluate(model, t, x) - y) / w
+    def weighted_columns(theta):
+        return _columns(model, t, theta) / w[:, None]
 
+    def residuals(theta):
+        cols = weighted_columns(theta)
+        return cols @ np.linalg.lstsq(cols, yw, rcond=None)[0] - yw
+
+    best, nfev, diagnostics = None, 0, []
     for x0 in starts:
         try:
             res = least_squares(residuals, x0, bounds=bounds,
                                 ftol=_COST_TOL, xtol=1e-14, gtol=1e-14,
-                                max_nfev=20000)
-        except ValueError as exc:
+                                max_nfev=_NFEV_PER_PARAM * len(x0))
+        except ValueError as exc:  # includes numpy's LinAlgError
             diagnostics.append(f"start {x0}: {exc}")
             continue
+        nfev += res.nfev
         if not res.success:
             diagnostics.append(f"start {x0}: {res.message}")
             continue
@@ -124,14 +166,21 @@ def _run_starts(model, t, y, w, starts, bounds):
             f"{model} fit did not converge from any start; "
             + "; ".join(diagnostics)
         )
+    p = dict(zip(_NONLINEAR[model], (float(v) for v in best.x)))
+    coef = np.linalg.lstsq(weighted_columns(best.x), yw, rcond=None)[0]
+    if len(coef) == 1:
+        p["amplitude"] = float(coef[0])
+    else:
+        alpha, beta, offset = (float(v) for v in coef)
+        p.update(amplitude=math.hypot(alpha, beta),
+                 phase=math.atan2(-beta, alpha), offset=offset)
+    jac = _full_jacobian(model, t, p) / w[:, None]
     dof = max(len(t) - len(names), 1)
-    jt_j = best.jac.T @ best.jac
-    scale = 2.0 * best.cost / dof
-    cov = np.linalg.pinv(jt_j) * scale
+    cov = np.linalg.pinv(jac.T @ jac) * (2.0 * best.cost / dof)
     sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    params = dict(zip(names, (float(v) for v in best.x)))
+    params = {name: p[name] for name in names}
     sigmas = dict(zip(names, (float(v) for v in sig)))
-    return params, sigmas, float(np.linalg.norm(best.fun))
+    return params, sigmas, float(np.linalg.norm(best.fun)), nfev
 
 
 def _constant_sentinel(model: str, y: np.ndarray, n: int) -> FitResult:
@@ -165,14 +214,12 @@ def fit_decay(t, y, model: str = "gaussian-decay", sigma=None) -> FitResult:
     below = np.nonzero(np.abs(y) < abs(a0) / math.e)[0]
     span = float(t[-1] - t[0]) or 1.0
     tau0 = float(t[below[0]]) if below.size and t[below[0]] > 0 else span / 2.0
-    starts = [np.array([a0, tau0]),
-              np.array([a0, tau0 * 3.0]),
-              np.array([a0, tau0 / 3.0])]
-    bounds = (np.array([-np.inf, 1e-300]), np.array([np.inf, np.inf]))
-    params, sigmas, rnorm = _run_starts(model, t, y, w, starts, bounds)
+    starts = [np.array([x]) for x in (tau0, tau0 * 3.0, tau0 / 3.0)]
+    bounds = (np.array([1e-300]), np.array([np.inf]))
+    params, sigmas, rnorm, nfev = _run_starts(model, t, y, w, starts, bounds)
     return FitResult(model=model, params=params, sigmas=sigmas,
                      one_over_e_time=params["tau"],
-                     residual_norm=rnorm, n_points=len(t))
+                     residual_norm=rnorm, n_points=len(t), nfev=nfev)
 
 
 def _fft_frequency(t: np.ndarray, y: np.ndarray) -> float:
@@ -192,8 +239,9 @@ def fit_oscillation(t, y, sigma=None, model: str = "damped-cosine"
     """Fit an oscillation; frequency, phase and envelope time come back.
 
     The frequency is seeded from the FFT peak and the solver is started
-    from five spread seeds.  Inputs with fewer than 8 points or
-    spanning less than one estimated period are rejected.
+    from five spread seeds; a damped cosine starts with tau = span.
+    Inputs with fewer than 8 points or spanning less than one estimated
+    period are rejected.
     """
     if model not in ("damped-cosine", "sinusoid"):
         raise FittingError(
@@ -211,62 +259,14 @@ def fit_oscillation(t, y, sigma=None, model: str = "damped-cosine"
             f"under-sampled oscillation: span {span:g} covers "
             f"{span * max(f0, 0.0):.2f} periods of the {f0:g} estimate"
         )
-    a0 = float(np.ptp(y)) / 2.0
-    c0 = float(np.mean(y))
-    starts = []
-    for fac in (1.0, 0.8, 1.25, 0.5, 2.0):
-        f_try = f0 * fac
-        # quadrature projection gives a phase seed per frequency seed
-        zc = y - c0
-        cs = float(np.sum(zc * np.cos(2.0 * math.pi * f_try * t)))
-        sn = float(np.sum(zc * np.sin(2.0 * math.pi * f_try * t)))
-        phi0 = math.atan2(-sn, cs)
-        if model == "damped-cosine":
-            starts.append(np.array([a0, span, f_try, phi0, c0]))
-        else:
-            starts.append(np.array([a0, f_try, phi0, c0]))
+    seeds = [f0 * fac for fac in (1.0, 0.8, 1.25, 0.5, 2.0)]
     if model == "damped-cosine":
-        lo = np.array([0.0, 1e-300, 0.0, -2.0 * math.pi, -np.inf])
-        hi = np.array([np.inf, np.inf, np.inf, 2.0 * math.pi, np.inf])
+        starts = [np.array([span, f_try]) for f_try in seeds]
+        bounds = (np.array([1e-300, 0.0]), np.array([np.inf, np.inf]))
     else:
-        lo = np.array([0.0, 0.0, -2.0 * math.pi, -np.inf])
-        hi = np.array([np.inf, np.inf, 2.0 * math.pi, np.inf])
-    params, sigmas, rnorm = _run_starts(model, t, y, w, starts, (lo, hi))
-    tau = params.get("tau", math.inf)
+        starts = [np.array([f_try]) for f_try in seeds]
+        bounds = (np.array([0.0]), np.array([np.inf]))
+    params, sigmas, rnorm, nfev = _run_starts(model, t, y, w, starts, bounds)
     return FitResult(model=model, params=params, sigmas=sigmas,
-                     one_over_e_time=tau, residual_norm=rnorm,
-                     n_points=len(t))
-
-
-def fit_mains(t, b_field, sigma=None) -> FitResult:
-    """Sinusoid fit of a line-noise magnetometry trace (times in s).
-
-    Needs at least two 50 Hz periods of data.  Flat traces return a
-    zero-amplitude result instead of failing.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if t_arr.size and float(np.ptp(t_arr)) < 2.0 / 50.0:
-        raise FittingError("mains fits need at least two 50 Hz periods")
-    t_arr, y, w = _prepare(t, b_field, sigma)
-    if len(t_arr) < 8:
-        raise FittingError("mains fits need at least 8 points")
-    scale = float(np.max(np.abs(y)))
-    if float(np.ptp(y)) < _FLAT_REL * max(scale, 1.0):
-        res = _constant_sentinel("sinusoid", y, len(t_arr))
-        params = dict(res.params)
-        params["frequency"] = 50.0
-        return FitResult(model="sinusoid", params=params, sigmas=res.sigmas,
-                         one_over_e_time=math.inf,
-                         residual_norm=res.residual_norm,
-                         n_points=len(t_arr))
-    a0 = float(np.ptp(y)) / 2.0
-    c0 = float(np.mean(y))
-    starts = [np.array([a0, 50.0, phi, c0])
-              for phi in (0.0, math.pi / 2, math.pi, -math.pi / 2, 0.3)]
-    lo = np.array([0.0, 1.0, -2.0 * math.pi, -np.inf])
-    hi = np.array([np.inf, 1000.0, 2.0 * math.pi, np.inf])
-    params, sigmas, rnorm = _run_starts("sinusoid", t_arr, y, w, starts,
-                                        (lo, hi))
-    return FitResult(model="sinusoid", params=params, sigmas=sigmas,
-                     one_over_e_time=math.inf, residual_norm=rnorm,
-                     n_points=len(t_arr))
+                     one_over_e_time=params.get("tau", math.inf),
+                     residual_norm=rnorm, n_points=len(t), nfev=nfev)
