@@ -17,7 +17,7 @@ from .config import (CampaignConfig, ConfigError, ExperimentBundle,
 from .constants import CODATA, PhysicalConstants
 from .detection import (BasisSetting, CountsTable, DetectionConfig,
                         DetectorParams, TrialDistribution, analytic_counts,
-                        project_basis, sample_counts, trial_distribution)
+                        sample_counts, trial_distribution)
 from .estimators import (EstimateWithError, EstimatorError, chsh,
                          correlator, fidelity, g2_wr, snr)
 from .fitting import FitResult, FittingError, fit_decay, fit_oscillation
@@ -26,8 +26,7 @@ from .memory_a import (AtomQubitA, CoherenceParams, FreezingGeometry,
                        retrieval_weights, spinwave_wavevectors)
 from .memory_b import EITParams, map_in, map_out
 from .scenarios import CampaignResult, bell_delay_s, run_experiment
-from .source import (AtomPhotonState, SourceParams, atom_photon_state,
-                     writeout_rate)
+from .source import AtomPhotonState, SourceParams, atom_photon_state
 from .timeline import TrialTimeline
 
 __version__ = "0.1.0"
@@ -45,8 +44,7 @@ __all__ = [
     "direct_transmission", "fiber_transmission", "fidelity", "fit_decay",
     "fit_oscillation", "g2_wr", "latency", "load_config",
     "map_in", "map_out", "mode_lifetimes", "model_predictions",
-    "motional_lifetime", "project_basis", "retrieval_weights",
+    "motional_lifetime", "retrieval_weights",
     "run_experiment", "sample_counts", "save_config", "snr",
     "spinwave_wavevectors", "transmit", "trial_distribution",
-    "writeout_rate",
 ]

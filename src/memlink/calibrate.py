@@ -93,8 +93,7 @@ def bundle_with(params: dict[str, float],
         det_kwargs["det_a"] = dataclasses.replace(
             det.det_a, dark_rate=float(params["dark_a"]))
     if "dark_b" in params:
-        det_kwargs["det_b"] = dataclasses.replace(
-            det.det_b, dark_rate=float(params["dark_b"]))
+        det_kwargs["dark_b"] = float(params["dark_b"])
     if det_kwargs:
         det = dataclasses.replace(det, **det_kwargs)
     return dataclasses.replace(b, source=src, channel=ch, detection=det)
@@ -162,8 +161,8 @@ def load_targets(path: str) -> dict[str, tuple[float, float]]:
 
 
 def calibrate(targets: dict[str, tuple[float, float]] | None = None,
-              free_params: tuple[str, ...] | None = None,
-              base: ExperimentBundle | None = None) -> CalibrationResult:
+              free_params: tuple[str, ...] | None = None
+              ) -> CalibrationResult:
     """Least-squares fit of the free parameters to the targets.
 
     With no free parameters the defaults pass straight through.  A fit
@@ -180,12 +179,12 @@ def calibrate(targets: dict[str, tuple[float, float]] | None = None,
 
     def residual_vec(x: np.ndarray) -> np.ndarray:
         params = dict(zip(free, x))
-        preds = model_predictions(bundle_with(params, base))
+        preds = model_predictions(bundle_with(params))
         return np.array([(preds[n] - targets[n][0]) / targets[n][1]
                          for n in names])
 
     if not free:
-        bundle = bundle_with({}, base)
+        bundle = bundle_with({})
         preds = model_predictions(bundle)
         res = {n: (preds[n] - targets[n][0]) / targets[n][1] for n in names}
         return CalibrationResult(params={}, bundle=bundle, predictions=preds,
@@ -204,7 +203,7 @@ def calibrate(targets: dict[str, tuple[float, float]] | None = None,
                         ftol=1e-12, xtol=1e-12, gtol=1e-12,
                         diff_step=1e-4, max_nfev=400)
     params = {name: float(v) for name, v in zip(free, fit.x)}
-    bundle = bundle_with(params, base)
+    bundle = bundle_with(params)
     preds = model_predictions(bundle)
     residuals = {n: (preds[n] - targets[n][0]) / targets[n][1]
                  for n in names}
@@ -239,7 +238,3 @@ def report_lines(result: CalibrationResult) -> list[str]:
     if not result.converged:
         lines.append("best-so-far parameters reported above")
     return lines
-
-
-def _self_check(result: CalibrationResult, n_sigma: float = 1.0) -> bool:
-    return all(abs(r) <= n_sigma for r in result.residuals.values())

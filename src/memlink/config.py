@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 from dataclasses import dataclass
 
 import yaml
@@ -112,10 +111,30 @@ class CampaignConfig:
                 raise ConfigError("sweep_us times must be non-negative")
 
 
+def _noise_values(b: ExperimentBundle) -> dict[str, float]:
+    """The values ``calibrated_bundle`` replaces, by config key."""
+    det = b.detection
+    return {"source.double_amp_scale": b.source.double_amp_scale,
+            "channel.background_rate": b.channel.background_rate,
+            "detectors.monitor.dark_rate": det.det_monitor.dark_rate,
+            "detectors.node_a.dark_rate": det.det_a.dark_rate,
+            "detectors.node_b.dark_rate": det.dark_b}
+
+
 def calibrated_bundle(base: ExperimentBundle | None = None
                       ) -> ExperimentBundle:
-    """Default bundle with the fitted noise values switched in."""
+    """Default bundle with the fitted noise values switched in.
+
+    Raises ConfigError when ``base`` sets one of those values away from
+    its default, since calibration would silently replace it.
+    """
     b = base or ExperimentBundle()
+    defaults = _noise_values(ExperimentBundle())
+    for key, value in _noise_values(b).items():
+        if value != defaults[key]:
+            raise ConfigError(
+                f"{key} = {value!r} would be replaced by its calibrated "
+                f"value; set calibrated: false to keep it")
     det = b.detection
     return dataclasses.replace(
         b,
@@ -128,7 +147,7 @@ def calibrated_bundle(base: ExperimentBundle | None = None
             det_monitor=dataclasses.replace(
                 det.det_monitor, dark_rate=CAL_DARK_MONITOR),
             det_a=dataclasses.replace(det.det_a, dark_rate=CAL_DARK_A),
-            det_b=dataclasses.replace(det.det_b, dark_rate=CAL_DARK_B),
+            dark_b=CAL_DARK_B,
         ),
     )
 
@@ -145,24 +164,31 @@ _SECTION_TYPES = {
     "timeline": TrialTimeline,
 }
 
-_DETECTOR_KEYS = ("monitor", "node_a", "node_b")
+_DETECTOR_KEYS = ("monitor", "node_a", "node_b", "double_click_policy",
+                  "z_b_up_sign_chsh", "z_b_up_sign_corr")
 _TOP_KEYS = ("scenario", "trials", "seed", "sweep_us", "out_dir", "mode",
              "calibrated", "source", "channel", "coherence", "geometry",
              "eit", "detectors", "timeline")
 
 
-def _build_section(cls, mapping: dict, section: str, defaults=None):
-    """Instantiate a parameter dataclass from a config mapping."""
+def _section_mapping(mapping, section: str, keys) -> dict:
+    """A config section as a mapping with only the given keys."""
     if mapping is None:
-        mapping = {}
+        return {}
     if not isinstance(mapping, dict):
         raise ConfigError(f"section {section!r} must be a mapping")
-    field_names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(mapping) - field_names
+    unknown = set(mapping) - set(keys)
     if unknown:
         raise ConfigError(
             f"unknown keys in section {section!r}: {sorted(unknown)}"
         )
+    return mapping
+
+
+def _build_section(cls, mapping: dict, section: str, defaults=None):
+    """Instantiate a parameter dataclass from a config mapping."""
+    mapping = _section_mapping(mapping, section,
+                               (f.name for f in dataclasses.fields(cls)))
     try:
         if defaults is not None:
             return dataclasses.replace(defaults, **mapping)
@@ -172,33 +198,20 @@ def _build_section(cls, mapping: dict, section: str, defaults=None):
 
 
 def _build_detection(mapping: dict | None) -> DetectionConfig:
-    if mapping is None:
-        mapping = {}
-    if not isinstance(mapping, dict):
-        raise ConfigError("section 'detectors' must be a mapping")
-    known = set(_DETECTOR_KEYS) | {"double_click_policy", "z_b_up_sign_chsh",
-                                   "z_b_up_sign_corr"}
-    unknown = set(mapping) - known
-    if unknown:
-        raise ConfigError(
-            f"unknown keys in section 'detectors': {sorted(unknown)}"
-        )
+    """Node B takes only a dark rate: its efficiency comes from ``eit``."""
+    extras = dict(_section_mapping(mapping, "detectors", _DETECTOR_KEYS))
     base = DetectionConfig()
-    nodes = {}
-    for key, default in (("monitor", base.det_monitor),
-                         ("node_a", base.det_a),
-                         ("node_b", base.det_b)):
-        nodes[key] = _build_section(DetectorParams, mapping.get(key),
-                                    f"detectors.{key}", defaults=default)
-    extras = {}
-    for key in ("double_click_policy", "z_b_up_sign_chsh", "z_b_up_sign_corr"):
-        if key in mapping:
-            extras[key] = mapping[key]
+    det_monitor = _build_section(DetectorParams, extras.pop("monitor", None),
+                                 "detectors.monitor", defaults=base.det_monitor)
+    det_a = _build_section(DetectorParams, extras.pop("node_a", None),
+                           "detectors.node_a", defaults=base.det_a)
+    node_b = _section_mapping(extras.pop("node_b", None), "detectors.node_b",
+                              ("dark_rate",))
     try:
-        return DetectionConfig(det_monitor=nodes["monitor"],
-                               det_a=nodes["node_a"],
-                               det_b=nodes["node_b"], **extras)
-    except ValueError as exc:
+        return DetectionConfig(det_monitor=det_monitor, det_a=det_a,
+                               dark_b=node_b.get("dark_rate", base.dark_b),
+                               **extras)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"section 'detectors': {exc}") from exc
 
 
@@ -268,8 +281,6 @@ def _plain(obj):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return float(obj)
     return obj
 
 
@@ -291,7 +302,7 @@ def config_to_mapping(cfg: CampaignConfig) -> dict:
         "detectors": {
             "monitor": _plain(det.det_monitor),
             "node_a": _plain(det.det_a),
-            "node_b": _plain(det.det_b),
+            "node_b": {"dark_rate": det.dark_b},
             "double_click_policy": det.double_click_policy,
             "z_b_up_sign_chsh": det.z_b_up_sign_chsh,
             "z_b_up_sign_corr": det.z_b_up_sign_corr,

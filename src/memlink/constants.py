@@ -46,11 +46,5 @@ class PhysicalConstants:
         """Same rate expressed as an oscillation frequency (Hz/G)."""
         return self.zeeman_rate_rad_per_s_gauss / (2.0 * math.pi)
 
-    def thermal_velocity(self, temperature_k: float) -> float:
-        """One-dimensional rms thermal velocity sqrt(k_B T / m) in m/s."""
-        if temperature_k < 0.0:
-            raise ValueError(f"temperature must be non-negative, got {temperature_k}")
-        return math.sqrt(self.k_b * temperature_k / self.m_rb87)
-
 
 CODATA = PhysicalConstants()

@@ -22,8 +22,9 @@ behind its own cache:
     that delay;
   * contraction: the suffix state, viewed as (d, rest, d, rest), is
     contracted with one (4, d, d) POVM stack per node (``_povm_stack``,
-    keyed on cutoff, basis, Z sign, efficiency and dark rate); no
-    16-element product operator is ever formed.
+    keyed on cutoff, basis, Z sign, efficiency and dark rate, around a
+    basis rotation keyed on the first three); no 16-element product
+    operator is ever formed.
 
 The stages' loss and transfer channels come from cached constructors
 in ``dualrail``, and the finished distribution is cached per (bundle,
@@ -48,14 +49,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import channel as link
 from . import dualrail, memory_a, memory_b, source
-from .qcore import PAULI, Observable, apply_channel
+from .qcore import PAULI, apply_channel
 
 PATTERN_NAMES = ("plus", "minus", "both", "none")
 PATTERNS = tuple((a, b) for a in PATTERN_NAMES for b in PATTERN_NAMES)
@@ -102,18 +103,24 @@ class DetectionConfig:
     (-Z-X)/sqrt(2); the default -1 puts the shared target state at the
     Tsirelson point.  Both are explicit because the two published
     conventions are inconsistent under any single labeling.
+
+    Node B has only a dark rate, ``dark_b``: its detection efficiency is
+    the bundle's EIT readout chain after map-out
+    (``EITParams.detection_residual``).
     """
 
     det_monitor: DetectorParams = DetectorParams()
     det_a: DetectorParams = DetectorParams(eta_det=0.15)
-    det_b: DetectorParams = dc_field(
-        default_factory=lambda: DetectorParams(
-            eta_det=memory_b.EITParams().detection_residual()))
+    dark_b: float = 0.0
     double_click_policy: str = "discard"
     z_b_up_sign_chsh: float = -1.0
     z_b_up_sign_corr: float = 1.0
 
     def __post_init__(self) -> None:
+        if not 0.0 <= self.dark_b < 1.0:
+            raise DetectionConfigError(
+                f"dark_b must be in [0, 1), got {self.dark_b}"
+            )
         if self.double_click_policy not in ("discard", "random"):
             raise DetectionConfigError(
                 f"unknown double-click policy {self.double_click_policy!r}"
@@ -145,19 +152,6 @@ class BasisSetting:
         return f"{self.node_a},{self.node_b}"
 
 
-def project_basis(setting: BasisSetting,
-                  cfg: DetectionConfig | None = None
-                  ) -> tuple[Observable, Observable]:
-    """Resolve a setting into one dichotomic observable per node."""
-    cfg = cfg or DetectionConfig()
-    obs_a = Observable(_node_matrix(setting.node_a, 1.0),
-                       name=setting.node_a)
-    obs_b = Observable(_node_matrix(setting.node_b,
-                                    _z_sign_b(setting.node_b, cfg)),
-                       name=setting.node_b)
-    return obs_a, obs_b
-
-
 def _z_sign_b(name: str | None, cfg: DetectionConfig) -> float:
     """Sign of the receiving node's Z inside the named observable."""
     if name in ("B0", "B1"):
@@ -184,30 +178,19 @@ def _plus_minus_basis(mat: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CountsTable:
-    """Coincidence and singles bookkeeping per setting key.
+    """Coincidence and singles bookkeeping of one batch of attempts.
 
-    ``outcome_counts[key]`` holds the signed coincidences in the order
+    ``outcome_counts`` holds the signed coincidences in the order
     [++, +-, -+, --], node A's sign first.
     """
 
-    outcome_counts: dict[str, np.ndarray] = dc_field(default_factory=dict)
-    trials: dict[str, int] = dc_field(default_factory=dict)
-    singles_a: dict[str, int] = dc_field(default_factory=dict)
-    singles_b: dict[str, int] = dc_field(default_factory=dict)
-    coincidences: dict[str, int] = dc_field(default_factory=dict)
+    outcome_counts: np.ndarray
+    trials: int
+    singles_a: int
+    singles_b: int
+    coincidences: int
     noise_windows: int = 0
     noise_counts: int = 0
-
-    def check(self) -> None:
-        for key, counts in self.outcome_counts.items():
-            if counts.min() < 0:
-                raise ValueError(f"negative count in {key}")
-            if counts.sum() > self.coincidences[key]:
-                raise ValueError(
-                    f"{key}: outcome bins exceed coincidence count"
-                )
-            if self.coincidences[key] > self.trials[key]:
-                raise ValueError(f"{key}: more coincidences than trials")
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +244,25 @@ def _suffix_state(prefix: tuple, delay_s: float, coherence, geometry,
     return out
 
 
+@lru_cache(maxsize=16)
+def _rotation(cutoff: int, name: str, z_sign: float) -> np.ndarray:
+    """Read-only sector unitary into the +1 / -1 eigenmodes of one
+    node's named basis; a dark rate or efficiency step reuses it."""
+    # State amplitudes in the detector basis are <eigenmode|psi>, i.e.
+    # the mode map is the adjoint of the eigenvector matrix.
+    basis = _plus_minus_basis(_node_matrix(name, z_sign))
+    rot = dualrail.mode_rotation(cutoff, basis.conj().T)
+    rot.setflags(write=False)
+    return rot
+
+
 @lru_cache(maxsize=64)
 def _povm_stack(cutoff: int, name: str | None, z_sign: float, eta: float,
                 dark: float) -> np.ndarray:
     """One node's detector-pair POVM as a read-only (4, d, d) stack in
     PATTERN_NAMES order; name None measures the bare mode basis."""
-    basis = None if name is None else _plus_minus_basis(
-        _node_matrix(name, z_sign))
-    povm = dualrail.detection_povm(cutoff, basis, eta=eta, dark=dark)
+    rot = None if name is None else _rotation(cutoff, name, z_sign)
+    povm = dualrail.detection_povm(cutoff, rot, eta=eta, dark=dark)
     stack = np.stack([povm[n] for n in PATTERN_NAMES])
     stack.setflags(write=False)
     return stack
@@ -321,10 +315,13 @@ def _distribution_cached(bundle, setting_key, delay_s: float,
     rho = _suffix_state(_prefix_key(bundle, stage), delay_s,
                         bundle.coherence, bundle.geometry, det.det_a.eta_det)
     name_a, name_b = setting_key or (None, None)
-    far = det.det_monitor if stage == "source" else det.det_b
+    if stage == "source":
+        eta_b, dark_b = det.det_monitor.eta_det, det.det_monitor.dark_rate
+    else:
+        eta_b, dark_b = bundle.eit.detection_residual(), det.dark_b
     povm_a = _povm_stack(cutoff, name_a, 1.0, 1.0, det.det_a.dark_rate)
-    povm_b = _povm_stack(cutoff, name_b, _z_sign_b(name_b, det),
-                         far.eta_det, far.dark_rate)
+    povm_b = _povm_stack(cutoff, name_b, _z_sign_b(name_b, det), eta_b,
+                         dark_b)
 
     # masks[k] picks the part of the state whose node-A mode-2
     # occupations differ by dn = k between ket and bra.
@@ -440,22 +437,21 @@ def _resolve_doubles(counts: np.ndarray,
     return out.ravel()
 
 
-def _counts_table(key: str, trials: int, clicks: np.ndarray,
+def _counts_table(trials: int, clicks: np.ndarray,
                   bins: np.ndarray) -> CountsTable:
     singles_a, singles_b, coincidences = (int(c) for c in clicks)
-    return CountsTable(outcome_counts={key: bins}, trials={key: trials},
-                       singles_a={key: singles_a},
-                       singles_b={key: singles_b},
-                       coincidences={key: coincidences})
+    return CountsTable(outcome_counts=bins, trials=trials,
+                       singles_a=singles_a, singles_b=singles_b,
+                       coincidences=coincidences)
 
 
-def _tally_counts(key: str, counts: np.ndarray, policy: str,
+def _tally_counts(counts: np.ndarray, policy: str,
                   rng: np.random.Generator) -> CountsTable:
     """CountsTable of a sampled pattern-count vector under the policy."""
     if policy == "random":
         counts = _resolve_doubles(counts, rng)
     tallies = _TALLY_INT @ counts
-    return _counts_table(key, int(counts.sum()), tallies[CLICKS],
+    return _counts_table(int(counts.sum()), tallies[CLICKS],
                          tallies[BINS["discard"]])
 
 
@@ -484,10 +480,8 @@ def sample_counts(bundle, setting: BasisSetting | None, n_trials: int,
                   noise_windows: int = 0) -> CountsTable:
     """Simulate a batch of attempts at one setting into a CountsTable."""
     dist = trial_distribution(bundle, setting, delay_s, stage)
-    key = "bins" if setting is None else setting.key
     counts = _sample_pattern_counts(dist, n_trials, rng)
-    table = _tally_counts(key, counts, bundle.detection.double_click_policy,
-                          rng)
+    table = _tally_counts(counts, bundle.detection.double_click_policy, rng)
     if noise_windows > 0:
         ndist = noise_distribution(bundle, setting, stage)
         ncounts = _sample_pattern_counts(ndist, noise_windows, rng)
@@ -507,12 +501,11 @@ def analytic_counts(bundle, setting: BasisSetting | None, n_trials: int,
     Under the random policy double clicks are split evenly.
     """
     dist = trial_distribution(bundle, setting, delay_s, stage)
-    key = "bins" if setting is None else setting.key
     mean = dist.mean_probabilities() * n_trials
     policy = bundle.detection.double_click_policy
     clicks = _TALLY_INT[CLICKS] @ np.rint(mean).astype(np.int64)
     bins = np.round(_in_order(TALLY[BINS[policy]], mean)).astype(np.int64)
-    table = _counts_table(key, n_trials, clicks, bins)
+    table = _counts_table(n_trials, clicks, bins)
     if noise_windows > 0:
         ndist = noise_distribution(bundle, setting, stage)
         click_p = _in_order(TALLY[_SINGLES_B], ndist.mean_probabilities())

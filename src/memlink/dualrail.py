@@ -12,8 +12,8 @@ double-excitation states responsible for higher-order noise.
 
 This module provides the operator toolbox on that sector: per-mode loss
 channels, linear mode rotations (beam splitters / waveplates), quantum
-transfer between the modes, phase accumulation and number diagnostics.
-All constructions are exact on the truncated space.
+transfer between the modes, phase accumulation and threshold-detector
+POVMs.  All constructions are exact on the truncated space.
 
 Loss and transfer channels can be built already embedded in a larger
 tensor product (``embed=(left, right)`` puts identities of those
@@ -29,7 +29,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from .qcore import KrausChannel, Observable
+from .qcore import KrausChannel
 
 
 @lru_cache(maxsize=8)
@@ -57,18 +57,6 @@ def qubit_indices(cutoff: int) -> tuple[int, int]:
     """Indices of the single-excitation states (mode1, mode2)."""
     idx = index_of(cutoff)
     return idx[(1, 0)], idx[(0, 1)]
-
-
-def number_operator(cutoff: int, mode: int | None = None) -> np.ndarray:
-    """Diagonal number operator for one mode, or total if mode is None."""
-    occs = occupations(cutoff)
-    if mode is None:
-        diag = [n1 + n2 for n1, n2 in occs]
-    elif mode in (0, 1):
-        diag = [occ[mode] for occ in occs]
-    else:
-        raise ValueError("mode must be 0, 1 or None")
-    return np.diag(np.asarray(diag, dtype=complex))
 
 
 def loss_channel(cutoff: int, eta1: float, eta2: float,
@@ -247,15 +235,15 @@ def click_probabilities(cutoff: int, eta: float, dark: float) -> np.ndarray:
     return 1.0 - (1.0 - eta) ** occs * (1.0 - dark)
 
 
-def detection_povm(cutoff: int, basis: np.ndarray | None, eta: float,
+def detection_povm(cutoff: int, rot: np.ndarray | None, eta: float,
                    dark: float) -> dict[str, np.ndarray]:
     """POVM for two threshold detectors behind a mode rotation.
 
     Args:
         cutoff: sector truncation.
-        basis: 2x2 unitary whose columns are the +1 / -1 eigenmodes to
-            be separated onto the two detectors (None for the bare mode
-            basis).
+        rot: sector unitary taking state amplitudes into the detector
+            basis, whose first mode goes to the "plus" detector (see
+            ``mode_rotation``); None for the bare mode basis.
         eta: detection efficiency applied per excitation.
         dark: per-window dark-count probability of each detector.
 
@@ -263,7 +251,6 @@ def detection_povm(cutoff: int, basis: np.ndarray | None, eta: float,
         dict with elements "plus", "minus", "both", "none" summing to
         the identity on the sector.
     """
-    dim = sector_dim(cutoff)
     pc = click_probabilities(cutoff, eta, dark)
     outcomes = {
         "plus": pc[:, 0] * (1.0 - pc[:, 1]),
@@ -271,29 +258,9 @@ def detection_povm(cutoff: int, basis: np.ndarray | None, eta: float,
         "both": pc[:, 0] * pc[:, 1],
         "none": (1.0 - pc[:, 0]) * (1.0 - pc[:, 1]),
     }
-    if basis is None:
-        rot = np.eye(dim, dtype=complex)
-    else:
-        # State amplitudes in the detector basis are <eigenmode|psi>,
-        # i.e. the mode map is the adjoint of the eigenvector matrix.
-        rot = mode_rotation(cutoff, np.asarray(basis, dtype=complex).conj().T)
+    if rot is None:
+        rot = np.eye(sector_dim(cutoff), dtype=complex)
     return {
         key: rot.conj().T @ np.diag(diag.astype(complex)) @ rot
         for key, diag in outcomes.items()
     }
-
-
-def qubit_observable(cutoff: int, obs2: np.ndarray,
-                     name: str = "") -> Observable:
-    """Embed a 2x2 observable on the single-excitation block of the sector.
-
-    All other basis states are assigned eigenvalue zero, which is the
-    convention used for analytic cross-checks on post-selected blocks.
-    """
-    obs2 = np.asarray(obs2, dtype=complex)
-    dim = sector_dim(cutoff)
-    i1, i2 = qubit_indices(cutoff)
-    mat = np.zeros((dim, dim), dtype=complex)
-    sel = np.ix_((i1, i2), (i1, i2))
-    mat[sel] = obs2
-    return Observable(mat, name=name)

@@ -7,9 +7,9 @@ them.  Error bars follow photon-counting statistics: Poisson for
 singles-based rates, multinomial for correlators, quadrature for
 derived sums.
 
-All estimators accept plain numbers as well as CountsTable buckets, and
-they work identically on exact expected counts (floats) so the analytic
-and Monte Carlo paths share one code path.
+The estimators read a CountsTable or plain outcome bins, and they work
+identically on exact expected counts (floats) so the analytic and Monte
+Carlo paths share one code path.
 """
 
 from __future__ import annotations
@@ -54,19 +54,15 @@ class EstimateWithError:
 SNR_UNBOUNDED = EstimateWithError(value=math.inf, sigma=math.inf)
 
 
-def snr(t: CountsTable, key: str | None = None) -> EstimateWithError:
+def snr(t: CountsTable) -> EstimateWithError:
     """Signal-to-noise ratio of the far-detector clicks.
 
-    Signal windows are the source-on trials of the chosen bucket,
-    noise windows are the table's source-off windows.  Both are click
-    rates, so unequal window counts are handled.
+    Signal windows are the table's source-on trials, noise windows its
+    source-off windows.  Both are click rates, so unequal window counts
+    are handled.
     """
-    if key is None:
-        if len(t.trials) != 1:
-            raise EstimatorError("table has several buckets; pass a key")
-        key = next(iter(t.trials))
-    n_sig = t.singles_b[key]
-    w_sig = t.trials[key]
+    n_sig = t.singles_b
+    w_sig = t.trials
     if w_sig <= 0 or t.noise_windows <= 0:
         raise EstimatorError("snr needs both signal and noise windows")
     if t.noise_counts == 0:
@@ -80,22 +76,18 @@ def snr(t: CountsTable, key: str | None = None) -> EstimateWithError:
     return EstimateWithError(value, sigma, n_samples=int(w_sig))
 
 
-def g2_wr(t: CountsTable, key: str | None = None) -> EstimateWithError:
+def g2_wr(t: CountsTable) -> EstimateWithError:
     """Write/read cross-correlation from singles and coincidences.
 
     g2 = P(coincidence) / (P(write click) P(read click)), with the
     relative Poisson errors of the three counts added in quadrature.
     """
-    if key is None:
-        if len(t.trials) != 1:
-            raise EstimatorError("table has several buckets; pass a key")
-        key = next(iter(t.trials))
-    n = t.trials[key]
-    n_w = t.singles_b[key]
-    n_r = t.singles_a[key]
-    n_wr = t.coincidences[key]
+    n = t.trials
+    n_w = t.singles_b
+    n_r = t.singles_a
+    n_wr = t.coincidences
     if n_w <= 0 or n_r <= 0:
-        raise EstimatorError(f"{key}: zero singles, g2 undefined")
+        raise EstimatorError("zero singles, g2 undefined")
     value = n_wr * n / (n_w * n_r)
     if n_wr == 0:
         return EstimateWithError(0.0, n / (n_w * n_r), n_samples=int(n))
@@ -114,11 +106,9 @@ def correlator_from_bins(bins: np.ndarray) -> EstimateWithError:
     return EstimateWithError(value, sigma, n_samples=int(round(total)))
 
 
-def correlator(t: CountsTable, setting_key: str) -> EstimateWithError:
-    """Post-selected correlator of one setting bucket."""
-    if setting_key not in t.outcome_counts:
-        raise EstimatorError(f"no counts for setting {setting_key!r}")
-    return correlator_from_bins(t.outcome_counts[setting_key])
+def correlator(t: CountsTable) -> EstimateWithError:
+    """Post-selected correlator of the table's outcome bins."""
+    return correlator_from_bins(t.outcome_counts)
 
 
 def chsh(c00: EstimateWithError, c01: EstimateWithError,
@@ -139,14 +129,3 @@ def fidelity(xx: EstimateWithError, yy: EstimateWithError,
     sigma = math.sqrt(xx.sigma ** 2 + yy.sigma ** 2 + zz.sigma ** 2) / 4.0
     n = xx.n_samples + yy.n_samples + zz.n_samples
     return EstimateWithError(value, sigma, n_samples=n)
-
-
-def g2_with_background(g2_clean: float, x_a: float, x_b: float) -> float:
-    """Observed g2 after adding uncorrelated noise to both arms.
-
-    x_a and x_b are the noise-to-signal click ratios of the read and
-    write arms.  Useful for sizing background rates against a g2
-    target before running the full chain.
-    """
-    num = g2_clean + x_a + x_b * (1.0 + x_a)
-    return num / ((1.0 + x_a) * (1.0 + x_b))

@@ -1,11 +1,10 @@
 """Separable least-squares fits for decay curves and damped oscillations.
 
-Four model families cover every sweep in the campaigns:
+Three model families cover every sweep in the campaigns:
 
     gaussian-decay      a * exp(-(t/tau)^2)
     exponential-decay   a * exp(-t/tau)
     damped-cosine       a * exp(-(t/tau)^2) * cos(2*pi*f*t + phi) + c
-    sinusoid            a * cos(2*pi*f*t + phi) + c
 
 Every model is linear in its amplitude, phase and offset, written as
 quadratures: a*e*cos(2*pi*f*t + phi) + c = e*(alpha*cos(2*pi*f*t) +
@@ -13,7 +12,7 @@ beta*sin(2*pi*f*t)) + c with envelope e, a = hypot(alpha, beta) and
 phi = atan2(-beta, alpha).  So the fits use variable projection (Golub
 & Pereyra, SIAM J. Numer. Anal. 10:413, 1973): scipy's trust-region
 reflective solver runs over the nonlinear parameters only (tau for a
-decay, tau and f for a damped cosine, f for a sinusoid), and every
+decay, tau and f for a damped cosine), and every
 residual evaluation solves the linear coefficients exactly by weighted
 linear least squares on the columns [e cos, e sin, 1] or [e].  The
 objective is that of the full model with every parameter free.
@@ -34,8 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-MODELS = ("gaussian-decay", "exponential-decay", "damped-cosine", "sinusoid")
-
 _COST_TOL = 1e-10      # relative cost convergence tolerance
 _FLAT_REL = 1e-12      # below this relative spread, data counts as constant
 _NFEV_PER_PARAM = 200  # outer residual evaluations per nonlinear parameter
@@ -50,7 +47,7 @@ class FitResult:
     """Best-fit parameters with per-parameter one-sigma errors.
 
     ``one_over_e_time`` is the time at which the fitted envelope drops
-    to 1/e (infinite for an undamped sinusoid or constant data); it is
+    to 1/e (infinite for constant data); it is
     derived directly from the tau parameter, so the two always agree.
     ``nfev`` counts the outer solver's residual evaluations, summed over
     starts (scipy's count, without finite-difference Jacobian steps).
@@ -73,7 +70,6 @@ _PARAM_NAMES = {
     "gaussian-decay": ("amplitude", "tau"),
     "exponential-decay": ("amplitude", "tau"),
     "damped-cosine": ("amplitude", "tau", "frequency", "phase", "offset"),
-    "sinusoid": ("amplitude", "frequency", "phase", "offset"),
 }
 
 # the parameters the outer solver sees, in its order
@@ -81,12 +77,11 @@ _NONLINEAR = {
     "gaussian-decay": ("tau",),
     "exponential-decay": ("tau",),
     "damped-cosine": ("tau", "frequency"),
-    "sinusoid": ("frequency",),
 }
 
 
 def _envelope(model: str, t: np.ndarray, tau: float):
-    """Envelope e(t; tau) and its derivative de/dtau (e = 1 at tau = inf)."""
+    """Envelope e(t; tau) and its derivative de/dtau."""
     if model == "exponential-decay":
         e = np.exp(-t / tau)
         return e, e * t / tau ** 2
@@ -97,7 +92,7 @@ def _envelope(model: str, t: np.ndarray, tau: float):
 def _columns(model: str, t: np.ndarray, theta) -> np.ndarray:
     """Design matrix of the linear coefficients at nonlinear ``theta``."""
     p = dict(zip(_NONLINEAR[model], theta))
-    e, _ = _envelope(model, t, p.get("tau", math.inf))
+    e, _ = _envelope(model, t, p["tau"])
     if "frequency" not in p:
         return e[:, None]
     arg = 2.0 * math.pi * p["frequency"] * t
@@ -106,7 +101,7 @@ def _columns(model: str, t: np.ndarray, theta) -> np.ndarray:
 
 def _full_jacobian(model: str, t: np.ndarray, p: dict) -> np.ndarray:
     """d(model)/d(parameter) for every parameter in ``_PARAM_NAMES`` order."""
-    e, de = _envelope(model, t, p.get("tau", math.inf))
+    e, de = _envelope(model, t, p["tau"])
     a = p["amplitude"]
     arg = 2.0 * math.pi * p.get("frequency", 0.0) * t + p.get("phase", 0.0)
     cos, sin = np.cos(arg), np.sin(arg)
@@ -190,8 +185,7 @@ def _constant_sentinel(model: str, y: np.ndarray, n: int) -> FitResult:
     params["amplitude"] = level if "offset" not in params else 0.0
     if "offset" in params:
         params["offset"] = level
-    if "tau" in params:
-        params["tau"] = math.inf
+    params["tau"] = math.inf
     return FitResult(model=model, params=params,
                      sigmas={name: math.inf for name in _PARAM_NAMES[model]},
                      one_over_e_time=math.inf,
@@ -234,18 +228,15 @@ def _fft_frequency(t: np.ndarray, y: np.ndarray) -> float:
     return float(freqs[peak])
 
 
-def fit_oscillation(t, y, sigma=None, model: str = "damped-cosine"
-                    ) -> FitResult:
-    """Fit an oscillation; frequency, phase and envelope time come back.
+def fit_oscillation(t, y, sigma=None) -> FitResult:
+    """Fit a damped cosine; frequency, phase and envelope time come back.
 
     The frequency is seeded from the FFT peak and the solver is started
-    from five spread seeds; a damped cosine starts with tau = span.
-    Inputs with fewer than 8 points or spanning less than one estimated
-    period are rejected.
+    from five spread seeds, each with tau = span.  Inputs with fewer
+    than 8 points or spanning less than one estimated period are
+    rejected.
     """
-    if model not in ("damped-cosine", "sinusoid"):
-        raise FittingError(
-            f"fit_oscillation supports oscillating models, not {model!r}")
+    model = "damped-cosine"
     t, y, w = _prepare(t, y, sigma)
     if len(t) < 8:
         raise FittingError("oscillation fits need at least 8 points")
@@ -259,14 +250,10 @@ def fit_oscillation(t, y, sigma=None, model: str = "damped-cosine"
             f"under-sampled oscillation: span {span:g} covers "
             f"{span * max(f0, 0.0):.2f} periods of the {f0:g} estimate"
         )
-    seeds = [f0 * fac for fac in (1.0, 0.8, 1.25, 0.5, 2.0)]
-    if model == "damped-cosine":
-        starts = [np.array([span, f_try]) for f_try in seeds]
-        bounds = (np.array([1e-300, 0.0]), np.array([np.inf, np.inf]))
-    else:
-        starts = [np.array([f_try]) for f_try in seeds]
-        bounds = (np.array([0.0]), np.array([np.inf]))
+    starts = [np.array([span, f0 * fac])
+              for fac in (1.0, 0.8, 1.25, 0.5, 2.0)]
+    bounds = (np.array([1e-300, 0.0]), np.array([np.inf, np.inf]))
     params, sigmas, rnorm, nfev = _run_starts(model, t, y, w, starts, bounds)
     return FitResult(model=model, params=params, sigmas=sigmas,
-                     one_over_e_time=params.get("tau", math.inf),
+                     one_over_e_time=params["tau"],
                      residual_norm=rnorm, n_points=len(t), nfev=nfev)

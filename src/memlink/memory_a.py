@@ -217,23 +217,6 @@ class AtomQubitA:
         return self.state.dim // self.atom_dim
 
 
-def from_qubit_block(mat2: np.ndarray, cutoff: int = 2,
-                     age_s: float = 0.0) -> AtomQubitA:
-    """Embed a bare 2x2 qubit state into the single-excitation sector.
-
-    Convenience for tests and analytic studies that start from a
-    post-selected qubit rather than from the full source ladder.
-    """
-    mat2 = np.asarray(mat2, dtype=complex)
-    if mat2.shape != (2, 2):
-        raise MemoryConfigError(f"expected a 2x2 block, got {mat2.shape}")
-    dim = dualrail.sector_dim(cutoff)
-    i1, i2 = dualrail.qubit_indices(cutoff)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[np.ix_((i1, i2), (i1, i2))] = mat2
-    return AtomQubitA(state=DensityMatrix(mat), cutoff=cutoff, age_s=age_s)
-
-
 def _lift_unitary(u_atom: np.ndarray, rest_dim: int) -> np.ndarray:
     return np.kron(u_atom, np.eye(rest_dim, dtype=complex))
 

@@ -122,7 +122,7 @@ def _analytic_correlator(bundle, setting: BasisSetting,
 def _mc_correlator(bundle, setting: BasisSetting, delay_s: float,
                    n_trials: int, rng) -> EstimateWithError:
     table = sample_counts(bundle, setting, n_trials, rng, delay_s)
-    return estimators.correlator(table, setting.key)
+    return estimators.correlator(table)
 
 
 def _resolve_mode(cfg: CampaignConfig) -> str:
@@ -171,11 +171,11 @@ def _scn_lifetime(cfg, bundle, mode, streams) -> ScenarioOutput:
             sigma, n = 0.0, 0
         else:
             table = sample_counts(bundle, None, n_pt, rng, delay)
-            n_b = table.singles_b["bins"]
+            n_b = table.singles_b
             if n_b == 0:
                 value, sigma, n = 0.0, 1.0, 0
             else:
-                k = table.coincidences["bins"]
+                k = table.coincidences
                 value = k / n_b
                 # shrunk binomial error so zero-count points keep an
                 # honest uncertainty instead of a vanishing one
@@ -330,8 +330,8 @@ def _scn_checkpoints(cfg, bundle, mode, streams) -> ScenarioOutput:
         else:
             table = sample_counts(bundle, None, n_stage, rng, delay,
                                   stage=stage, noise_windows=n_stage)
-        g2 = estimators.g2_wr(table, "bins")
-        ratio = estimators.snr(table, "bins")
+        g2 = estimators.g2_wr(table)
+        ratio = estimators.snr(table)
         g2_rows.append((float(idx), g2.value, g2.sigma, g2.n_samples))
         snr_rows.append((float(idx), ratio.value, ratio.sigma,
                          ratio.n_samples))

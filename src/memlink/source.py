@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dualrail
-from .qcore import DensityMatrix, post_select
+from .qcore import DensityMatrix
 
 
 class SourceConfigError(ValueError):
@@ -96,24 +96,6 @@ class AtomPhotonState:
     state: DensityMatrix
     cutoff: int
 
-    @property
-    def atom_dim(self) -> int:
-        return dualrail.sector_dim(self.cutoff)
-
-    @property
-    def photon_dim(self) -> int:
-        return dualrail.sector_dim(self.cutoff)
-
-    def excitation_probabilities(self) -> np.ndarray:
-        """Probability of each total photon number 0..cutoff."""
-        occs = dualrail.occupations(self.cutoff)
-        pops = self.state.probabilities().reshape(self.atom_dim, self.photon_dim)
-        photon_pops = pops.sum(axis=0)
-        out = np.zeros(self.cutoff + 1)
-        for j, (n1, n2) in enumerate(occs):
-            out[n1 + n2] += photon_pops[j]
-        return out
-
 
 def _bin_amplitudes(chi_bin: float, cutoff: int) -> list[float]:
     """Amplitude ladder within one time bin: a_k for k = 0..cutoff.
@@ -164,24 +146,3 @@ def atom_photon_state(p: SourceParams) -> AtomPhotonState:
 
     mat = np.outer(ket, ket.conj())
     return AtomPhotonState(state=DensityMatrix(mat), cutoff=cutoff)
-
-
-def writeout_rate(p: SourceParams, coupling: float | None = None) -> float:
-    """Probability per attempt that a collected write photon leaves the node."""
-    c = p.collection if coupling is None else coupling
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"coupling must be in [0, 1], got {c}")
-    return p.chi * c
-
-
-def single_excitation_block(s: AtomPhotonState
-                            ) -> tuple[DensityMatrix, float]:
-    """Post-select the one-spin-wave x one-photon qubit pair.
-
-    Returns the 4-dimensional state ordered (dn,E), (dn,L), (up,E),
-    (up,L) and the probability of that sector.
-    """
-    dim = dualrail.sector_dim(s.cutoff)
-    a1, a2 = dualrail.qubit_indices(s.cutoff)
-    indices = [a1 * dim + a1, a1 * dim + a2, a2 * dim + a1, a2 * dim + a2]
-    return post_select(s.state, indices)

@@ -1,0 +1,94 @@
+"""Analytic reference helpers for the tests, on plain numpy arrays.
+
+The chain never builds a state from a ket, post-selects a block, takes
+an expectation value or starts from a bare qubit; these helpers do, so
+the tests can check the chain's output against hand-derivable states
+and expectation values.  Matrices go in and come out as arrays.
+"""
+
+import numpy as np
+
+from memlink import dualrail
+from memlink.detection import DetectionConfig, _node_matrix, _z_sign_b
+from memlink.memory_a import AtomQubitA
+from memlink.qcore import DensityMatrix
+
+ATOL = 1e-9
+
+
+def pure_state(amplitudes) -> np.ndarray:
+    """Density matrix of a ket, normalized here."""
+    vec = np.asarray(amplitudes, dtype=complex)
+    norm = np.linalg.norm(vec)
+    if norm < 1e-10:
+        raise ValueError("cannot normalize a zero ket")
+    vec = vec / norm
+    return np.outer(vec, vec.conj())
+
+
+def validate(rho, atol: float = ATOL) -> None:
+    """Assert that rho is Hermitian, of unit trace and positive."""
+    rho = np.asarray(rho)
+    assert np.allclose(rho, rho.conj().T, atol=atol), "not Hermitian"
+    assert abs(rho.trace() - 1.0) <= atol, f"trace {rho.trace()} is not 1"
+    low = np.linalg.eigvalsh(rho).min()
+    assert low >= -atol, f"negative eigenvalue {low}"
+
+
+def expectation(rho, obs) -> float:
+    """Tr(rho O), asserting that no imaginary part is left over."""
+    val = np.trace(np.asarray(rho) @ np.asarray(obs))
+    assert abs(val.imag) <= ATOL, f"imaginary residue {val.imag:.2e}"
+    return float(val.real)
+
+
+def post_select(rho, indices) -> tuple[np.ndarray, float]:
+    """Block of rho on the basis indices, renormalized, and its weight;
+    a block of weight zero gives the maximally mixed state."""
+    idx = np.asarray(indices, dtype=int)
+    sub = np.asarray(rho)[np.ix_(idx, idx)]
+    prob = float(np.real(np.trace(sub)))
+    if prob <= 1e-10:
+        return np.eye(len(idx), dtype=complex) / len(idx), 0.0
+    return sub / prob, prob
+
+
+def project_basis(setting, cfg: DetectionConfig | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The 2x2 observable of each node for a basis setting."""
+    cfg = cfg or DetectionConfig()
+    return (_node_matrix(setting.node_a, 1.0),
+            _node_matrix(setting.node_b, _z_sign_b(setting.node_b, cfg)))
+
+
+def from_qubit_block(mat2, cutoff: int = 2) -> AtomQubitA:
+    """A stored qubit whose single-excitation block is mat2."""
+    mat2 = np.asarray(mat2, dtype=complex)
+    if mat2.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 block, got {mat2.shape}")
+    dim = dualrail.sector_dim(cutoff)
+    block = np.ix_(dualrail.qubit_indices(cutoff),
+                   dualrail.qubit_indices(cutoff))
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[block] = mat2
+    return AtomQubitA(state=DensityMatrix(mat), cutoff=cutoff)
+
+
+def single_excitation_block(rho, cutoff: int) -> tuple[np.ndarray, float]:
+    """Post-select one spin wave x one photon of an atom x photon state:
+    the block ordered (dn,E), (dn,L), (up,E), (up,L), and its weight."""
+    dim = dualrail.sector_dim(cutoff)
+    a1, a2 = dualrail.qubit_indices(cutoff)
+    return post_select(rho, [a1 * dim + a1, a1 * dim + a2,
+                             a2 * dim + a1, a2 * dim + a2])
+
+
+def excitation_probabilities(rho, cutoff: int) -> np.ndarray:
+    """Probability of each total photon number 0..cutoff of an
+    atom x photon state."""
+    dim = dualrail.sector_dim(cutoff)
+    photon = np.real(np.diag(rho)).reshape(dim, dim).sum(axis=0)
+    out = np.zeros(cutoff + 1)
+    for j, (n1, n2) in enumerate(dualrail.occupations(cutoff)):
+        out[n1 + n2] += photon[j]
+    return out

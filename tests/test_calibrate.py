@@ -1,5 +1,7 @@
 """Noise-parameter fitting against the measured figures of merit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,18 @@ class TestForwardModel:
         for stage in ("source", "transferred", "stored"):
             assert preds[f"g2_{stage}"] > cal_preds[f"g2_{stage}"]
         assert 17.0 < preds["g2_source"] < 19.0
+
+    def test_readout_efficiency_of_node_b_reaches_predictions(self):
+        # node B's detectors see the EIT readout chain after map-out, so
+        # the published readout efficiency moves the stored-stage figures
+        base = calibrated_bundle()
+        lower = dataclasses.replace(base, eit=dataclasses.replace(
+            base.eit, readout_eta_b=0.10))
+        preds = cal.model_predictions(base)
+        moved = cal.model_predictions(lower)
+        assert moved["g2_source"] == preds["g2_source"]
+        assert moved["g2_stored"] != preds["g2_stored"]
+        assert moved["chsh"] != preds["chsh"]
 
 
 class TestPassThrough:
@@ -155,7 +169,7 @@ class TestBundleWith:
         assert bundle.detection.det_monitor.dark_rate == 1e-3
         assert bundle.channel.background_rate == 2e-4
         assert bundle.detection.det_a.dark_rate == 1e-5
-        assert bundle.detection.det_b.dark_rate == 2e-6
+        assert bundle.detection.dark_b == 2e-6
 
     def test_empty_params_return_defaults(self):
         assert cal.bundle_with({}) == ExperimentBundle()

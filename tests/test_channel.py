@@ -13,12 +13,13 @@ from memlink.channel import (
     photon_loss_joint,
     transmit,
 )
-from memlink.qcore import apply_channel, partial_trace, pure_state
+from memlink.qcore import DensityMatrix, apply_channel, partial_trace
 from memlink.source import AtomPhotonState, SourceParams, atom_photon_state
+from oracles import pure_state, validate
 
 
 def joint_pure(amps):
-    return AtomPhotonState(state=pure_state(amps), cutoff=2)
+    return AtomPhotonState(state=DensityMatrix(pure_state(amps)), cutoff=2)
 
 
 def single_photon_input():
@@ -29,7 +30,7 @@ def single_photon_input():
 
 
 def photon_pops(s):
-    pops = s.state.probabilities().reshape(6, 6)
+    pops = np.diag(s.state.mat).real.reshape(6, 6)
     return pops.sum(axis=0)
 
 
@@ -108,7 +109,7 @@ class TestTransmit:
         amps = np.zeros(36)
         amps[0] = 1.0
         out = transmit(joint_pure(amps), ChannelParams())
-        assert out.state.probabilities()[0] == pytest.approx(1.0, abs=1e-12)
+        assert out.state.mat[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
     def test_atom_marginal_untouched(self):
         s = atom_photon_state(SourceParams(chi=0.1, double_amp_scale=0.8))
@@ -141,9 +142,9 @@ class TestTransmit:
         assert pops[0] == pytest.approx(0.8, abs=1e-12)
         assert pops[1] == pytest.approx(0.1, abs=1e-12)
         assert pops[2] == pytest.approx(0.1, abs=1e-12)
-        out.state.validate()
+        validate(out.state.mat)
 
     def test_output_remains_physical(self):
         s = atom_photon_state(SourceParams(chi=0.2, double_amp_scale=0.9))
         out = transmit(s, ChannelParams(background_rate=0.01))
-        out.state.validate()
+        validate(out.state.mat)

@@ -46,6 +46,27 @@ class TestRun:
             kv = fh.read()
         assert "seed=11" in kv
 
+    def test_calibrated_run_refuses_configured_noise_values(self, tmp_path,
+                                                            capsys):
+        # bell switches in the calibrated noise values by default, which
+        # would silently replace the dark rates this file sets
+        noisy = ("detectors:\n"
+                 "  node_a: {dark_rate: 0.05}\n"
+                 "  node_b: {dark_rate: 0.05}\n")
+        cfg_path = tmp_path / "noisy.yaml"
+        cfg_path.write_text(noisy, encoding="utf-8")
+        out = str(tmp_path / "noisy")
+        rc = main(["run", "bell", "--config", str(cfg_path), "--out", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "detectors.node_a.dark_rate" in err
+        assert "calibrated: false" in err
+        cfg_path.write_text(noisy + "calibrated: false\n", encoding="utf-8")
+        rc = main(["run", "bell", "--config", str(cfg_path), "--out", out])
+        assert rc in (0, 1)
+        with open(os.path.join(out, "summary.kv"), encoding="utf-8") as fh:
+            assert "calibrated=false" in fh.read()
+
     def test_invalid_trials_exits_two(self, tmp_path, capsys):
         out = str(tmp_path / "z")
         assert main(["run", "budget", "--trials", "0", "--out", out]) == 2

@@ -69,7 +69,7 @@ class TestCalibratedBundle:
         assert b.channel.background_rate == CAL_BACKGROUND_RATE
         assert b.detection.det_monitor.dark_rate == CAL_DARK_MONITOR
         assert b.detection.det_a.dark_rate == CAL_DARK_A
-        assert b.detection.det_b.dark_rate == CAL_DARK_B
+        assert b.detection.dark_b == CAL_DARK_B
 
     def test_measured_values_untouched(self):
         b = calibrated_bundle()
@@ -85,6 +85,18 @@ class TestCalibratedBundle:
         b = calibrated_bundle(base)
         assert b.source.chi == 0.1
         assert b.source.double_amp_scale == CAL_DOUBLE_AMP_SCALE
+
+    @pytest.mark.parametrize("key", [
+        "source.double_amp_scale", "channel.background_rate",
+        "detectors.monitor.dark_rate", "detectors.node_a.dark_rate",
+        "detectors.node_b.dark_rate"])
+    def test_refuses_to_replace_a_configured_noise_value(self, key):
+        raw = 0.05
+        for part in reversed(key.split(".")):
+            raw = {part: raw}
+        base = config_from_mapping(raw).bundle
+        with pytest.raises(ConfigError, match=f"{key} .*calibrated: false"):
+            calibrated_bundle(base)
 
 
 class TestMappingRoundTrip:
@@ -180,6 +192,8 @@ REMOVED_KEYS = (
     + [(("detectors", node), key, value)
        for node in ("monitor", "node_a", "node_b")
        for key, value in (("window_s", 50e-9), ("labels", ["+", "-"]))]
+    # node B's efficiency is the EIT readout chain, not a detector value
+    + [(("detectors", "node_b"), "eta_det", 0.26830634148636107)]
 )
 
 

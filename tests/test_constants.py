@@ -1,11 +1,13 @@
-"""Physical-constant bundle: reference values and derived rates."""
+"""Physical constants: reference values, derived rates and the thermal
+velocity that memory_a.motional_lifetime builds from them."""
 
 import math
 
 import numpy as np
 import pytest
 
-from memlink.constants import CODATA, PhysicalConstants
+from memlink.constants import CODATA
+from memlink.memory_a import CoherenceParams, motional_lifetime
 
 
 class TestReferenceValues:
@@ -47,25 +49,31 @@ class TestZeemanRate:
             CODATA.zeeman_rate_rad_per_s_gauss / (2.0 * math.pi), rtol=1e-15)
 
 
+def thermal_velocity(temperature_k, mass_kg=CODATA.m_rb87):
+    """rms velocity sqrt(k_B T / m) as motional_lifetime = 1/(k v) uses it,
+    read back at a wavevector of 1 /m."""
+    c = CoherenceParams(temperature_k=temperature_k, mass_kg=mass_kg)
+    return 1.0 / motional_lifetime(1.0, c)
+
+
 class TestThermalVelocity:
     def test_rms_velocity_at_35_microkelvin(self):
-        np.testing.assert_allclose(CODATA.thermal_velocity(35e-6),
+        np.testing.assert_allclose(thermal_velocity(35e-6),
                                    0.05786531042640057, rtol=1e-12)
 
     def test_zero_temperature(self):
-        assert CODATA.thermal_velocity(0.0) == 0.0
+        assert thermal_velocity(0.0) == 0.0
 
     def test_scaling_with_sqrt_temperature(self):
-        v1 = CODATA.thermal_velocity(10e-6)
-        v4 = CODATA.thermal_velocity(40e-6)
+        v1 = thermal_velocity(10e-6)
+        v4 = thermal_velocity(40e-6)
         np.testing.assert_allclose(v4, 2.0 * v1, rtol=1e-12)
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
-            CODATA.thermal_velocity(-1e-6)
+            thermal_velocity(-1e-6)
 
     def test_custom_mass(self):
-        heavy = PhysicalConstants(m_rb87=4.0 * CODATA.m_rb87)
-        np.testing.assert_allclose(heavy.thermal_velocity(35e-6),
-                                   0.5 * CODATA.thermal_velocity(35e-6),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            thermal_velocity(35e-6, mass_kg=4.0 * CODATA.m_rb87),
+            0.5 * thermal_velocity(35e-6), rtol=1e-12)

@@ -59,7 +59,7 @@ class TestDecayFits:
 
     def test_wrong_model_rejected(self):
         with pytest.raises(FittingError):
-            fit_decay([0, 1, 2, 3], [1, 1, 1, 1], model="sinusoid")
+            fit_decay([0, 1, 2, 3], [1, 1, 1, 1], model="damped-cosine")
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(FittingError):
@@ -124,13 +124,6 @@ class TestOscillationFits:
         np.testing.assert_allclose(res.frequency, 9700.0, rtol=0.02)
         np.testing.assert_allclose(res.params["tau"], 586e-6, rtol=0.15)
 
-    def test_pure_sinusoid_model(self):
-        t = np.linspace(0.0, 1.0, 200)
-        y = 0.3 * np.cos(2.0 * math.pi * 7.0 * t + 0.9) - 0.05
-        res = fit_oscillation(t, y, model="sinusoid")
-        np.testing.assert_allclose(res.frequency, 7.0, rtol=1e-6)
-        assert res.one_over_e_time == math.inf
-
     def test_under_sampled_span_rejected(self):
         # fewer periods in the span than the FFT estimate resolves
         t = np.linspace(0.0, 20e-6, 30)
@@ -148,10 +141,6 @@ class TestOscillationFits:
         res = fit_oscillation(t, np.full(t.shape, 0.2))
         assert res.one_over_e_time == math.inf
 
-    def test_wrong_model_rejected(self):
-        with pytest.raises(FittingError):
-            fit_oscillation([0] * 10, [0] * 10, model="gaussian-decay")
-
 
 class TestFitResult:
     def test_frequency_nan_for_decay(self):
@@ -160,7 +149,7 @@ class TestFitResult:
         assert math.isnan(res.frequency)
 
     def test_default_container(self):
-        res = FitResult(model="sinusoid")
+        res = FitResult(model="damped-cosine")
         assert res.one_over_e_time == math.inf
         assert res.n_points == 0
 
@@ -181,12 +170,9 @@ def oracle_fit(model, t, y, sigma=None):
             return x[0] * np.exp(-((t / x[1]) ** 2))
         if model == "exponential-decay":
             return x[0] * np.exp(-t / x[1])
-        if model == "damped-cosine":
-            a, tau, f, phi, c = x
-            return a * np.exp(-((t / tau) ** 2)) * np.cos(
-                2.0 * math.pi * f * t + phi) + c
-        a, f, phi, c = x
-        return a * np.cos(2.0 * math.pi * f * t + phi) + c
+        a, tau, f, phi, c = x
+        return a * np.exp(-((t / tau) ** 2)) * np.cos(
+            2.0 * math.pi * f * t + phi) + c
 
     if model.endswith("decay"):
         scale = float(np.max(np.abs(y)))
@@ -207,15 +193,9 @@ def oracle_fit(model, t, y, sigma=None):
             phi0 = math.atan2(
                 -float(np.sum((y - c0) * np.sin(2.0 * math.pi * f_try * t))),
                 float(np.sum((y - c0) * np.cos(2.0 * math.pi * f_try * t))))
-            starts.append([a0, span, f_try, phi0, c0]
-                          if model == "damped-cosine"
-                          else [a0, f_try, phi0, c0])
-        if model == "damped-cosine":
-            bounds = ([0.0, 1e-300, 0.0, -2.0 * math.pi, -np.inf],
-                      [np.inf, np.inf, np.inf, 2.0 * math.pi, np.inf])
-        else:
-            bounds = ([0.0, 0.0, -2.0 * math.pi, -np.inf],
-                      [np.inf, np.inf, 2.0 * math.pi, np.inf])
+            starts.append([a0, span, f_try, phi0, c0])
+        bounds = ([0.0, 1e-300, 0.0, -2.0 * math.pi, -np.inf],
+                  [np.inf, np.inf, np.inf, 2.0 * math.pi, np.inf])
     best = None
     for x0 in starts:
         res = least_squares(lambda x: (evaluate(x) - y) / w, x0,
@@ -258,27 +238,30 @@ def campaign_traces(tmp_path_factory):
     return traces
 
 
+# the oscillation fit has more local minima than the decays, so it takes
+# two of every four seeds
+NOISY_MODELS = ("gaussian-decay", "exponential-decay", "damped-cosine",
+                "damped-cosine")
+
+
 def noisy_trace(seed):
-    """One seeded noisy trace per seed, cycling through the four models.
+    """One seeded noisy trace per seed, cycling through NOISY_MODELS.
 
     Seeds 5-9 get a noise level that grows along the trace and pass it
     as ``sigma``, so the weighted fit is compared too.
     """
     rng = np.random.default_rng(seed)
-    model = fitting.MODELS[seed % 4]
+    model = NOISY_MODELS[seed % 4]
     if model == "gaussian-decay":
         t = np.linspace(0.0, 1500.0, 30)
         y = 0.9 * np.exp(-((t / 500.0) ** 2))
     elif model == "exponential-decay":
         t = np.linspace(0.0, 5.0, 30)
         y = 2.0 * np.exp(-t / 1.2)
-    elif model == "damped-cosine":
+    else:
         t = np.linspace(0.0, 400.0, 25)
         y = 0.9 * np.exp(-((t / 650.0) ** 2)) * np.cos(
             2.0 * math.pi * 0.0097 * t + 0.3) + 0.02
-    else:
-        t = np.linspace(0.0, 1.0, 40)
-        y = 0.3 * np.cos(2.0 * math.pi * 7.0 * t + 0.9) - 0.05
     if seed < 5:
         return model, t, y + rng.normal(0.0, 0.05, t.shape), None
     sigma = 0.02 + 0.08 * (t - t[0]) / (t[-1] - t[0])
@@ -288,7 +271,7 @@ def noisy_trace(seed):
 def separable_fit(model, t, y, sigma=None):
     if model.endswith("decay"):
         return fit_decay(t, y, model=model, sigma=sigma)
-    return fit_oscillation(t, y, model=model, sigma=sigma)
+    return fit_oscillation(t, y, sigma=sigma)
 
 
 class TestMatchesReferenceOracle:

