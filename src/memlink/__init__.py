@@ -17,13 +17,14 @@ from .config import (CampaignConfig, ConfigError, ExperimentBundle,
 from .constants import CODATA, PhysicalConstants
 from .detection import (BasisSetting, CountsTable, DetectionConfig,
                         DetectorParams, TrialDistribution, analytic_counts,
-                        sample_counts, trial_distribution)
+                        sample_counts, trial_distribution,
+                        trial_distributions)
 from .estimators import (EstimateWithError, EstimatorError, chsh,
                          correlator, fidelity, g2_wr, snr)
 from .fitting import FitResult, FittingError, fit_decay, fit_oscillation
-from .memory_a import (AtomQubitA, CoherenceParams, FreezingGeometry,
-                       decohere, mode_lifetimes, motional_lifetime,
-                       retrieval_weights, spinwave_wavevectors)
+from .memory_a import (CoherenceParams, FreezingGeometry, decohere,
+                       mode_lifetimes, motional_lifetime, retrieval_weights,
+                       spinwave_wavevectors)
 from .memory_b import EITParams, map_in, map_out
 from .scenarios import CampaignResult, bell_delay_s, run_experiment
 from .source import AtomPhotonState, SourceParams, atom_photon_state
@@ -32,7 +33,7 @@ from .timeline import TrialTimeline
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomPhotonState", "AtomQubitA", "BasisSetting", "CODATA",
+    "AtomPhotonState", "BasisSetting", "CODATA",
     "CalibrationResult", "CampaignConfig", "CampaignResult",
     "ChannelParams", "CoherenceParams", "ConfigError", "CountsTable",
     "DetectionConfig", "DetectorParams", "EITParams", "EstimateWithError",
@@ -47,4 +48,5 @@ __all__ = [
     "motional_lifetime", "retrieval_weights",
     "run_experiment", "sample_counts", "save_config", "snr",
     "spinwave_wavevectors", "transmit", "trial_distribution",
+    "trial_distributions",
 ]

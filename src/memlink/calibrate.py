@@ -13,14 +13,13 @@ switched in by ``calibrated_bundle``.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
 from . import estimators
-from .config import ConfigError, ExperimentBundle
+from .config import NOISE_PARAMS, ConfigError, ExperimentBundle, with_noise
 from .detection import (BasisSetting, expected_click_probs,
                         expected_outcome_probs, trial_distribution)
 from .estimators import EstimateWithError
@@ -28,8 +27,7 @@ from .scenarios import (CHSH_SETTINGS, CHSH_TARGET, CORR_SETTINGS,
                         FIDELITY_TARGET, G2_TARGETS, bell_delay_s)
 from . import channel as link
 
-FREE_PARAMS = ("double_amp_scale", "dark_monitor", "background_rate",
-               "dark_a", "dark_b")
+FREE_PARAMS = tuple(name for name, *_ in NOISE_PARAMS)
 
 _BOUNDS = {
     "double_amp_scale": (0.0, 1.4),
@@ -72,31 +70,9 @@ class CalibrationResult:
     message: str = ""
 
 
-def bundle_with(params: dict[str, float],
-                base: ExperimentBundle | None = None) -> ExperimentBundle:
+def bundle_with(params: dict[str, float]) -> ExperimentBundle:
     """Default bundle with the named free parameters switched in."""
-    b = base or ExperimentBundle()
-    det = b.detection
-    src = b.source
-    ch = b.channel
-    if "double_amp_scale" in params:
-        src = dataclasses.replace(
-            src, double_amp_scale=float(params["double_amp_scale"]))
-    if "background_rate" in params:
-        ch = dataclasses.replace(
-            ch, background_rate=float(params["background_rate"]))
-    det_kwargs = {}
-    if "dark_monitor" in params:
-        det_kwargs["det_monitor"] = dataclasses.replace(
-            det.det_monitor, dark_rate=float(params["dark_monitor"]))
-    if "dark_a" in params:
-        det_kwargs["det_a"] = dataclasses.replace(
-            det.det_a, dark_rate=float(params["dark_a"]))
-    if "dark_b" in params:
-        det_kwargs["dark_b"] = float(params["dark_b"])
-    if det_kwargs:
-        det = dataclasses.replace(det, **det_kwargs)
-    return dataclasses.replace(b, source=src, channel=ch, detection=det)
+    return with_noise(ExperimentBundle(), params)
 
 
 def model_predictions(bundle: ExperimentBundle) -> dict[str, float]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dualrail
-from .qcore import DensityMatrix, KrausChannel, apply_channel, partial_trace
+from .qcore import apply_to_second
 from .source import AtomPhotonState
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
@@ -109,10 +109,12 @@ def _background_state(cutoff: int) -> np.ndarray:
     return mat
 
 
-def photon_loss_joint(cutoff: int, eta: float, atom_dim: int) -> KrausChannel:
-    """Loss channel on the photonic factor of an (atom x photon) state."""
-    return dualrail.loss_channel(cutoff, eta, eta, name=f"link({eta:g})",
-                                 embed=(atom_dim, 1))
+def photon_loss_joint(s: AtomPhotonState, eta: float) -> AtomPhotonState:
+    """Each photonic excitation of a joint state survives with
+    probability ``eta``; the atomic factor is untouched."""
+    loss = dualrail.loss_channel(s.cutoff, eta, eta)
+    return AtomPhotonState(state=apply_to_second(s.state, loss),
+                           cutoff=s.cutoff)
 
 
 def transmit(s: AtomPhotonState, p: ChannelParams) -> AtomPhotonState:
@@ -123,13 +125,10 @@ def transmit(s: AtomPhotonState, p: ChannelParams) -> AtomPhotonState:
     background as an uncorrelated unpolarized single photon.  The atomic
     factor is untouched.
     """
-    eta = channel_efficiency(p)
-    atom_dim = dualrail.sector_dim(s.cutoff)
-    lossy = apply_channel(s.state, photon_loss_joint(s.cutoff, eta, atom_dim))
+    lossy = photon_loss_joint(s, channel_efficiency(p)).state
     if p.background_rate > 0.0:
-        atom_marginal = partial_trace(
-            lossy, (atom_dim, dualrail.sector_dim(s.cutoff)), keep=0)
-        bg = np.kron(atom_marginal.mat, _background_state(s.cutoff))
-        lossy = DensityMatrix((1.0 - p.background_rate) * lossy.mat
-                              + p.background_rate * bg)
+        d = dualrail.sector_dim(s.cutoff)
+        atom_marginal = np.einsum("abcb->ac", lossy.reshape(d, d, d, d))
+        bg = np.kron(atom_marginal, _background_state(s.cutoff))
+        lossy = (1.0 - p.background_rate) * lossy + p.background_rate * bg
     return AtomPhotonState(state=lossy, cutoff=s.cutoff)

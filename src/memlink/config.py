@@ -111,14 +111,50 @@ class CampaignConfig:
                 raise ConfigError("sweep_us times must be non-negative")
 
 
+# The calibrated noise values, one row each: the name ``calibrate``
+# fits it under, its config key, its fitted value and the attribute path
+# to it in an ExperimentBundle.
+NOISE_PARAMS = (
+    ("double_amp_scale", "source.double_amp_scale", CAL_DOUBLE_AMP_SCALE,
+     ("source", "double_amp_scale")),
+    ("dark_monitor", "detectors.monitor.dark_rate", CAL_DARK_MONITOR,
+     ("detection", "det_monitor", "dark_rate")),
+    ("background_rate", "channel.background_rate", CAL_BACKGROUND_RATE,
+     ("channel", "background_rate")),
+    ("dark_a", "detectors.node_a.dark_rate", CAL_DARK_A,
+     ("detection", "det_a", "dark_rate")),
+    ("dark_b", "detectors.node_b.dark_rate", CAL_DARK_B,
+     ("detection", "dark_b")),
+)
+
+
+def _replaced(obj, path: tuple[str, ...], value):
+    """Copy of a nested frozen dataclass with the attribute at path set."""
+    head, *rest = path
+    if rest:
+        value = _replaced(getattr(obj, head), tuple(rest), value)
+    return dataclasses.replace(obj, **{head: value})
+
+
+def with_noise(base: ExperimentBundle,
+               values: dict[str, float]) -> ExperimentBundle:
+    """``base`` with the named noise values (NOISE_PARAMS names) set."""
+    b = base
+    for name, _, _, path in NOISE_PARAMS:
+        if name in values:
+            b = _replaced(b, path, float(values[name]))
+    return b
+
+
 def _noise_values(b: ExperimentBundle) -> dict[str, float]:
     """The values ``calibrated_bundle`` replaces, by config key."""
-    det = b.detection
-    return {"source.double_amp_scale": b.source.double_amp_scale,
-            "channel.background_rate": b.channel.background_rate,
-            "detectors.monitor.dark_rate": det.det_monitor.dark_rate,
-            "detectors.node_a.dark_rate": det.det_a.dark_rate,
-            "detectors.node_b.dark_rate": det.dark_b}
+    out = {}
+    for _, key, _, path in NOISE_PARAMS:
+        value = b
+        for attr in path:
+            value = getattr(value, attr)
+        out[key] = value
+    return out
 
 
 def calibrated_bundle(base: ExperimentBundle | None = None
@@ -135,21 +171,7 @@ def calibrated_bundle(base: ExperimentBundle | None = None
             raise ConfigError(
                 f"{key} = {value!r} would be replaced by its calibrated "
                 f"value; set calibrated: false to keep it")
-    det = b.detection
-    return dataclasses.replace(
-        b,
-        source=dataclasses.replace(
-            b.source, double_amp_scale=CAL_DOUBLE_AMP_SCALE),
-        channel=dataclasses.replace(
-            b.channel, background_rate=CAL_BACKGROUND_RATE),
-        detection=dataclasses.replace(
-            det,
-            det_monitor=dataclasses.replace(
-                det.det_monitor, dark_rate=CAL_DARK_MONITOR),
-            det_a=dataclasses.replace(det.det_a, dark_rate=CAL_DARK_A),
-            dark_b=CAL_DARK_B,
-        ),
-    )
+    return with_noise(b, {name: cal for name, _, cal, _ in NOISE_PARAMS})
 
 
 # ---------------------------------------------------------------------------

@@ -1,34 +1,40 @@
 """Measurement settings, pattern distributions and coincidence counts.
 
-This module glues the physics stages into click statistics.  The joint
-state of one attempt is evolved deterministically into a single density
-matrix and both readout chains are POVMs, so one trial reduces to a
-draw from a 16-outcome distribution over the click patterns (plus /
-minus / both / none at each node).
+This module glues the physics stages into click statistics.  Both
+readout chains are POVMs, so one trial reduces to a draw from a
+16-outcome distribution over the click patterns (plus / minus / both /
+none at each node), and the probability of pattern (i, j) factors as
 
-``trial_distribution`` builds that distribution in three stages, each
-behind its own cache:
+    p_ij(t) = Tr[E_i^A(t) sigma_j],   sigma_j = Tr_B[(1 x E_j^B) rho]
 
-  * prefix (``_prefix_state``): the delay-independent joint state at
-    the checkpoint -- source ket and collection loss ("source"), then
-    the converted link ("transferred"), then the receiving memory's
-    map-in and map-out ("stored").  Keyed on the source, channel and
-    EIT parameters the checkpoint reads (None for the others), so
-    bundles that differ only in detectors or storage share it, and each
+``trial_distributions`` builds it for a whole vector of delays in
+stages, each behind its own cache:
+
+  * prefix (``_prefix_state``): the delay-independent joint state rho
+    at the checkpoint -- source ket and collection loss ("source"),
+    then the converted link ("transferred"), then the receiving
+    memory's map-in and map-out ("stored").  Each map acts on its own
+    factor of the joint state.  Keyed on the source, channel and EIT
+    parameters the checkpoint reads (None for the others), so bundles
+    that differ only in detectors or storage share it, and each
     checkpoint extends the cached state of the one before;
-  * suffix (``_suffix_state``): storage decoherence at the emitting
-    node plus its readout loss, keyed on (prefix key, delay, coherence,
-    geometry, node-A efficiency) and shared by every basis setting at
-    that delay;
-  * contraction: the suffix state, viewed as (d, rest, d, rest), is
-    contracted with one (4, d, d) POVM stack per node (``_povm_stack``,
-    keyed on cutoff, basis, Z sign, efficiency and dark rate, around a
-    basis rotation keyed on the first three); no 16-element product
-    operator is ever formed.
+  * node B (``_conditional_states``): sigma_j, the emitting node's
+    (4, d, d) stack of unnormalized states per receiving-node outcome,
+    keyed on the prefix and node B's POVM;
+  * node A (``_stored_readout``): storage and readout at the emitting
+    node in the Heisenberg picture (``memory_a.decohere``), keyed on
+    the coherence, geometry, node-A efficiency and delay vector, so
+    every setting, dark rate and bundle that reads it shares it.  Node
+    A's POVM stack pulled back through it is E^A(t), split into the
+    parts that meet the state's coherences with mode-2 occupation gap
+    dn = 0, 1, 2;
+  * contraction: one matrix product of the E^A(t) stack with sigma
+    gives every delay's pattern probabilities at once.
 
-The stages' loss and transfer channels come from cached constructors
-in ``dualrail``, and the finished distribution is cached per (bundle,
-setting, delay, stage).  Every cache is a module-level lru_cache of
+The POVM stacks (``_povm_stack``) are keyed on cutoff, basis, Z sign,
+efficiency and dark rate, around a basis rotation keyed on the first
+three.  The finished distributions are cached per (bundle, setting,
+delay vector, stage).  Every cache is a module-level lru_cache of
 finite size: bounded, so a long delay sweep cannot grow memory;
 private, so the public stage functions stay plain functions that a
 caller may wrap or patch without hiding a ``cache_clear``; and at
@@ -36,13 +42,14 @@ module level, so clearing the lru_caches found in the module globals
 is a true cold start.  Cached arrays are read-only.
 
 Campaigns exploit the reduction: a batch of attempts is one
-multinomial draw over the 16 patterns (``sample_counts``) or its exact
-expectation (``analytic_counts``).  An unsynced mains phase enters each
-pattern probability as a three-term Fourier series in the per-trial
-phase phi (the random phase enters as exp(-i*phi*dn) with dn the
-atomic mode-occupation difference), which the draw averages exactly.
-Pattern vectors, sampled or expected, become singles, coincidences and
-signed outcome bins through one fixed table, ``TALLY``.
+multinomial draw over the 16 patterns (``draw_counts``,
+``sample_counts``) or its exact expectation (``analytic_counts``).  A
+sweep builds its distributions in one call and still draws delay by
+delay.  An unsynced mains phase enters each pattern probability as a
+three-term Fourier series in the per-trial phase phi (the random phase
+enters as exp(-i*phi*dn)), which the draw averages exactly.  Pattern
+vectors, sampled or expected, become singles, coincidences and signed
+outcome bins through one fixed table, ``TALLY``.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ import numpy as np
 
 from . import channel as link
 from . import dualrail, memory_a, memory_b, source
-from .qcore import PAULI, apply_channel
+from .qcore import PAULI
 
 PATTERN_NAMES = ("plus", "minus", "both", "none")
 PATTERNS = tuple((a, b) for a in PATTERN_NAMES for b in PATTERN_NAMES)
@@ -212,36 +219,42 @@ def _prefix_key(bundle, stage: str) -> tuple:
 def _prefix_state(src, channel, eit, stage: str) -> source.AtomPhotonState:
     """Delay-independent joint state at the checkpoint (see module doc)."""
     if stage == "source":
-        s = source.atom_photon_state(src)
-        collect = link.photon_loss_joint(s.cutoff, src.collection,
-                                         dualrail.sector_dim(s.cutoff))
-        s = source.AtomPhotonState(state=apply_channel(s.state, collect),
-                                   cutoff=s.cutoff)
+        s = link.photon_loss_joint(source.atom_photon_state(src),
+                                   src.collection)
     elif stage == "transferred":
         s = _prefix_state(src, None, None, "source")
         s = link.transmit(s, channel)
     else:
         s = _prefix_state(src, channel, None, "transferred")
         s = memory_b.map_out(memory_b.map_in(s, eit), eit)
-    s.state.mat.setflags(write=False)
+    s.state.setflags(write=False)
     return s
 
 
-@lru_cache(maxsize=16)
-def _suffix_state(prefix: tuple, delay_s: float, coherence, geometry,
-                  eta_a: float) -> np.ndarray:
-    """Prefix after storage at node A and its readout loss, mains
-    excluded, as a read-only (d, rest, d, rest) array."""
+@lru_cache(maxsize=32)
+def _conditional_states(prefix: tuple, name: str | None, z_sign: float,
+                        eta: float, dark: float) -> np.ndarray:
+    """Node A's unnormalized states per node-B outcome, sigma_j =
+    Tr_B[(1 x E_j) rho_prefix] with E_j node B's POVM, as a read-only
+    (4, d*d) stack of the row-flattened transposes sigma_j.T."""
     s = _prefix_state(*prefix)
-    q = memory_a.decohere(memory_a.AtomQubitA(state=s.state, cutoff=s.cutoff),
-                          delay_s, coherence, geometry)
-    w1, w2 = q.mode_weights
-    loss_a = dualrail.loss_channel(q.cutoff, w1 * eta_a, w2 * eta_a,
-                                   name="read-a", embed=(1, q.rest_dim))
-    d, rest = q.atom_dim, q.rest_dim
-    out = apply_channel(q.state, loss_a).mat.reshape(d, rest, d, rest)
+    d = dualrail.sector_dim(s.cutoff)
+    povm = _povm_stack(s.cutoff, name, z_sign, eta, dark)
+    out = np.einsum("xbyc,jcb->jyx", s.state.reshape(d, d, d, d),
+                    povm).reshape(len(povm), -1)
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=4)
+def _stored_readout(cutoff: int, eta: float, coherence, geometry,
+                    delays: tuple) -> memory_a.StoredReadout:
+    """Node A's storage and readout over a delay vector, read-only;
+    shared by every setting, dark rate and bundle that reads it."""
+    readout = memory_a.decohere(cutoff, delays, eta, coherence, geometry)
+    for arr in (readout.pulled, readout.parts, readout.swing):
+        arr.setflags(write=False)
+    return readout
 
 
 @lru_cache(maxsize=16)
@@ -299,56 +312,54 @@ class TrialDistribution:
         return np.clip(out, 0.0, None)
 
 
+def trial_distributions(bundle, setting: BasisSetting | None, delays,
+                        stage: str = "stored"
+                        ) -> tuple[TrialDistribution, ...]:
+    """Pattern distribution of one attempt at each delay; cached on the
+    bundle, the setting and the whole delay vector."""
+    key = None if setting is None else (setting.node_a, setting.node_b)
+    return _distributions_cached(bundle, key,
+                                 tuple(float(t) for t in delays), stage)
+
+
 def trial_distribution(bundle, setting: BasisSetting | None,
                        delay_s: float, stage: str = "stored"
                        ) -> TrialDistribution:
-    """Pattern distribution of one attempt; cached on the bundle."""
-    key = None if setting is None else (setting.node_a, setting.node_b)
-    return _distribution_cached(bundle, key, float(delay_s), stage)
+    """Pattern distribution of one attempt at one delay."""
+    return trial_distributions(bundle, setting, (delay_s,), stage)[0]
 
 
 @lru_cache(maxsize=256)
-def _distribution_cached(bundle, setting_key, delay_s: float,
-                         stage: str) -> TrialDistribution:
+def _distributions_cached(bundle, setting_key, delays: tuple,
+                          stage: str) -> tuple[TrialDistribution, ...]:
     det = bundle.detection
     cutoff = bundle.source.fock_cutoff
-    rho = _suffix_state(_prefix_key(bundle, stage), delay_s,
-                        bundle.coherence, bundle.geometry, det.det_a.eta_det)
     name_a, name_b = setting_key or (None, None)
     if stage == "source":
         eta_b, dark_b = det.det_monitor.eta_det, det.det_monitor.dark_rate
     else:
         eta_b, dark_b = bundle.eit.detection_residual(), det.dark_b
-    povm_a = _povm_stack(cutoff, name_a, 1.0, 1.0, det.det_a.dark_rate)
-    povm_b = _povm_stack(cutoff, name_b, _z_sign_b(name_b, det), eta_b,
-                         dark_b)
+    states = _conditional_states(_prefix_key(bundle, stage), name_b,
+                                 _z_sign_b(name_b, det), eta_b, dark_b)
+    readout = _stored_readout(cutoff, det.det_a.eta_det, bundle.coherence,
+                              bundle.geometry, delays)
+    effects = readout.effects(
+        _povm_stack(cutoff, name_a, 1.0, 1.0, det.det_a.dark_rate))
 
-    # masks[k] picks the part of the state whose node-A mode-2
-    # occupations differ by dn = k between ket and bra.
-    nu = dualrail.mode2_count_vector(cutoff)
-    dn = nu[:, None] - nu[None, :]
-    masks = np.stack([dn == k for k in (0, 1, 2)]).astype(complex)
-    coh = bundle.coherence
-    if coh.mains_synced or coh.mains_amplitude_gauss == 0.0:
-        phi_det = memory_a.mains_phase_increment(
-            coh, 0.0, delay_s, coh.mains_phase_rad)
-        masks = masks * np.exp(-1j * phi_det * dn)
-        swing = 0.0
-    else:
-        swing = memory_a.mains_swing_amplitude(coh, delay_s)
-
-    # coeffs[k, 4a + b] = Tr(rho_k (A_a x B_b)), node B contracted first
-    per_b = np.einsum("xbyc,jcb->jxy", rho, povm_b)
-    coeffs = np.einsum("kxy,jxy,iyx->kij", masks, per_b,
-                       povm_a).reshape(3, -1)
-    base = np.real(coeffs[0])
-    if swing == 0.0:
-        base = base + 2.0 * np.real(coeffs[1]) + 2.0 * np.real(coeffs[2])
-        fourier: tuple[np.ndarray, ...] = ()
-    else:
-        fourier = (coeffs[1], coeffs[2])
-    return TrialDistribution(base=np.clip(base, 0.0, None),
-                             fourier=fourier, swing=swing)
+    # coeffs[t, k, 4a + b] = Tr(E_a(t, k) sigma_b): one matrix product
+    # over every delay, part and node-A effect
+    coeffs = (effects @ states.T).reshape(len(delays), 3, -1)
+    swing = readout.swing
+    base = np.real(coeffs[:, 0])
+    folded = base + 2.0 * np.real(coeffs[:, 1]) + 2.0 * np.real(coeffs[:, 2])
+    return tuple(
+        TrialDistribution(base=np.clip(folded[t], 0.0, None), fourier=(),
+                          swing=0.0)
+        if swing[t] == 0.0 else
+        TrialDistribution(base=np.clip(base[t], 0.0, None),
+                          fourier=(coeffs[t, 1], coeffs[t, 2]),
+                          swing=float(swing[t]))
+        for t in range(len(delays)))
 
 
 def noise_distribution(bundle, setting: BasisSetting | None,
@@ -474,14 +485,21 @@ def _sample_pattern_counts(dist: TrialDistribution, n_trials: int,
     return rng.multinomial(n_trials, p)
 
 
+def draw_counts(dist: TrialDistribution, n_trials: int,
+                rng: np.random.Generator,
+                policy: str = "discard") -> CountsTable:
+    """Simulate a batch of attempts from one distribution."""
+    return _tally_counts(_sample_pattern_counts(dist, n_trials, rng),
+                         policy, rng)
+
+
 def sample_counts(bundle, setting: BasisSetting | None, n_trials: int,
                   rng: np.random.Generator, delay_s: float,
                   stage: str = "stored",
                   noise_windows: int = 0) -> CountsTable:
     """Simulate a batch of attempts at one setting into a CountsTable."""
-    dist = trial_distribution(bundle, setting, delay_s, stage)
-    counts = _sample_pattern_counts(dist, n_trials, rng)
-    table = _tally_counts(counts, bundle.detection.double_click_policy, rng)
+    table = draw_counts(trial_distribution(bundle, setting, delay_s, stage),
+                        n_trials, rng, bundle.detection.double_click_policy)
     if noise_windows > 0:
         ndist = noise_distribution(bundle, setting, stage)
         ncounts = _sample_pattern_counts(ndist, noise_windows, rng)

@@ -12,14 +12,15 @@ double-excitation states responsible for higher-order noise.
 
 This module provides the operator toolbox on that sector: per-mode loss
 channels, linear mode rotations (beam splitters / waveplates), quantum
-transfer between the modes, phase accumulation and threshold-detector
-POVMs.  All constructions are exact on the truncated space.
+transfer between the modes, dephasing and threshold-detector POVMs.
+All constructions are exact on the truncated space.
 
-Loss and transfer channels can be built already embedded in a larger
-tensor product (``embed=(left, right)`` puts identities of those
-dimensions on either side).  Each distinct channel is built and
-validated once and then shared from a small lru_cache, so its operator
-arrays are read-only.
+Loss and transfer channels are real Kraus stacks built from their
+closed-form amplitudes.  Given vectors of survival or transfer
+probabilities they build one channel per entry, stacked on a leading
+axis, so node A's storage over a whole delay sweep is one stack.  Each
+distinct stack is built and validated once and then shared from a small
+lru_cache, so its operator array is read-only.
 """
 
 from __future__ import annotations
@@ -59,61 +60,56 @@ def qubit_indices(cutoff: int) -> tuple[int, int]:
     return idx[(1, 0)], idx[(0, 1)]
 
 
-def loss_channel(cutoff: int, eta1: float, eta2: float,
-                 name: str = "", embed: tuple[int, int] = (1, 1)
-                 ) -> KrausChannel:
+def _probabilities(*values) -> list[np.ndarray]:
+    """The arguments as float arrays, each entry in [0, 1]."""
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    for arr in arrays:
+        if not ((0.0 <= arr) & (arr <= 1.0)).all():
+            raise ValueError(f"probability {arr} outside [0, 1]")
+    return arrays
+
+
+def _shared_channel(ops: np.ndarray, name: str) -> KrausChannel:
+    """One validated, read-only channel stack."""
+    ch = KrausChannel(ops, name=name)
+    ch.operators.setflags(write=False)
+    return ch
+
+
+def loss_channel(cutoff: int, eta1, eta2) -> KrausChannel:
     """Independent beam-splitter loss on each mode.
 
     Each excitation of mode m survives with probability eta_m.  The map
     is trace preserving on the truncated sector: lost excitations move
-    population toward the vacuum rather than out of the space.  With
-    ``embed=(left, right)`` every operator is kron(I_left, K, I_right).
+    population toward the vacuum rather than out of the space.  Arrays
+    of survival probabilities give one channel per entry, stacked on
+    the leading axes of the operators.
     """
-    for eta in (eta1, eta2):
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"survival probability {eta} outside [0, 1]")
-    return _loss_channel(cutoff, float(eta1), float(eta2),
-                         name or f"loss({eta1:g},{eta2:g})", tuple(embed))
+    eta1, eta2 = _probabilities(eta1, eta2)
+    return _loss_channel(cutoff, eta1.shape, tuple(eta1.flat),
+                         tuple(eta2.flat))
 
 
 @lru_cache(maxsize=8)
-def _loss_channel(cutoff: int, eta1: float, eta2: float, name: str,
-                  embed: tuple[int, int]) -> KrausChannel:
+def _loss_channel(cutoff: int, shape: tuple, eta1: tuple,
+                  eta2: tuple) -> KrausChannel:
+    eta1 = np.reshape(eta1, shape)
+    eta2 = np.reshape(eta2, shape)
     occs = occupations(cutoff)
     idx = index_of(cutoff)
-    dim = len(occs)
-    ops = []
-    for l1 in range(cutoff + 1):
-        for l2 in range(cutoff + 1 - l1):
-            k = np.zeros((dim, dim), dtype=complex)
-            nonzero = False
-            for j, (n1, n2) in enumerate(occs):
-                if l1 > n1 or l2 > n2:
-                    continue
-                amp1 = sqrt(comb(n1, l1)) * eta1 ** ((n1 - l1) / 2.0) \
-                    * (1.0 - eta1) ** (l1 / 2.0)
-                amp2 = sqrt(comb(n2, l2)) * eta2 ** ((n2 - l2) / 2.0) \
-                    * (1.0 - eta2) ** (l2 / 2.0)
-                amp = amp1 * amp2
-                if amp != 0.0:
-                    k[idx[(n1 - l1, n2 - l2)], j] = amp
-                    nonzero = True
-            if nonzero:
-                ops.append(k)
-    return _embedded(ops, name, embed)
-
-
-def _embedded(ops: list[np.ndarray], name: str,
-              embed: tuple[int, int]) -> KrausChannel:
-    """One validated channel of kron(I_left, K, I_right), read-only."""
-    left, right = embed
-    eye_l = np.eye(left, dtype=complex)
-    eye_r = np.eye(right, dtype=complex)
-    ch = KrausChannel([np.kron(np.kron(eye_l, k), eye_r) for k in ops],
-                      name=name)
-    for k in ch.operators:
-        k.setflags(write=False)
-    return ch
+    # one operator per pair of lost quanta (l1, l2), l1 + l2 <= cutoff
+    lost = occupations(cutoff)
+    ops = np.zeros(shape + (len(lost), len(occs), len(occs)), dtype=float)
+    for op, (l1, l2) in enumerate(lost):
+        for j, (n1, n2) in enumerate(occs):
+            if l1 > n1 or l2 > n2:
+                continue
+            amp1 = sqrt(comb(n1, l1)) * eta1 ** ((n1 - l1) / 2.0) \
+                * (1.0 - eta1) ** (l1 / 2.0)
+            amp2 = sqrt(comb(n2, l2)) * eta2 ** ((n2 - l2) / 2.0) \
+                * (1.0 - eta2) ** (l2 / 2.0)
+            ops[..., op, idx[(n1 - l1, n2 - l2)], j] = amp1 * amp2
+    return _shared_channel(ops, "loss")
 
 
 def mode_rotation(cutoff: int, w: np.ndarray) -> np.ndarray:
@@ -153,49 +149,35 @@ def mode_rotation(cutoff: int, w: np.ndarray) -> np.ndarray:
     return r
 
 
-def transfer_channel(cutoff: int, gamma: float,
-                     embed: tuple[int, int] = (1, 1)) -> KrausChannel:
+def transfer_channel(cutoff: int, gamma) -> KrausChannel:
     """Per-quantum incoherent transfer from mode 2 into mode 1.
 
     Each excitation of mode 2 independently hops to mode 1 with
     probability ``gamma``.  Coherences between states of different mode-2
     occupation acquire the usual sqrt(1-gamma) amplitude factors, which
     makes the single-excitation block the standard amplitude-damping
-    channel from mode 2 toward mode 1.  ``embed`` as for loss_channel.
+    channel from mode 2 toward mode 1.  An array of probabilities
+    stacks one channel per entry, as for loss_channel.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"transfer probability {gamma} outside [0, 1]")
-    return _transfer_channel(cutoff, float(gamma), tuple(embed))
+    (gamma,) = _probabilities(gamma)
+    return _transfer_channel(cutoff, gamma.shape, tuple(gamma.flat))
 
 
 @lru_cache(maxsize=8)
-def _transfer_channel(cutoff: int, gamma: float,
-                      embed: tuple[int, int]) -> KrausChannel:
+def _transfer_channel(cutoff: int, shape: tuple,
+                      gamma: tuple) -> KrausChannel:
+    gamma = np.reshape(gamma, shape)
     occs = occupations(cutoff)
     idx = index_of(cutoff)
-    dim = len(occs)
-    ops = []
+    ops = np.zeros(shape + (cutoff + 1, len(occs), len(occs)), dtype=float)
     for k_moved in range(cutoff + 1):
-        k = np.zeros((dim, dim), dtype=complex)
-        nonzero = False
         for j, (n1, n2) in enumerate(occs):
             if k_moved > n2:
                 continue
             amp = sqrt(comb(n2, k_moved)) * gamma ** (k_moved / 2.0) \
                 * (1.0 - gamma) ** ((n2 - k_moved) / 2.0)
-            if amp != 0.0:
-                k[idx[(n1 + k_moved, n2 - k_moved)], j] = amp
-                nonzero = True
-        if nonzero:
-            ops.append(k)
-    return _embedded(ops, f"transfer({gamma:g})", embed)
-
-
-def phase_unitary(cutoff: int, phi: float) -> np.ndarray:
-    """Diagonal unitary putting phase exp(-i phi) on each mode-2 quantum."""
-    occs = occupations(cutoff)
-    diag = np.array([np.exp(-1j * phi * n2) for _, n2 in occs])
-    return np.diag(diag)
+            ops[..., k_moved, idx[(n1 + k_moved, n2 - k_moved)], j] = amp
+    return _shared_channel(ops, "transfer")
 
 
 def mode2_count_vector(cutoff: int) -> np.ndarray:
@@ -203,7 +185,7 @@ def mode2_count_vector(cutoff: int) -> np.ndarray:
     return np.array([n2 for _, n2 in occupations(cutoff)], dtype=int)
 
 
-def dephasing_envelope(cutoff: int, coherence_arg: float) -> np.ndarray:
+def dephasing_envelope(cutoff: int, coherence_arg) -> np.ndarray:
     """Entrywise Gaussian envelope for inhomogeneous phase diffusion.
 
     ``coherence_arg`` is the squared Gaussian argument accrued by a
@@ -211,13 +193,15 @@ def dephasing_envelope(cutoff: int, coherence_arg: float) -> np.ndarray:
     multiplied by exp(-coherence_arg).  A coherence between states whose
     mode-2 occupations differ by dn scales as exp(-dn^2 * coherence_arg),
     the signature of a shared random phase.  The result multiplies a
-    density matrix entrywise (a random-unitary, hence CP, map).
+    density matrix entrywise (a random-unitary, hence CP, map); an array
+    of arguments gives a stack of envelopes.
     """
-    if coherence_arg < 0.0:
+    arg = np.asarray(coherence_arg, dtype=float)
+    if (arg < 0.0).any():
         raise ValueError("coherence argument must be non-negative")
     n2 = mode2_count_vector(cutoff)
     dn = n2[:, None] - n2[None, :]
-    return np.exp(-(dn.astype(float) ** 2) * coherence_arg)
+    return np.exp(-(dn.astype(float) ** 2) * arg[..., None, None])
 
 
 def click_probabilities(cutoff: int, eta: float, dark: float) -> np.ndarray:

@@ -21,7 +21,20 @@ field.
 
 Motional decay is outcome independent (both modes blur together when
 the common lifetime applies), so it is tracked as per-mode retrieval
-weights instead of being folded into the normalized state.
+weights that scale the readout efficiency instead of being folded into
+the normalized state.
+
+Storage acts on this node's factor only and after every delay-free
+step of the link, so ``decohere`` works in the Heisenberg picture: it
+builds the adjoint of storage and readout for a whole vector of delays
+at once (a ``StoredReadout``), the node's readout POVM is pulled back
+through it, and the joint state is never evolved per delay.  Every step
+is either a Kraus stack on the node's sector (6x6 at the default
+cutoff: T1 transfer, readout loss) or an entrywise factor that depends
+only on the gap dn between the mode-2 occupations of ket and bra
+(Zeeman phase, T2* envelope, mains phase).  The Kraus steps move ket
+and bra by the same number of quanta, so they keep dn and commute with
+every such factor.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ import numpy as np
 
 from . import dualrail
 from .constants import CODATA, PhysicalConstants
-from .qcore import DensityMatrix, apply_channel
+from .qcore import adjoint_matrix
 
 
 class MemoryConfigError(ValueError):
@@ -146,8 +159,6 @@ def motional_lifetime(k_mag: float, c: CoherenceParams,
     """
     if k_mag < 0.0:
         raise MemoryConfigError(f"wavevector magnitude must be >= 0, got {k_mag}")
-    if c.temperature_k < 0.0:
-        raise MemoryConfigError("temperature must be non-negative")
     v = math.sqrt(constants.k_b * c.temperature_k / c.mass_kg)
     if k_mag == 0.0 or v == 0.0:
         return math.inf
@@ -172,53 +183,6 @@ def retrieval_weights(age_s: float, c: CoherenceParams, g: FreezingGeometry,
     w1 = math.exp(-((age_s / tau1) ** 2)) if math.isfinite(tau1) else 1.0
     w2 = math.exp(-((age_s / tau2) ** 2)) if math.isfinite(tau2) else 1.0
     return w1, w2
-
-
-@dataclass
-class AtomQubitA:
-    """A stored spin-wave qubit, possibly entangled with a remote factor.
-
-    ``state`` lives on (atomic sector) x (rest); the atomic two-mode
-    sector is always the first tensor factor and ``rest`` is whatever
-    the qubit is entangled with (the photonic sector in flight, the far
-    memory after storage, or nothing, i.e. dimension 1).
-
-    ``age_s`` counts time since the write pulse; the dephasing and
-    motional envelopes are Gaussian in this total age, so incremental
-    updates must know it.  ``mode_weights`` are the current per-mode
-    retrieval efficiencies from motional washout; they multiply the
-    readout click probability but, having been factored out of the
-    state, never skew normalized outcome statistics unless the two
-    modes differ.
-    """
-
-    state: DensityMatrix
-    cutoff: int = 2
-    age_s: float = 0.0
-    mode_weights: tuple[float, float] = (1.0, 1.0)
-
-    def __post_init__(self) -> None:
-        if self.state.dim % self.atom_dim != 0:
-            raise MemoryConfigError(
-                f"state dimension {self.state.dim} does not contain the "
-                f"{self.atom_dim}-dimensional atomic sector as first factor"
-            )
-        if self.age_s < 0.0:
-            raise MemoryConfigError("age must be non-negative")
-        if not all(0.0 <= w <= 1.0 for w in self.mode_weights):
-            raise MemoryConfigError(f"mode weights {self.mode_weights} outside [0, 1]")
-
-    @property
-    def atom_dim(self) -> int:
-        return dualrail.sector_dim(self.cutoff)
-
-    @property
-    def rest_dim(self) -> int:
-        return self.state.dim // self.atom_dim
-
-
-def _lift_unitary(u_atom: np.ndarray, rest_dim: int) -> np.ndarray:
-    return np.kron(u_atom, np.eye(rest_dim, dtype=complex))
 
 
 def zeeman_phase_increment(c: CoherenceParams, duration_s: float,
@@ -256,49 +220,78 @@ def mains_swing_amplitude(c: CoherenceParams, duration_s: float,
     return 2.0 * rate / omega * abs(math.sin(omega * duration_s / 2.0))
 
 
-def decohere(q: AtomQubitA, duration_s: float, c: CoherenceParams,
-             g: FreezingGeometry,
-             constants: PhysicalConstants = CODATA) -> AtomQubitA:
-    """Advance the stored qubit by ``duration_s``.
+@dataclass(frozen=True)
+class StoredReadout:
+    """Node A's storage and readout for T delays, in the Heisenberg
+    picture, on row-flattened d x d operators (index x*d + y).
 
-    Applies, in order: the deterministic bias-field phase, the motional
-    retrieval-weight update, mode-2 to mode-1 population transfer (T1)
-    and Gaussian inhomogeneous dephasing (T2*).  All four are
-    deterministic maps that compose exactly over consecutive calls.
-    The mains ripple phase is not applied here: the pattern
-    distribution folds it in analytically (``detection``), as a fixed
-    phase when synced and as an average over the per-trial phase when
-    not.
+    Attributes:
+        pulled: (T, d*d, d*d) adjoint of storage's Kraus steps (T1
+            transfer, then readout loss): an effect E pulls back to
+            E.ravel() @ pulled[t].
+        parts: (T, 3, d*d) entrywise factor of part k: the bias-field
+            phase, the T2* envelope and a fixed mains phase on the
+            entries that meet the state's coherences whose mode-2
+            occupations differ by dn = k between ket and bra.
+        swing: (T,) amplitude of a free-running mains phase, 0 when the
+            ripple is line-triggered (its phase is then in ``parts``).
     """
-    if duration_s < 0.0:
-        raise MemoryConfigError(f"duration must be non-negative, got {duration_s}")
-    age0 = q.age_s
-    age1 = age0 + duration_s
-    rest = q.rest_dim
-    mat = q.state.mat
 
-    # (1) deterministic Zeeman rotation
-    phi = zeeman_phase_increment(c, duration_s, constants)
-    u = _lift_unitary(dualrail.phase_unitary(q.cutoff, phi), rest)
-    mat = u @ mat @ u.conj().T
+    pulled: np.ndarray
+    parts: np.ndarray
+    swing: np.ndarray
 
-    # (2) motional retrieval weights, Gaussian in total age
-    weights = retrieval_weights(age1, c, g, constants)
+    def effects(self, povm: np.ndarray) -> np.ndarray:
+        """P, (T, 3, n, d*d): an (n, d, d) POVM pulled back, in parts.
 
-    state = DensityMatrix(mat)
+        Effect i's probability on a state rho of the node's factor is
+        p_0 + 2 Re(p_1 + p_2), with p_k = P[t, k, i] @ rho.T.ravel();
+        a free-running ripple adds a random phase phi per trial, which
+        enters p_k as exp(-i*phi*k) and is left out here.
+        """
+        flat = povm.reshape(len(povm), -1) @ self.pulled
+        return self.parts[:, :, None, :] * flat[:, None]
 
-    # (3) population transfer with T1
-    gamma = 1.0 - math.exp(-duration_s / c.t1_s)
-    if gamma > 0.0:
-        ch = dualrail.transfer_channel(q.cutoff, gamma, embed=(1, rest))
-        state = apply_channel(state, ch)
 
-    # (4) Gaussian dephasing with T2*, incremental in age^2
+def decohere(cutoff: int, delays, eta: float, c: CoherenceParams,
+             g: FreezingGeometry,
+             constants: PhysicalConstants = CODATA) -> StoredReadout:
+    """Storage at node A for each delay, and its readout (see module doc).
+
+    Storage for a delay t applies, in order, the bias-field phase, T1
+    transfer, Gaussian T2* dephasing in the total age, the readout loss
+    (the motional retrieval weights times the detection efficiency
+    ``eta``) and the mains ripple.  An effect is pulled back through
+    their adjoints in reverse order; the loss and transfer stacks come
+    from their closed-form amplitudes for the whole delay vector.
+    """
+    delays = np.asarray(delays, dtype=float)
+    weights = np.array([retrieval_weights(t, c, g, constants)
+                        for t in delays]).reshape(-1, 2)
+    loss = dualrail.loss_channel(cutoff, weights[:, 0] * eta,
+                                 weights[:, 1] * eta)
+    transfer = dualrail.transfer_channel(cutoff,
+                                         1.0 - np.exp(-delays / c.t1_s))
+    pulled = adjoint_matrix(loss) @ adjoint_matrix(transfer)
+
+    phase = zeeman_phase_increment(c, delays, constants)
+    if c.mains_synced or c.mains_amplitude_gauss == 0.0:
+        phase = phase + np.array([
+            mains_phase_increment(c, 0.0, t, c.mains_phase_rad, constants)
+            for t in delays])
+        swing = np.zeros(len(delays))
+    else:
+        swing = np.array([mains_swing_amplitude(c, t, constants)
+                          for t in delays])
+    n2 = dualrail.mode2_count_vector(cutoff)
+    dn = n2[:, None] - n2[None, :]
+    factor = np.exp(-1j * phase[:, None, None] * dn)
     if math.isfinite(c.t2_star_s):
-        arg = (age1 ** 2 - age0 ** 2) / c.t2_star_s ** 2
-        env = np.kron(dualrail.dephasing_envelope(q.cutoff, arg),
-                      np.ones((rest, rest)))
-        state = DensityMatrix(state.mat * env)
-
-    return AtomQubitA(state=state, cutoff=q.cutoff, age_s=age1,
-                      mode_weights=weights)
+        factor = factor * dualrail.dephasing_envelope(
+            cutoff, delays ** 2 / c.t2_star_s ** 2)
+    # a factor f on the state's entries [x, y] is f.T on the effect's
+    parts = np.stack([(dn == k) * factor for k in (0, 1, 2)], axis=1)
+    return StoredReadout(
+        pulled=pulled,
+        parts=parts.swapaxes(-1, -2).reshape(len(delays), 3, -1),
+        swing=swing)

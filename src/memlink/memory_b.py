@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dualrail
-from .qcore import apply_channel
+from .qcore import apply_to_second
 from .source import AtomPhotonState
 
 
@@ -88,17 +88,11 @@ class EITParams:
 
 def map_in(s: AtomPhotonState, p: EITParams) -> AtomPhotonState:
     """Absorb the two spatial modes into their ensembles (lossy)."""
-    eta1, eta2 = p.map_in()
-    atom_dim = dualrail.sector_dim(s.cutoff)
-    ch = dualrail.loss_channel(s.cutoff, eta1, eta2, name="eit-in",
-                               embed=(atom_dim, 1))
-    return AtomPhotonState(state=apply_channel(s.state, ch), cutoff=s.cutoff)
+    ch = dualrail.loss_channel(s.cutoff, *p.map_in())
+    return AtomPhotonState(state=apply_to_second(s.state, ch), cutoff=s.cutoff)
 
 
 def map_out(s: AtomPhotonState, p: EITParams) -> AtomPhotonState:
     """Release the stored excitations back into photonic modes (lossy)."""
-    eta1, eta2 = p.map_out()
-    atom_dim = dualrail.sector_dim(s.cutoff)
-    ch = dualrail.loss_channel(s.cutoff, eta1, eta2, name="eit-out",
-                               embed=(atom_dim, 1))
-    return AtomPhotonState(state=apply_channel(s.state, ch), cutoff=s.cutoff)
+    ch = dualrail.loss_channel(s.cutoff, *p.map_out())
+    return AtomPhotonState(state=apply_to_second(s.state, ch), cutoff=s.cutoff)

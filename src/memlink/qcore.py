@@ -1,10 +1,20 @@
-"""Dense density-matrix engine for small composite Hilbert spaces.
+"""Dense operator toolbox for small composite Hilbert spaces.
 
-Every state in the simulator lives in a space of dimension ~40 or less,
-so plain complex numpy matrices are used throughout: no sparsity, no
-symbolic layer and no basis names.  States keep their matrix
-normalized to unit trace, and every channel must preserve trace, so
-no probability can leak out of a state unnoticed.
+Every operator in the simulator acts on a two-mode sector of dimension
+~10 or less, or on the joint space of two such sectors, so plain numpy
+arrays are used throughout: no sparsity, no symbolic layer and no
+basis names.  A joint state is a square matrix on (first factor) x
+(second factor).  A map on one factor acts on that factor's axes of
+the (d0, d1, d0, d1) view, so no operator padded with identities is
+ever built.
+
+A channel is a stack of Kraus operators, and ``KrausChannel`` rejects
+a stack whose sum(K^dag K) is not the identity, so no probability can
+leak out of a state unnoticed.  A stack may carry leading axes (one
+channel per delay, say); every channel in it is checked.  A channel
+acts forward on a state (``apply_to_second``) or backward on
+measurement effects (``adjoint_matrix``, the Heisenberg picture:
+Tr[E Phi(rho)] = Tr[Phi^dag(E) rho]).
 
 ``ATOL_ACCUM`` is the tolerance for quantities assembled from chains of
 operations, such as the completeness of a Kraus set.
@@ -13,7 +23,6 @@ operations, such as the completeness of a Kraus set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -32,48 +41,28 @@ class QuantumStateError(ValueError):
     """Raised when a matrix fails the checks required of its role."""
 
 
-def _as_complex_matrix(mat: np.ndarray | Sequence) -> np.ndarray:
-    arr = np.asarray(mat, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise QuantumStateError(f"expected a square matrix, got shape {arr.shape}")
-    return arr
-
-
-@dataclass(eq=False)
-class DensityMatrix:
-    """A density matrix as a square complex matrix; the trace-preserving
-    channels that build it keep it Hermitian, positive and of unit trace."""
-
-    mat: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.mat = _as_complex_matrix(self.mat)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
 @dataclass(eq=False)
 class KrausChannel:
     """A completely positive, trace-preserving map given by its Kraus
-    operators: the constructor rejects a set whose sum(K^dag K) is not
-    the identity, so a sub-unital set cannot silently renormalize
-    probability away when applied.
+    operators, a real or complex (..., m, d, d) stack: the constructor
+    rejects a set whose sum(K^dag K) is not the identity, so a
+    sub-unital set cannot silently lose probability when applied.
     """
 
-    operators: list[np.ndarray]
+    operators: np.ndarray
     name: str = ""
 
     def __post_init__(self) -> None:
-        self.operators = [_as_complex_matrix(k) for k in self.operators]
-        if not self.operators:
-            raise QuantumStateError("a channel needs at least one Kraus operator")
-        dim = self.operators[0].shape[0]
-        if any(k.shape != (dim, dim) for k in self.operators):
-            raise QuantumStateError("Kraus operators must share one dimension")
-        total = sum(k.conj().T @ k for k in self.operators)
-        deviation = np.abs(np.linalg.eigvalsh(total - np.eye(dim))).max()
+        ops = np.asarray(self.operators)
+        if ops.ndim < 3 or ops.shape[-3] == 0:
+            raise QuantumStateError(
+                "a channel needs at least one Kraus operator")
+        if ops.shape[-1] != ops.shape[-2]:
+            raise QuantumStateError(
+                f"Kraus operators must be square, got shape {ops.shape}")
+        self.operators = ops
+        total = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
+        deviation = np.abs(np.linalg.eigvalsh(total - np.eye(self.dim))).max()
         if deviation > ATOL_ACCUM:
             raise QuantumStateError(
                 f"channel {self.name!r} is not trace preserving "
@@ -82,39 +71,35 @@ class KrausChannel:
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[-1]
 
 
-def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
-    """Apply sum_k K rho K^dag and divide by the trace, which the
-    channel preserves up to rounding."""
-    if channel.dim != rho.dim:
-        raise QuantumStateError(
-            f"channel dimension {channel.dim} != state dimension {rho.dim}"
-        )
-    out = np.zeros_like(rho.mat)
-    for k in channel.operators:
-        out += k @ rho.mat @ k.conj().T
-    return DensityMatrix(out / float(np.real(np.trace(out))))
+def apply_to_second(rho: np.ndarray, channel: KrausChannel) -> np.ndarray:
+    """sum_k (1 x K) rho (1 x K)^dag for a joint state whose second
+    factor the (unstacked) channel acts on."""
+    ops = channel.operators
+    m, d = ops.shape[0], channel.dim
+    d0 = rho.shape[0] // d
+    # K on the ket: rows (k, b), columns (a, a', c')
+    ket = (ops.reshape(m * d, d)
+           @ rho.reshape(d0, d, d0 * d).transpose(1, 0, 2).reshape(d, -1))
+    # K^dag on the bra: rows (b, a, a'), columns (k, c')
+    ket = ket.reshape(m, d, d0 * d0, d).transpose(1, 2, 0, 3)
+    out = ket.reshape(-1, m * d) @ ops.conj().transpose(0, 2, 1).reshape(
+        m * d, d)
+    return (out.reshape(d, d0, d0, d).transpose(1, 0, 2, 3)
+            .reshape(rho.shape))
 
 
-def partial_trace(rho: DensityMatrix, dims: tuple[int, int],
-                  keep: int) -> DensityMatrix:
-    """Trace out one factor of a bipartite state.
+def adjoint_matrix(channel: KrausChannel) -> np.ndarray:
+    """The adjoint E -> sum_k K^dag E K as a (..., d*d, d*d) matrix on
+    row-flattened operators: Phi^dag(E).ravel() = E.ravel() @ M.
 
-    Args:
-        rho: state on a space of dimension dims[0] * dims[1].
-        dims: factor dimensions, in tensor order.
-        keep: 0 to keep the first factor, 1 the second.
+    One matrix per channel of a stack; the adjoint of Phi then Psi is
+    M_Psi @ M_Phi, so a chain of maps composes by matrix products
+    (Wood, Biamonte & Cory, arXiv:1111.6950).
     """
-    d0, d1 = dims
-    if d0 * d1 != rho.dim:
-        raise QuantumStateError(f"dims {dims} incompatible with dimension {rho.dim}")
-    t = rho.mat.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        mat = np.einsum("ikjk->ij", t)
-    elif keep == 1:
-        mat = np.einsum("kikj->ij", t)
-    else:
-        raise ValueError("keep must be 0 or 1")
-    return DensityMatrix(mat)
+    ops = channel.operators
+    mat = np.einsum("...kxa,...kyb->...xyab", ops.conj(), ops)
+    d2 = channel.dim ** 2
+    return mat.reshape(mat.shape[:-4] + (d2, d2))

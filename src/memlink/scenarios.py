@@ -25,9 +25,10 @@ from . import estimators, fitting, memory_a
 from .config import (CampaignConfig, ExperimentBundle, calibrated_bundle,
                      config_hash)
 from .constants import CODATA
-from .detection import (BasisSetting, analytic_counts, expected_click_probs,
-                        expected_outcome_probs, sample_counts,
-                        trial_distribution)
+from .detection import (BasisSetting, analytic_counts, draw_counts,
+                        expected_click_probs, expected_outcome_probs,
+                        sample_counts, trial_distribution,
+                        trial_distributions)
 from .estimators import EstimateWithError
 
 CSV_HEADER = "t_us,value,sigma,n"
@@ -108,20 +109,24 @@ def bell_delay_s(bundle: ExperimentBundle) -> float:
     return k * period
 
 
-def _analytic_correlator(bundle, setting: BasisSetting,
-                         delay_s: float) -> float:
-    """Exact post-selected correlator."""
-    dist = trial_distribution(bundle, setting, delay_s, "stored")
-    bins = expected_outcome_probs(
-        dist, bundle.detection.double_click_policy)
+def _exact_correlator(bundle, setting: BasisSetting, dist) -> float:
+    """Exact post-selected correlator of one setting's distribution."""
+    bins = expected_outcome_probs(dist, bundle.detection.double_click_policy)
     if bins.sum() <= 0.0:
         raise ScenarioError(f"no coincidence mass for {setting.key}")
     return float(estimators.correlator_from_bins(bins).value)
 
 
-def _mc_correlator(bundle, setting: BasisSetting, delay_s: float,
-                   n_trials: int, rng) -> EstimateWithError:
-    table = sample_counts(bundle, setting, n_trials, rng, delay_s)
+def _analytic_series(bundle, setting: BasisSetting,
+                     sweep_us: np.ndarray) -> np.ndarray:
+    return np.array([_exact_correlator(bundle, setting, dist)
+                     for dist in trial_distributions(bundle, setting,
+                                                     sweep_us * 1e-6)])
+
+
+def _mc_correlator(bundle, dist, n_trials: int, rng) -> EstimateWithError:
+    table = draw_counts(dist, n_trials, rng,
+                        bundle.detection.double_click_policy)
     return estimators.correlator(table)
 
 
@@ -160,17 +165,17 @@ def _scn_lifetime(cfg, bundle, mode, streams) -> ScenarioOutput:
     values = []
     rng = streams.take()
     n_pt = max(cfg.trials // len(sweep), 1)
-    for t_us in sweep:
-        delay = t_us * 1e-6
+    policy = bundle.detection.double_click_policy
+    for t_us, dist in zip(sweep, trial_distributions(bundle, None,
+                                                     sweep * 1e-6)):
         if mode == "analytic":
-            dist = trial_distribution(bundle, None, delay, "stored")
             clicks = expected_click_probs(dist)
             if clicks["b"] <= 0.0:
                 raise ScenarioError("no heralding clicks in lifetime sweep")
             value = clicks["ab"] / clicks["b"]
             sigma, n = 0.0, 0
         else:
-            table = sample_counts(bundle, None, n_pt, rng, delay)
+            table = draw_counts(dist, n_pt, rng, policy)
             n_b = table.singles_b
             if n_b == 0:
                 value, sigma, n = 0.0, 1.0, 0
@@ -207,11 +212,6 @@ def _scn_lifetime(cfg, bundle, mode, streams) -> ScenarioOutput:
     return out
 
 
-def _analytic_series(bundle, setting, sweep_us):
-    return np.array([_analytic_correlator(bundle, setting, t * 1e-6)
-                     for t in sweep_us])
-
-
 def _scn_correlation_sweep(cfg, bundle, mode, streams) -> ScenarioOutput:
     """<ZZ> and <XX> vs storage time with decay/oscillation fits.
 
@@ -228,14 +228,14 @@ def _scn_correlation_sweep(cfg, bundle, mode, streams) -> ScenarioOutput:
     series = {"zz": [], "xx": []}
     for name, (a, b) in (("zz", ("Z", "Z")), ("xx", ("X", "X"))):
         setting = BasisSetting(a, b)
-        for t_us in sweep:
-            delay = t_us * 1e-6
+        dists = trial_distributions(bundle, setting, sweep * 1e-6)
+        for t_us, dist in zip(sweep, dists):
             if mode == "analytic":
-                value = _analytic_correlator(bundle, setting, delay)
+                value = _exact_correlator(bundle, setting, dist)
                 sigma, n = 0.0, 0
             else:
                 try:
-                    est = _mc_correlator(bundle, setting, delay, n_pt, rng)
+                    est = _mc_correlator(bundle, dist, n_pt, rng)
                 except estimators.EstimatorError:
                     # no coincidences landed in this point's windows; keep
                     # the dropout in the table but out of the fits
@@ -366,14 +366,14 @@ def _correlation_campaign(bundle, settings, delay_s, n_setting, mode,
     for a, b in settings:
         setting = BasisSetting(a, b)
         rng = streams.take()
+        dist = trial_distribution(bundle, setting, delay_s, "stored")
         if mode == "analytic":
-            dist = trial_distribution(bundle, setting, delay_s, "stored")
             bins = expected_outcome_probs(
                 dist, bundle.detection.double_click_policy) * n_setting
             results[setting.key] = estimators.correlator_from_bins(bins)
         else:
-            results[setting.key] = _mc_correlator(bundle, setting, delay_s,
-                                                  n_setting, rng)
+            results[setting.key] = _mc_correlator(bundle, dist, n_setting,
+                                                  rng)
     return results
 
 
@@ -488,17 +488,18 @@ def _mains_envelope(bundle, sweep_us, mode, n_pt, rng):
     sx = BasisSetting("X", "X")
     sy = BasisSetting("X", "Y")
     rows = []
-    for t_us in sweep_us:
-        delay = t_us * 1e-6
+    for t_us, dist_x, dist_y in zip(
+            sweep_us, trial_distributions(bundle, sx, sweep_us * 1e-6),
+            trial_distributions(bundle, sy, sweep_us * 1e-6)):
         if mode == "analytic":
-            exx = _analytic_correlator(bundle, sx, delay)
-            exy = _analytic_correlator(bundle, sy, delay)
+            exx = _exact_correlator(bundle, sx, dist_x)
+            exy = _exact_correlator(bundle, sy, dist_y)
             env = math.hypot(exx, exy)
             sigma, n = 0.0, 0
         else:
             try:
-                est_x = _mc_correlator(bundle, sx, delay, n_pt, rng)
-                est_y = _mc_correlator(bundle, sy, delay, n_pt, rng)
+                est_x = _mc_correlator(bundle, dist_x, n_pt, rng)
+                est_y = _mc_correlator(bundle, dist_y, n_pt, rng)
             except estimators.EstimatorError:
                 rows.append((t_us, math.nan, math.inf, 0))
                 continue

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dualrail
-from .qcore import DensityMatrix
 
 
 class SourceConfigError(ValueError):
@@ -89,11 +88,11 @@ class SourceParams:
 class AtomPhotonState:
     """Joint atom-photon state right after a write attempt.
 
-    ``state`` lives on (atomic sector) x (photonic sector), the atomic
-    factor first.
+    ``state`` is the density matrix on (atomic sector) x (photonic
+    sector), the atomic factor first.
     """
 
-    state: DensityMatrix
+    state: np.ndarray
     cutoff: int
 
 
@@ -145,4 +144,4 @@ def atom_photon_state(p: SourceParams) -> AtomPhotonState:
     ket[0] = math.sqrt(1.0 - ladder_weight)
 
     mat = np.outer(ket, ket.conj())
-    return AtomPhotonState(state=DensityMatrix(mat), cutoff=cutoff)
+    return AtomPhotonState(state=mat, cutoff=cutoff)

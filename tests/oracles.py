@@ -4,14 +4,23 @@ The chain never builds a state from a ket, post-selects a block, takes
 an expectation value or starts from a bare qubit; these helpers do, so
 the tests can check the chain's output against hand-derivable states
 and expectation values.  Matrices go in and come out as arrays.
+
+The chain also never evolves a joint state through node A's storage:
+it pulls node A's POVM back instead.  ``decohere_state`` is the forward
+(Schroedinger-picture) reference for that step, on the whole joint
+matrix with every Kraus operator padded by identities, so the tests can
+check the Heisenberg engine against a walk that shares none of its
+contractions.
 """
+
+import math
 
 import numpy as np
 
 from memlink import dualrail
 from memlink.detection import DetectionConfig, _node_matrix, _z_sign_b
-from memlink.memory_a import AtomQubitA
-from memlink.qcore import DensityMatrix
+from memlink.memory_a import (MemoryConfigError, retrieval_weights,
+                              zeeman_phase_increment)
 
 ATOL = 1e-9
 
@@ -61,8 +70,9 @@ def project_basis(setting, cfg: DetectionConfig | None = None
             _node_matrix(setting.node_b, _z_sign_b(setting.node_b, cfg)))
 
 
-def from_qubit_block(mat2, cutoff: int = 2) -> AtomQubitA:
-    """A stored qubit whose single-excitation block is mat2."""
+def from_qubit_block(mat2, cutoff: int = 2) -> np.ndarray:
+    """A stored qubit's sector matrix whose single-excitation block is
+    mat2."""
     mat2 = np.asarray(mat2, dtype=complex)
     if mat2.shape != (2, 2):
         raise ValueError(f"expected a 2x2 block, got {mat2.shape}")
@@ -71,7 +81,67 @@ def from_qubit_block(mat2, cutoff: int = 2) -> AtomQubitA:
                    dualrail.qubit_indices(cutoff))
     mat = np.zeros((dim, dim), dtype=complex)
     mat[block] = mat2
-    return AtomQubitA(state=DensityMatrix(mat), cutoff=cutoff)
+    return mat
+
+
+def apply_channel(rho, operators) -> np.ndarray:
+    """sum_k K rho K^dag over a list or stack of Kraus operators."""
+    rho = np.asarray(rho)
+    return sum(k @ rho @ k.conj().T for k in operators)
+
+
+def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
+    """Trace out one factor of a bipartite state (keep 0 or 1)."""
+    d0, d1 = dims
+    t = np.asarray(rho).reshape(d0, d1, d0, d1)
+    if keep == 0:
+        return np.einsum("ikjk->ij", t)
+    if keep == 1:
+        return np.einsum("kikj->ij", t)
+    raise ValueError("keep must be 0 or 1")
+
+
+def embedded(operators, left: int, right: int) -> list[np.ndarray]:
+    """Every operator padded with identities: kron(I_left, K, I_right)."""
+    return [np.kron(np.kron(np.eye(left), k), np.eye(right))
+            for k in operators]
+
+
+def phase_unitary(cutoff: int, phi: float) -> np.ndarray:
+    """Diagonal unitary putting phase exp(-i phi) on each mode-2 quantum."""
+    return np.diag([np.exp(-1j * phi * n2)
+                    for _, n2 in dualrail.occupations(cutoff)])
+
+
+def decohere_state(rho, cutoff: int, duration_s: float, c,
+                   g) -> tuple[np.ndarray, tuple]:
+    """Node A's storage for ``duration_s`` after the write pulse, forward.
+
+    ``rho`` lives on (atomic sector) x (rest).  Applies the bias-field
+    phase, T1 transfer and Gaussian T2* dephasing; returns the state and
+    the per-mode retrieval weights at the end.  Neither the readout loss
+    nor the mains ripple is applied.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    dim = dualrail.sector_dim(cutoff)
+    if rho.shape[0] % dim:
+        raise MemoryConfigError(
+            f"state dimension {rho.shape[0]} does not contain the "
+            f"{dim}-dimensional atomic sector as first factor")
+    if duration_s < 0.0:
+        raise MemoryConfigError("duration must be non-negative")
+    rest = rho.shape[0] // dim
+    u = np.kron(phase_unitary(cutoff, zeeman_phase_increment(c, duration_s)),
+                np.eye(rest))
+    rho = u @ rho @ u.conj().T
+    gamma = 1.0 - math.exp(-duration_s / c.t1_s)
+    transfer = dualrail.transfer_channel(cutoff, gamma).operators
+    rho = apply_channel(rho, embedded(transfer, 1, rest))
+    if math.isfinite(c.t2_star_s):
+        env = dualrail.dephasing_envelope(
+            cutoff, duration_s ** 2 / c.t2_star_s ** 2)
+        rho = rho * np.kron(env, np.ones((rest, rest)))
+    return rho, retrieval_weights(duration_s, c, g)
 
 
 def single_excitation_block(rho, cutoff: int) -> tuple[np.ndarray, float]:

@@ -8,7 +8,8 @@ import pytest
 from memlink import calibrate as cal
 from memlink.config import (CAL_BACKGROUND_RATE, CAL_DARK_A, CAL_DARK_B,
                             CAL_DARK_MONITOR, CAL_DOUBLE_AMP_SCALE,
-                            ConfigError, ExperimentBundle, calibrated_bundle)
+                            NOISE_PARAMS, ConfigError, ExperimentBundle,
+                            calibrated_bundle)
 
 
 class TestForwardModel:
@@ -174,11 +175,10 @@ class TestBundleWith:
     def test_empty_params_return_defaults(self):
         assert cal.bundle_with({}) == ExperimentBundle()
 
-    def test_base_not_mutated(self):
-        base = ExperimentBundle()
-        before = base.detection.det_a.dark_rate
-        cal.bundle_with({"dark_a": 5e-5}, base)
-        assert base.detection.det_a.dark_rate == before
+    def test_calibrated_values_are_the_bundle_of_the_cal_constants(self):
+        # one table feeds the fit, the calibrated bundle and the refusal
+        fitted = {name: value for name, _, value, _ in NOISE_PARAMS}
+        assert cal.bundle_with(fitted) == calibrated_bundle()
 
 
 class TestValidation:

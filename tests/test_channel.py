@@ -13,13 +13,12 @@ from memlink.channel import (
     photon_loss_joint,
     transmit,
 )
-from memlink.qcore import DensityMatrix, apply_channel, partial_trace
 from memlink.source import AtomPhotonState, SourceParams, atom_photon_state
-from oracles import pure_state, validate
+from oracles import partial_trace, pure_state, validate
 
 
 def joint_pure(amps):
-    return AtomPhotonState(state=DensityMatrix(pure_state(amps)), cutoff=2)
+    return AtomPhotonState(state=pure_state(amps), cutoff=2)
 
 
 def single_photon_input():
@@ -30,7 +29,7 @@ def single_photon_input():
 
 
 def photon_pops(s):
-    pops = np.diag(s.state.mat).real.reshape(6, 6)
+    pops = np.diag(s.state).real.reshape(6, 6)
     return pops.sum(axis=0)
 
 
@@ -109,14 +108,14 @@ class TestTransmit:
         amps = np.zeros(36)
         amps[0] = 1.0
         out = transmit(joint_pure(amps), ChannelParams())
-        assert out.state.mat[0, 0].real == pytest.approx(1.0, abs=1e-12)
+        assert out.state[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
     def test_atom_marginal_untouched(self):
         s = atom_photon_state(SourceParams(chi=0.1, double_amp_scale=0.8))
         out = transmit(s, ChannelParams())
         before = partial_trace(s.state, (6, 6), keep=0)
         after = partial_trace(out.state, (6, 6), keep=0)
-        np.testing.assert_allclose(after.mat, before.mat, atol=1e-12)
+        np.testing.assert_allclose(after, before, atol=1e-12)
 
     def test_no_photon_population_gain(self):
         s = atom_photon_state(SourceParams(chi=0.2))
@@ -128,10 +127,9 @@ class TestTransmit:
     def test_loss_composition(self):
         s = atom_photon_state(SourceParams(chi=0.15, double_amp_scale=0.7,
                                            phi0=0.4))
-        step1 = apply_channel(s.state, photon_loss_joint(2, 0.5, 6))
-        step2 = apply_channel(step1, photon_loss_joint(2, 0.3, 6))
-        direct = apply_channel(s.state, photon_loss_joint(2, 0.15, 6))
-        np.testing.assert_allclose(step2.mat, direct.mat, atol=1e-10)
+        step2 = photon_loss_joint(photon_loss_joint(s, 0.5), 0.3)
+        direct = photon_loss_joint(s, 0.15)
+        np.testing.assert_allclose(step2.state, direct.state, atol=1e-10)
 
     def test_background_mixes_unpolarized_photon(self):
         amps = np.zeros(36)
@@ -142,9 +140,9 @@ class TestTransmit:
         assert pops[0] == pytest.approx(0.8, abs=1e-12)
         assert pops[1] == pytest.approx(0.1, abs=1e-12)
         assert pops[2] == pytest.approx(0.1, abs=1e-12)
-        validate(out.state.mat)
+        validate(out.state)
 
     def test_output_remains_physical(self):
         s = atom_photon_state(SourceParams(chi=0.2, double_amp_scale=0.9))
         out = transmit(s, ChannelParams(background_rate=0.01))
-        validate(out.state.mat)
+        validate(out.state)

@@ -27,9 +27,9 @@ from memlink.detection import (
 )
 from memlink.estimators import correlator
 from memlink.memory_b import EITParams
-from memlink.qcore import KrausChannel, apply_channel
 from memlink.scenarios import bell_delay_s
-from oracles import expectation, project_basis, pure_state
+from oracles import (apply_channel, decohere_state, embedded, expectation,
+                     partial_trace, project_basis, pure_state)
 
 IDEAL_PAIR = pure_state([1.0, 0.0, 0.0, 1.0])
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -508,28 +508,42 @@ def _plus_minus_rotation(cutoff, obs):
     return dualrail.mode_rotation(cutoff, basis.conj().T)
 
 
+def photon_loss(rho, cutoff, eta1, eta2):
+    """Loss on the photonic factor, as operators padded with the
+    identity on the atomic one."""
+    ops = dualrail.loss_channel(cutoff, eta1, eta2).operators
+    return apply_channel(rho, embedded(ops, dualrail.sector_dim(cutoff), 1))
+
+
 def reference_distribution(bundle, setting, delay_s, stage):
-    """(base, fourier, swing) from a fresh walk through every stage."""
-    s = source.atom_photon_state(bundle.source)
-    cutoff = s.cutoff
+    """(base, fourier, swing) from a fresh forward walk through every
+    stage, on the whole joint matrix."""
+    cutoff = bundle.source.fock_cutoff
     atom_dim = dualrail.sector_dim(cutoff)
-    collect = link.photon_loss_joint(cutoff, bundle.source.collection,
-                                     atom_dim)
-    s = source.AtomPhotonState(state=apply_channel(s.state, collect),
-                               cutoff=cutoff)
+    rho = source.atom_photon_state(bundle.source).state
+    collect = bundle.source.collection
+    rho = photon_loss(rho, cutoff, collect, collect)
     if stage != "source":
-        s = link.transmit(s, bundle.channel)
+        eta = link.channel_efficiency(bundle.channel)
+        rho = photon_loss(rho, cutoff, eta, eta)
+        bg_rate = bundle.channel.background_rate
+        if bg_rate > 0.0:
+            i1, i2 = dualrail.qubit_indices(cutoff)
+            bg = np.zeros((atom_dim, atom_dim))
+            bg[i1, i1] = bg[i2, i2] = 0.5
+            marginal = partial_trace(rho, (atom_dim, atom_dim), keep=0)
+            rho = (1.0 - bg_rate) * rho + bg_rate * np.kron(marginal, bg)
     if stage == "stored":
-        s = memory_b.map_out(memory_b.map_in(s, bundle.eit), bundle.eit)
-    q = memory_a.decohere(memory_a.AtomQubitA(state=s.state, cutoff=cutoff),
-                          delay_s, bundle.coherence, bundle.geometry)
+        rho = photon_loss(rho, cutoff, *bundle.eit.map_in())
+        rho = photon_loss(rho, cutoff, *bundle.eit.map_out())
+    rho, weights = decohere_state(rho, cutoff, delay_s, bundle.coherence,
+                                  bundle.geometry)
     det = bundle.detection
     eta_a = det.det_a.eta_det
-    loss_a = dualrail.loss_channel(cutoff, q.mode_weights[0] * eta_a,
-                                   q.mode_weights[1] * eta_a)
-    rest = q.rest_dim
-    lifted = KrausChannel([np.kron(k, np.eye(rest)) for k in loss_a.operators])
-    rho = apply_channel(q.state, lifted).mat
+    loss_a = dualrail.loss_channel(cutoff, weights[0] * eta_a,
+                                   weights[1] * eta_a)
+    rest = rho.shape[0] // atom_dim
+    rho = apply_channel(rho, embedded(loss_a.operators, 1, rest))
 
     if setting is None:
         rot_a = rot_b = None

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from memlink import dualrail
-from memlink.qcore import DensityMatrix, apply_channel
-from oracles import pure_state
+from memlink.qcore import adjoint_matrix, apply_to_second
+from oracles import apply_channel, embedded, phase_unitary, pure_state
 
 
 def completeness(channel):
@@ -51,50 +51,62 @@ class TestLossChannel:
 
     def test_unit_survival_is_identity(self):
         ch = dualrail.loss_channel(2, 1.0, 1.0)
-        rho = DensityMatrix(pure_state([0.2, 0.4, 0.5, 0.3, 0.4, 0.2]))
-        out = apply_channel(rho, ch)
-        np.testing.assert_allclose(out.mat, rho.mat, atol=1e-12)
+        rho = pure_state([0.2, 0.4, 0.5, 0.3, 0.4, 0.2])
+        out = apply_channel(rho, ch.operators)
+        np.testing.assert_allclose(out, rho, atol=1e-12)
 
     def test_single_photon_survival_probability(self):
-        rho = DensityMatrix(pure_state([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
-        out = apply_channel(rho, dualrail.loss_channel(2, 0.22, 0.9))
-        pops = np.diag(out.mat).real
+        rho = pure_state([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        out = apply_channel(rho, dualrail.loss_channel(2, 0.22, 0.9).operators)
+        pops = np.diag(out).real
         assert pops[1] == pytest.approx(0.22, abs=1e-12)
         assert pops[0] == pytest.approx(0.78, abs=1e-12)
 
     def test_two_photon_loss_is_binomial(self):
         # |EE> through survival 0.5 per photon: 0.25 / 0.5 / 0.25 split
-        rho = DensityMatrix(pure_state([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
-        out = apply_channel(rho, dualrail.loss_channel(2, 0.5, 1.0))
-        pops = np.diag(out.mat).real
+        rho = pure_state([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+        out = apply_channel(rho, dualrail.loss_channel(2, 0.5, 1.0).operators)
+        pops = np.diag(out).real
         np.testing.assert_allclose([pops[0], pops[1], pops[3]],
                                    [0.25, 0.5, 0.25], atol=1e-12)
 
     def test_coherence_picks_up_amplitude_factors(self):
-        rho = DensityMatrix(pure_state([0.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
-        out = apply_channel(rho, dualrail.loss_channel(2, 0.5, 0.5))
+        rho = pure_state([0.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+        out = apply_channel(rho, dualrail.loss_channel(2, 0.5, 0.5).operators)
         # qubit block coherence scales by sqrt(eta1*eta2) over the
         # now-subnormalized block
-        np.testing.assert_allclose(out.mat[1, 2].real, 0.25, atol=1e-12)
+        np.testing.assert_allclose(out[1, 2].real, 0.25, atol=1e-12)
 
     def test_invalid_eta_rejected(self):
         with pytest.raises(ValueError):
             dualrail.loss_channel(2, 1.2, 0.5)
 
     def test_embedding_is_kron_with_identities(self):
-        bare = dualrail.loss_channel(2, 0.3, 0.8)
-        for left, right in ((6, 1), (1, 6), (2, 3)):
-            ch = dualrail.loss_channel(2, 0.3, 0.8, embed=(left, right))
-            assert len(ch.operators) == len(bare.operators)
-            for k, k0 in zip(ch.operators, bare.operators):
-                want = np.kron(np.kron(np.eye(left), k0), np.eye(right))
-                np.testing.assert_array_equal(k, want)
+        # on a joint state the channel acts on its own factor exactly as
+        # the operators padded with identities would
+        ch = dualrail.loss_channel(2, 0.3, 0.8)
+        rng = np.random.default_rng(11)
+        for left in (1, 2, 6):
+            ket = rng.normal(size=6 * left) + 1j * rng.normal(size=6 * left)
+            rho = pure_state(ket)
+            want = apply_channel(rho, embedded(ch.operators, left, 1))
+            np.testing.assert_allclose(apply_to_second(rho, ch), want,
+                                       atol=1e-14)
 
     def test_repeated_build_is_shared_and_read_only(self):
-        ch = dualrail.loss_channel(2, 0.41, 0.57, embed=(6, 1))
-        assert dualrail.loss_channel(2, 0.41, 0.57, embed=(6, 1)) is ch
+        ch = dualrail.loss_channel(2, 0.41, 0.57)
+        assert dualrail.loss_channel(2, 0.41, 0.57) is ch
         with pytest.raises(ValueError):
             ch.operators[0][0, 0] = 0.0
+
+    def test_vector_of_survivals_stacks_one_channel_each(self):
+        eta1 = np.array([1.0, 0.7, 0.2])
+        eta2 = np.array([0.5, 0.9, 0.0])
+        stack = dualrail.loss_channel(2, eta1, eta2)
+        assert stack.operators.shape[0] == 3
+        for row, (a, b) in enumerate(zip(eta1, eta2)):
+            np.testing.assert_array_equal(
+                stack.operators[row], dualrail.loss_channel(2, a, b).operators)
 
 
 class TestModeRotation:
@@ -131,30 +143,44 @@ class TestTransferChannel:
 
     def test_qubit_block_is_amplitude_damping(self):
         gamma = 0.3
-        rho = DensityMatrix(pure_state([0.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
-        out = apply_channel(rho, dualrail.transfer_channel(2, gamma))
-        pops = np.diag(out.mat).real
+        rho = pure_state([0.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+        out = apply_channel(rho, dualrail.transfer_channel(2, gamma).operators)
+        pops = np.diag(out).real
         assert pops[2] == pytest.approx(0.5 * (1 - gamma), abs=1e-12)
         assert pops[1] == pytest.approx(0.5 * (1 + gamma), abs=1e-12)
-        np.testing.assert_allclose(out.mat[1, 2].real,
+        np.testing.assert_allclose(out[1, 2].real,
                                    0.5 * math.sqrt(1 - gamma), atol=1e-12)
 
     def test_full_transfer_moves_everything(self):
-        rho = DensityMatrix(pure_state([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]))
-        out = apply_channel(rho, dualrail.transfer_channel(2, 1.0))
-        assert np.diag(out.mat).real[3] == pytest.approx(1.0, abs=1e-12)
+        rho = pure_state([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        out = apply_channel(rho, dualrail.transfer_channel(2, 1.0).operators)
+        assert np.diag(out).real[3] == pytest.approx(1.0, abs=1e-12)
 
     def test_embedding_is_kron_with_identities(self):
-        bare = dualrail.transfer_channel(2, 0.37)
-        ch = dualrail.transfer_channel(2, 0.37, embed=(1, 6))
-        assert dualrail.transfer_channel(2, 0.37, embed=(1, 6)) is ch
-        for k, k0 in zip(ch.operators, bare.operators, strict=True):
-            np.testing.assert_array_equal(k, np.kron(k0, np.eye(6)))
+        # pulled back on the first factor of a joint state, the channel
+        # gives the statistics of its operators padded with identities
+        ch = dualrail.transfer_channel(2, 0.37)
+        rng = np.random.default_rng(12)
+        rho = pure_state(rng.normal(size=36) + 1j * rng.normal(size=36))
+        obs_a, obs_b = (m + m.conj().T for m in rng.normal(size=(2, 6, 6)))
+        pulled = (obs_a.ravel() @ adjoint_matrix(ch)).reshape(6, 6)
+        forward = apply_channel(rho, embedded(ch.operators, 1, 6))
+        np.testing.assert_allclose(np.trace(np.kron(pulled, obs_b) @ rho),
+                                   np.trace(np.kron(obs_a, obs_b) @ forward),
+                                   atol=1e-13)
+
+    def test_vector_of_probabilities_stacks_one_channel_each(self):
+        gammas = np.array([0.0, 0.37, 1.0])
+        ch = dualrail.transfer_channel(2, gammas)
+        assert dualrail.transfer_channel(2, gammas) is ch
+        for row, gamma in enumerate(gammas):
+            np.testing.assert_array_equal(
+                ch.operators[row], dualrail.transfer_channel(2, gamma).operators)
 
 
 class TestPhaseAndDephasing:
     def test_phase_unitary_diagonal(self):
-        u = dualrail.phase_unitary(2, 0.7)
+        u = phase_unitary(2, 0.7)
         expected = np.exp(-1j * 0.7 * np.array([0, 0, 1, 0, 1, 2]))
         np.testing.assert_allclose(np.diag(u), expected, atol=1e-15)
 
@@ -163,6 +189,12 @@ class TestPhaseAndDephasing:
         assert env[1, 2] == pytest.approx(math.exp(-0.05))
         assert env[3, 5] == pytest.approx(math.exp(-4 * 0.05))
         np.testing.assert_allclose(np.diag(env), np.ones(6))
+
+    def test_dephasing_envelope_stacks_over_arguments(self):
+        envs = dualrail.dephasing_envelope(2, np.array([0.0, 0.05]))
+        np.testing.assert_array_equal(envs[0], np.ones((6, 6)))
+        np.testing.assert_array_equal(envs[1],
+                                      dualrail.dephasing_envelope(2, 0.05))
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,8 @@
-"""Emitting-node memory: wavevectors, lifetimes, decoherence, readout."""
+"""Emitting-node memory: wavevectors, lifetimes, decoherence, readout.
+
+Storage is checked through ``decohere``'s pulled-back effects: the
+statistics of an observable on node A's sector after storage.
+"""
 
 import dataclasses
 import math
@@ -6,12 +10,12 @@ import math
 import numpy as np
 import pytest
 
+from memlink import dualrail
 from memlink.config import ExperimentBundle
 from memlink.constants import CODATA
 from memlink.detection import (BasisSetting, DetectorParams,
                                expected_click_probs, trial_distribution)
 from memlink.memory_a import (
-    AtomQubitA,
     CoherenceParams,
     FreezingGeometry,
     MemoryConfigError,
@@ -25,16 +29,41 @@ from memlink.memory_a import (
     spinwave_wavevectors,
     zeeman_phase_increment,
 )
-from memlink.qcore import DensityMatrix
-from oracles import from_qubit_block, pure_state, validate
+from oracles import (apply_channel, decohere_state, embedded, expectation,
+                     from_qubit_block, pure_state)
 
 QUIET = CoherenceParams(t1_s=math.inf, t2_star_s=math.inf,
                         bias_field_gauss=0.0, mains_amplitude_gauss=0.0)
 FROZEN = FreezingGeometry()
+# mode 1 / mode 2 populations and the qubit-block X of node A's sector
+POP_1, POP_2, XX = (np.zeros((6, 6)) for _ in range(3))
+POP_1[1, 1] = POP_2[2, 2] = XX[1, 2] = XX[2, 1] = 1.0
 
 
 def plus_qubit():
     return from_qubit_block(np.full((2, 2), 0.5))
+
+
+def still(**coherence):
+    """Coherence without motional washout, so readout loses nothing at
+    unit efficiency."""
+    return CoherenceParams(temperature_k=0.0, **coherence)
+
+
+def pulled_back(readout, povm):
+    """Each delay's full pulled-back effects, (T, n, d, d): part 0 plus
+    parts 1, 2 and their adjoints (the coherences with dn = -1, -2)."""
+    parts = readout.effects(povm).reshape(readout.parts.shape[:2]
+                                          + (len(povm), 6, 6))
+    return (parts[:, 0] + parts[:, 1:].sum(axis=1)
+            + parts[:, 1:].sum(axis=1).conj().swapaxes(-1, -2))
+
+
+def stored(rho, obs, t, c, eta=1.0):
+    """Tr[obs Phi_t(rho)] on node A's sector, Phi_t storage for t and
+    readout at efficiency eta, from decohere's pulled-back effect."""
+    readout = decohere(2, [t], eta, c, FROZEN)
+    return expectation(rho, pulled_back(readout, np.asarray(obs)[None])[0, 0])
 
 
 def single_pair_bundle(eta_a=1.0, **coherence):
@@ -169,19 +198,19 @@ class TestCoherenceParamsValidation:
 class TestQubitContainer:
     def test_from_qubit_block_layout(self):
         q = from_qubit_block(np.diag([0.3, 0.7]))
-        assert q.state.dim == 6
-        pops = np.diag(q.state.mat).real
+        assert q.shape == (6, 6)
+        pops = np.diag(q).real
         np.testing.assert_allclose([pops[1], pops[2]], [0.3, 0.7], atol=1e-12)
-        assert q.rest_dim == 1
 
     def test_bad_block_shape_rejected(self):
         with pytest.raises(ValueError):
             from_qubit_block(np.eye(3))
 
     def test_rejects_incompatible_dimension(self):
-        state = DensityMatrix(pure_state([1.0, 0.0, 0.0, 0.0]))
+        # the forward reference needs the atomic sector as first factor
+        state = pure_state([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(MemoryConfigError):
-            AtomQubitA(state=state, cutoff=2)
+            decohere_state(state, 2, 0.0, CoherenceParams(), FROZEN)
 
 
 class TestPhaseIncrements:
@@ -225,56 +254,96 @@ class TestPhaseIncrements:
 
 class TestDecohere:
     def test_zero_duration_is_identity(self):
-        q = plus_qubit()
-        out = decohere(q, 0.0, CoherenceParams(), FROZEN)
-        np.testing.assert_allclose(out.state.mat, q.state.mat, atol=1e-15)
-        assert out.age_s == 0.0
-        assert out.mode_weights == (1.0, 1.0)
+        readout = decohere(2, [0.0], 1.0, CoherenceParams(), FROZEN)
+        np.testing.assert_allclose(readout.pulled[0], np.eye(36), atol=1e-15)
+        assert readout.swing[0] == 0.0
+        rng = np.random.default_rng(2)
+        rho = pure_state(rng.normal(size=6) + 1j * rng.normal(size=6))
+        for obs in (POP_1, POP_2, XX):
+            assert stored(rho, obs, 0.0, CoherenceParams()) == pytest.approx(
+                expectation(rho, obs), abs=1e-15)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(MemoryConfigError):
-            decohere(plus_qubit(), -1e-6, CoherenceParams(), FROZEN)
+            decohere(2, [-1e-6], 1.0, CoherenceParams(), FROZEN)
 
     def test_pure_zeeman_rotation(self):
-        c = CoherenceParams(t1_s=math.inf, t2_star_s=math.inf,
-                            mains_amplitude_gauss=0.0)
+        c = still(t1_s=math.inf, t2_star_s=math.inf,
+                  mains_amplitude_gauss=0.0)
         for t in (10e-6, 50e-6, 103e-6):
-            out = decohere(plus_qubit(), t, c, FROZEN)
             phi = zeeman_phase_increment(c, t)
-            xx = 2.0 * np.real(out.state.mat[1, 2])
-            np.testing.assert_allclose(xx, math.cos(phi), atol=1e-9)
+            np.testing.assert_allclose(stored(plus_qubit(), XX, t, c),
+                                       math.cos(phi), atol=1e-9)
 
     def test_t2_star_envelope(self):
-        c = CoherenceParams(t1_s=math.inf, bias_field_gauss=0.0,
-                            mains_amplitude_gauss=0.0)
-        out = decohere(plus_qubit(), c.t2_star_s, c, FROZEN)
-        xx = 2.0 * np.real(out.state.mat[1, 2])
-        np.testing.assert_allclose(xx, math.exp(-1.0), rtol=1e-10)
+        c = still(t1_s=math.inf, bias_field_gauss=0.0,
+                  mains_amplitude_gauss=0.0)
+        np.testing.assert_allclose(stored(plus_qubit(), XX, c.t2_star_s, c),
+                                   math.exp(-1.0), rtol=1e-10)
 
     def test_t1_population_transfer(self):
-        c = CoherenceParams(t2_star_s=math.inf, bias_field_gauss=0.0,
-                            mains_amplitude_gauss=0.0)
+        c = still(t2_star_s=math.inf, bias_field_gauss=0.0,
+                  mains_amplitude_gauss=0.0)
         q = from_qubit_block(np.diag([0.0, 1.0]))
-        out = decohere(q, c.t1_s, c, FROZEN)
-        pops = np.diag(out.state.mat).real
-        np.testing.assert_allclose(pops[2], math.exp(-1.0), rtol=1e-10)
-        np.testing.assert_allclose(pops[1], 1.0 - math.exp(-1.0), rtol=1e-10)
+        np.testing.assert_allclose(stored(q, POP_2, c.t1_s, c),
+                                   math.exp(-1.0), rtol=1e-10)
+        np.testing.assert_allclose(stored(q, POP_1, c.t1_s, c),
+                                   1.0 - math.exp(-1.0), rtol=1e-10)
 
     def test_composition_of_consecutive_calls(self):
-        c = CoherenceParams(mains_synced=True, mains_phase_rad=0.4)
-        one = decohere(plus_qubit(), 150e-6, c, FROZEN)
-        two = decohere(decohere(plus_qubit(), 60e-6, c, FROZEN),
-                       90e-6, c, FROZEN)
-        np.testing.assert_allclose(two.state.mat, one.state.mat, atol=1e-12)
-        assert two.age_s == pytest.approx(one.age_s)
-        np.testing.assert_allclose(two.mode_weights, one.mode_weights,
-                                   rtol=1e-12)
+        # with no washout and unit efficiency the readout loses nothing,
+        # and T1 transfer over consecutive stretches composes: the
+        # adjoint of 60 us then 90 us is the adjoint of 150 us
+        c = still(mains_synced=True, mains_phase_rad=0.4)
+        one, two, both = (decohere(2, [t], 1.0, c, FROZEN).pulled[0]
+                          for t in (60e-6, 90e-6, 150e-6))
+        np.testing.assert_allclose(two @ one, both, atol=1e-12)
 
     def test_mode_weights_track_total_age(self):
+        # a mode-1 excitation reaches the readout with the retrieval
+        # weight at the total age; the rest of the time it is lost
         c = CoherenceParams()
-        out = decohere(plus_qubit(), 103e-6, c, FROZEN)
-        np.testing.assert_allclose(out.mode_weights[0], 0.9695753073988448,
-                                   rtol=1e-12)
+        q = from_qubit_block(np.diag([1.0, 0.0]))
+        vacuum = np.zeros((6, 6))
+        vacuum[0, 0] = 1.0
+        np.testing.assert_allclose(stored(q, POP_1, 103e-6, c),
+                                   0.9695753073988448, rtol=1e-12)
+        np.testing.assert_allclose(stored(q, vacuum, 103e-6, c),
+                                   1.0 - 0.9695753073988448, rtol=1e-12)
+
+    def test_stacked_delays_match_one_by_one(self):
+        c = CoherenceParams(mains_synced=False, mains_amplitude_gauss=1.61e-3)
+        delays = [0.0, 37e-6, 103e-6, 400e-6]
+        stack = decohere(2, delays, 0.3, c, FROZEN)
+        for row, t in enumerate(delays):
+            one = decohere(2, [t], 0.3, c, FROZEN)
+            np.testing.assert_allclose(stack.pulled[row], one.pulled[0],
+                                       rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(stack.parts[row], one.parts[0],
+                                       rtol=0.0, atol=1e-15)
+            assert stack.swing[row] == one.swing[0]
+
+    def test_heisenberg_dual_of_forward_storage(self):
+        """Tr[E Phi_t(rho)] from the pulled-back effect equals the
+        forward reference followed by the readout loss, on a joint
+        state with node A as first factor."""
+        c = CoherenceParams(mains_synced=True, mains_phase_rad=0.9,
+                            mains_amplitude_gauss=1.61e-3)
+        eta, t = 0.4, 230e-6
+        rng = np.random.default_rng(8)
+        rho = pure_state(rng.normal(size=36) + 1j * rng.normal(size=36))
+        obs_a, obs_b = (m + m.conj().T for m in rng.normal(size=(2, 6, 6)))
+        fwd, (w1, w2) = decohere_state(rho, 2, t, c, FROZEN)
+        loss = dualrail.loss_channel(2, w1 * eta, w2 * eta).operators
+        fwd = apply_channel(fwd, embedded(loss, 1, 6))
+        n2 = dualrail.mode2_count_vector(2)
+        phi = mains_phase_increment(c, 0.0, t, 0.9)
+        fwd = fwd * np.exp(-1j * phi * np.subtract.outer(
+            np.repeat(n2, 6), np.repeat(n2, 6)))
+        want = expectation(fwd, np.kron(obs_a, obs_b))
+        pulled = pulled_back(decohere(2, [t], eta, c, FROZEN), obs_a[None])
+        got = expectation(rho, np.kron(pulled[0, 0], obs_b))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_synced_mains_adds_deterministic_phase(self):
         # The pattern distribution folds the synced ripple in as a phase
@@ -296,19 +365,36 @@ class TestDecohere:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
     def test_include_mains_false_skips_ripple(self):
-        # decohere never applies the ripple; the pattern distribution does
-        c = CoherenceParams(t1_s=math.inf, t2_star_s=math.inf,
-                            bias_field_gauss=0.0,
-                            mains_amplitude_gauss=1.61e-3,
-                            mains_synced=True, mains_phase_rad=0.9)
-        out = decohere(plus_qubit(), 80e-6, c, FROZEN)
-        np.testing.assert_allclose(out.state.mat[1, 2], 0.5, atol=1e-12)
+        # a free-running ripple is left out of the pulled-back effects
+        # and reported as the swing of the per-trial phase; a synced one
+        # is a fixed phase inside them
+        t = 80e-6
+        free = still(t1_s=math.inf, t2_star_s=math.inf, bias_field_gauss=0.0,
+                     mains_amplitude_gauss=1.61e-3, mains_synced=False)
+        readout = decohere(2, [t], 1.0, free, FROZEN)
+        assert readout.swing[0] == mains_swing_amplitude(free, t) > 0.0
+        np.testing.assert_allclose(stored(plus_qubit(), XX, t, free), 1.0,
+                                   atol=1e-12)
+        synced = dataclasses.replace(free, mains_synced=True,
+                                     mains_phase_rad=0.9)
+        phi = mains_phase_increment(synced, 0.0, t, 0.9)
+        assert decohere(2, [t], 1.0, synced, FROZEN).swing[0] == 0.0
+        np.testing.assert_allclose(stored(plus_qubit(), XX, t, synced),
+                                   math.cos(phi), atol=1e-12)
 
     def test_state_stays_physical(self):
-        c = CoherenceParams()
-        out = decohere(plus_qubit(), 300e-6, c, FROZEN)
-        validate(out.state.mat)
-        assert np.trace(out.state.mat @ out.state.mat).real <= 1.0 + 1e-10
+        # the adjoint of a channel keeps a POVM a POVM: every pulled-back
+        # effect is Hermitian and positive, and they sum to the identity
+        povm = np.stack(list(dualrail.detection_povm(2, None, 1.0,
+                                                     3e-4).values()))
+        readout = decohere(2, [0.0, 103e-6, 300e-6], 0.15,
+                           CoherenceParams(), FROZEN)
+        for effects in pulled_back(readout, povm):
+            for e in effects:
+                np.testing.assert_allclose(e, e.conj().T, atol=1e-15)
+                assert np.linalg.eigvalsh(e).min() >= -1e-12
+            np.testing.assert_allclose(effects.sum(axis=0), np.eye(6),
+                                       atol=1e-12)
 
 
 class TestReadout:

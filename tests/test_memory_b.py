@@ -5,16 +5,16 @@ import pytest
 
 from memlink import dualrail
 from memlink.memory_b import EITConfigError, EITParams, map_in, map_out
-from memlink.qcore import DensityMatrix, apply_channel
 from memlink.source import AtomPhotonState, SourceParams, atom_photon_state
-from oracles import excitation_probabilities, post_select, pure_state, validate
+from oracles import (apply_channel, embedded, excitation_probabilities,
+                     post_select, pure_state, validate)
 
 
 def photon_only(amps):
     """Joint state with the atom parked in its ground state."""
     joint = np.zeros(36, dtype=complex)
     joint[:6] = amps
-    return AtomPhotonState(state=DensityMatrix(pure_state(joint)), cutoff=2)
+    return AtomPhotonState(state=pure_state(joint), cutoff=2)
 
 
 def early_photon():
@@ -31,7 +31,7 @@ def balanced_photon():
 
 def survival(s):
     """Probability that the photonic factor holds at least one excitation."""
-    return 1.0 - excitation_probabilities(s.state.mat, s.cutoff)[0]
+    return 1.0 - excitation_probabilities(s.state, s.cutoff)[0]
 
 
 def round_trip(s, p):
@@ -42,7 +42,7 @@ def round_trip(s, p):
 
 def qubit_block(s):
     """Post-selected single-photon block of the photonic factor."""
-    return post_select(s.state.mat, [1, 2])[0]
+    return post_select(s.state, [1, 2])[0]
 
 
 class TestParams:
@@ -98,16 +98,17 @@ class TestStorageRoundTrip:
         # every stage preserves trace, so the state's weight is its trace
         s = atom_photon_state(SourceParams(chi=0.1))
         out, _ = round_trip(s, EITParams())
-        np.testing.assert_allclose(np.trace(out.state.mat).real, 1.0,
+        np.testing.assert_allclose(np.trace(out.state).real, 1.0,
                                    atol=1e-12)
-        validate(out.state.mat)
+        validate(out.state)
 
     def test_map_stages_compose_to_round_trip(self):
         p = EITParams(eta_map_in_fraction=0.37)
         staged = map_out(map_in(balanced_photon(), p), p)
-        whole = dualrail.loss_channel(2, p.eta_up, p.eta_down, embed=(6, 1))
-        direct = apply_channel(balanced_photon().state, whole)
-        np.testing.assert_allclose(staged.state.mat, direct.mat, atol=1e-12)
+        whole = dualrail.loss_channel(2, p.eta_up, p.eta_down)
+        direct = apply_channel(balanced_photon().state,
+                               embedded(whole.operators, 6, 1))
+        np.testing.assert_allclose(staged.state, direct, atol=1e-12)
 
 
 class TestSurvivalProbability:
@@ -120,12 +121,12 @@ class TestSurvivalProbability:
 
     def test_matches_analytic_for_source_state(self):
         s = atom_photon_state(SourceParams(chi=0.1, double_amp_scale=0.8))
-        pops = np.diag(s.state.mat).real.reshape(6, 6)
+        pops = np.diag(s.state).real.reshape(6, 6)
         vac = [j for j, occ in enumerate(dualrail.occupations(s.cutoff))
                if occ == (0, 0)]
         np.testing.assert_allclose(survival(s), 1.0 - pops[:, vac].sum(),
                                    rtol=1e-12)
-        probs = excitation_probabilities(s.state.mat, s.cutoff)
+        probs = excitation_probabilities(s.state, s.cutoff)
         np.testing.assert_allclose(survival(s), probs[1] + probs[2],
                                    rtol=1e-12)
 

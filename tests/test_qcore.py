@@ -1,13 +1,14 @@
-"""Density-matrix engine: states, channels, and the test oracles on them."""
+"""Operator toolbox: channels, factor-local maps, and the test oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from memlink.qcore import (PAULI, DensityMatrix, KrausChannel,
-                           QuantumStateError, apply_channel, partial_trace)
-from oracles import expectation, post_select, pure_state, validate
+from memlink.qcore import (PAULI, KrausChannel, QuantumStateError,
+                           adjoint_matrix, apply_to_second)
+from oracles import (apply_channel, embedded, expectation, partial_trace,
+                     post_select, pure_state, validate)
 
 
 def loss_channel_qubit(survival):
@@ -25,11 +26,11 @@ def dephasing_channel_qubit(factor):
 
 
 def plus_state():
-    return DensityMatrix(pure_state([1.0, 1.0]))
+    return pure_state([1.0, 1.0])
 
 
 def bell_phi_plus():
-    return DensityMatrix(pure_state([1.0, 0.0, 0.0, 1.0]))
+    return pure_state([1.0, 0.0, 0.0, 1.0])
 
 
 class TestDensityMatrix:
@@ -71,23 +72,25 @@ class TestChannels:
     def test_identity_channel_leaves_state(self):
         rho = plus_state()
         ident = KrausChannel([np.eye(2, dtype=complex)])
-        out = apply_channel(rho, ident)
-        np.testing.assert_allclose(out.mat, rho.mat, atol=1e-15)
+        out = apply_channel(rho, ident.operators)
+        np.testing.assert_allclose(out, rho, atol=1e-15)
 
     def test_full_dephasing_kills_coherence(self):
-        out = apply_channel(plus_state(), dephasing_channel_qubit(0.0))
-        np.testing.assert_allclose(out.mat, np.diag([0.5, 0.5]), atol=1e-12)
+        out = apply_channel(plus_state(),
+                            dephasing_channel_qubit(0.0).operators)
+        np.testing.assert_allclose(out, np.diag([0.5, 0.5]), atol=1e-12)
 
     def test_amplitude_damping_hand_value(self):
         # excited state through survival 0.7: population drops to 0.7
-        rho = DensityMatrix(pure_state([0.0, 1.0]))
-        out = apply_channel(rho, loss_channel_qubit(0.7))
-        np.testing.assert_allclose(np.diag(out.mat).real, [0.3, 0.7],
+        rho = pure_state([0.0, 1.0])
+        out = apply_channel(rho, loss_channel_qubit(0.7).operators)
+        np.testing.assert_allclose(np.diag(out).real, [0.3, 0.7],
                                    atol=1e-12)
 
     def test_partial_dephasing_scales_off_diagonals(self):
-        out = apply_channel(plus_state(), dephasing_channel_qubit(0.25))
-        np.testing.assert_allclose(out.mat[0, 1], 0.25 * 0.5, atol=1e-12)
+        out = apply_channel(plus_state(),
+                            dephasing_channel_qubit(0.25).operators)
+        np.testing.assert_allclose(out[0, 1], 0.25 * 0.5, atol=1e-12)
 
     def test_over_complete_channel_rejected(self):
         ops = [np.eye(2, dtype=complex), 0.5 * np.eye(2, dtype=complex)]
@@ -106,12 +109,15 @@ class TestChannels:
         """Applying two channels in sequence equals the composed map."""
         a = loss_channel_qubit(0.8)
         b = dephasing_channel_qubit(0.6)
-        rho = DensityMatrix(pure_state([0.6, 0.8j]))
-        seq = apply_channel(apply_channel(rho, a), b)
+        rho = pure_state([0.6, 0.8j])
+        seq = apply_channel(apply_channel(rho, a.operators), b.operators)
         composed = KrausChannel(
             [kb @ ka for kb in b.operators for ka in a.operators])
-        direct = apply_channel(rho, composed)
-        np.testing.assert_allclose(seq.mat, direct.mat, atol=1e-9)
+        direct = apply_channel(rho, composed.operators)
+        np.testing.assert_allclose(seq, direct, atol=1e-9)
+        # the adjoints compose in reverse order, as matrix products
+        np.testing.assert_allclose(adjoint_matrix(b) @ adjoint_matrix(a),
+                                   adjoint_matrix(composed), atol=1e-12)
 
 
 class TestExpectation:
@@ -120,14 +126,14 @@ class TestExpectation:
         assert expectation(rho, PAULI["Z"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_state_identities(self):
-        rho = bell_phi_plus().mat
+        rho = bell_phi_plus()
         for name, value in (("X", 1.0), ("Y", -1.0), ("Z", 1.0)):
             obs = np.kron(PAULI[name], PAULI[name])
             assert expectation(rho, obs) == pytest.approx(value, abs=1e-10)
 
     def test_tilted_basis_trace_oracle(self):
         # <Z (x) (-Z+X)/sqrt(2)> on the maximally correlated pair
-        rho = bell_phi_plus().mat
+        rho = bell_phi_plus()
         tilted = (-PAULI["Z"] + PAULI["X"]) / math.sqrt(2.0)
         obs = np.kron(PAULI["Z"], tilted)
         assert expectation(rho, obs) == pytest.approx(-1.0 / math.sqrt(2.0),
@@ -135,20 +141,20 @@ class TestExpectation:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            expectation(bell_phi_plus().mat, PAULI["Z"])
+            expectation(bell_phi_plus(), PAULI["Z"])
 
 
 class TestReshaping:
     def test_partial_trace_of_product(self):
         a = pure_state([1.0, 0.0])
         b = plus_state()
-        joint = DensityMatrix(np.kron(a, b.mat))
+        joint = np.kron(a, b)
         kept = partial_trace(joint, (2, 2), keep=1)
-        np.testing.assert_allclose(kept.mat, b.mat, atol=1e-12)
+        np.testing.assert_allclose(kept, b, atol=1e-12)
 
     def test_partial_trace_of_entangled_pair_is_mixed(self):
         red = partial_trace(bell_phi_plus(), (2, 2), keep=0)
-        np.testing.assert_allclose(red.mat, np.eye(2) / 2.0, atol=1e-12)
+        np.testing.assert_allclose(red, np.eye(2) / 2.0, atol=1e-12)
 
     def test_post_select_tracks_probability(self):
         rho = pure_state([1.0, 0.0, 0.0, 1.0])
@@ -167,12 +173,43 @@ class TestReshaping:
     def test_every_engine_output_stays_physical(self):
         """Invariant sweep: states coming out of the toolbox validate."""
         rng = np.random.default_rng(3)
-        rho = DensityMatrix(
-            pure_state(rng.normal(size=4) + 1j * rng.normal(size=4)))
-        validate(rho.mat)
-        ch = KrausChannel([np.kron(k, np.eye(2))
-                           for k in loss_channel_qubit(0.4).operators])
-        out = apply_channel(rho, ch)
-        validate(out.mat)
-        validate(partial_trace(out, (2, 2), 0).mat)
-        validate(post_select(out.mat, [0, 1])[0])
+        rho = pure_state(rng.normal(size=4) + 1j * rng.normal(size=4))
+        validate(rho)
+        out = apply_to_second(rho, loss_channel_qubit(0.4))
+        validate(out)
+        validate(partial_trace(out, (2, 2), 0))
+        validate(post_select(out, [0, 1])[0])
+
+
+class TestFactorLocalMaps:
+    def test_apply_to_second_is_kron_with_identity(self):
+        rng = np.random.default_rng(5)
+        ch = loss_channel_qubit(0.35)
+        for d0 in (1, 2, 3):
+            ket = rng.normal(size=2 * d0) + 1j * rng.normal(size=2 * d0)
+            rho = pure_state(ket)
+            want = apply_channel(rho, embedded(ch.operators, d0, 1))
+            np.testing.assert_allclose(apply_to_second(rho, ch), want,
+                                       atol=1e-14)
+
+    def test_adjoint_matrix_is_the_heisenberg_dual(self):
+        """Tr[E Phi(rho)] = Tr[Phi^dag(E) rho], Phi^dag from the matrix."""
+        rng = np.random.default_rng(6)
+        ch = KrausChannel([kb @ ka
+                           for kb in dephasing_channel_qubit(0.3).operators
+                           for ka in loss_channel_qubit(0.6).operators])
+        rho = pure_state(rng.normal(size=2) + 1j * rng.normal(size=2))
+        obs = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        pulled = (obs.ravel() @ adjoint_matrix(ch)).reshape(2, 2)
+        np.testing.assert_allclose(np.trace(pulled @ rho),
+                                   np.trace(obs @ apply_channel(
+                                       rho, ch.operators)), atol=1e-14)
+
+    def test_stacked_channels_are_checked_one_by_one(self):
+        good = loss_channel_qubit(0.5).operators
+        stack = KrausChannel(np.stack([good, loss_channel_qubit(0.9)
+                                       .operators]))
+        assert stack.operators.shape == (2, 2, 2, 2)
+        assert adjoint_matrix(stack).shape == (2, 4, 4)
+        with pytest.raises(QuantumStateError):
+            KrausChannel(np.stack([good, 0.5 * good]))

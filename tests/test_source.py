@@ -7,25 +7,26 @@ import pytest
 
 from memlink import dualrail
 from memlink.constants import CODATA
-from memlink.memory_a import (AtomQubitA, CoherenceParams, FreezingGeometry,
-                              MemoryConfigError, decohere)
+from memlink.memory_a import (CoherenceParams, FreezingGeometry,
+                              MemoryConfigError)
 from memlink.source import (
     AtomPhotonState,
     SourceConfigError,
     SourceParams,
     atom_photon_state,
 )
-from oracles import excitation_probabilities, single_excitation_block, validate
+from oracles import (decohere_state, excitation_probabilities,
+                     single_excitation_block, validate)
 
 
 def photon_numbers(s):
     """Probability of each total photon number of a source state."""
-    return excitation_probabilities(s.state.mat, s.cutoff)
+    return excitation_probabilities(s.state, s.cutoff)
 
 
 def qubit_block(p):
     """Post-selected one-pair block of the source state and its weight."""
-    return single_excitation_block(atom_photon_state(p).state.mat, 2)
+    return single_excitation_block(atom_photon_state(p).state, 2)
 
 
 def brute_force_ket(chi, phi0, scale, imbalance, cutoff=2):
@@ -53,19 +54,19 @@ def brute_force_ket(chi, phi0, scale, imbalance, cutoff=2):
 def evolution_phase(t, phi0=0.0, bias_field_gauss=6.93e-3):
     """Relative phase of the single-pair branches after storage time t.
 
-    Read off the chain: the angle of the (d,E)-(u,L) coherence of the
-    source ket after node A stores it for t with only the bias field
-    acting.  The module docstring's law is phi(t) = rate * B * t + phi0.
+    Read off the forward storage reference: the angle of the
+    (d,E)-(u,L) coherence of the source ket after node A stores it for
+    t with only the bias field acting.  The module docstring's law is phi(t) = rate * B * t + phi0.
     """
     coherence = CoherenceParams(t1_s=math.inf, t2_star_s=math.inf,
                                 bias_field_gauss=bias_field_gauss,
                                 mains_amplitude_gauss=0.0)
     s = atom_photon_state(SourceParams(phi0=phi0))
-    q = decohere(AtomQubitA(state=s.state, cutoff=s.cutoff), t, coherence,
-                 FreezingGeometry())
+    rho, _ = decohere_state(s.state, s.cutoff, t, coherence,
+                            FreezingGeometry())
     d, u = dualrail.qubit_indices(s.cutoff)
     dim = dualrail.sector_dim(s.cutoff)
-    return float(np.angle(q.state.mat[d * dim + d, u * dim + u]))
+    return float(np.angle(rho[d * dim + d, u * dim + u]))
 
 
 class TestEvolutionPhase:
@@ -104,7 +105,7 @@ class TestLadderConstruction:
                          write_imbalance=0.1)
         s = atom_photon_state(p)
         ket = brute_force_ket(0.08, 0.4, 0.7, 0.1)
-        np.testing.assert_allclose(s.state.mat, np.outer(ket, ket.conj()),
+        np.testing.assert_allclose(s.state, np.outer(ket, ket.conj()),
                                    atol=1e-12)
 
     def test_single_pair_probability_is_chi_exactly(self):
@@ -133,21 +134,21 @@ class TestLadderConstruction:
 
     def test_state_is_pure(self):
         s = atom_photon_state(SourceParams(chi=0.12, phi0=0.3))
-        purity = np.trace(s.state.mat @ s.state.mat).real
+        purity = np.trace(s.state @ s.state).real
         assert purity == pytest.approx(1.0, abs=1e-10)
-        validate(s.state.mat)
+        validate(s.state)
 
     def test_ladder_weight_monotone_in_chi(self):
         # the ladder weight is the population outside the joint vacuum
         weights = [1.0 - atom_photon_state(SourceParams(chi=c))
-                   .state.mat[0, 0].real
+                   .state[0, 0].real
                    for c in (0.01, 0.054, 0.1, 0.2, 0.4)]
         assert all(0.0 < w < 1.0 for w in weights)
         assert all(a < b for a, b in zip(weights, weights[1:]))
 
     def test_imbalance_shifts_population(self):
         s = atom_photon_state(SourceParams(chi=0.1, write_imbalance=0.5))
-        pops = np.diag(s.state.mat).real.reshape(6, 6)
+        pops = np.diag(s.state).real.reshape(6, 6)
         early = pops[1, 1]
         late = pops[2, 2]
         assert early == pytest.approx(0.075, rel=1e-12)
@@ -157,7 +158,8 @@ class TestLadderConstruction:
         s = atom_photon_state(SourceParams())
         assert isinstance(s, AtomPhotonState)
         assert s.cutoff == 2
-        assert s.state.dim == dualrail.sector_dim(2) ** 2 == 36
+        assert s.state.shape == (36, 36)
+        assert dualrail.sector_dim(2) ** 2 == 36
 
 
 class TestQubitBlock:
@@ -174,7 +176,7 @@ class TestQubitBlock:
         d, u = dualrail.qubit_indices(s.cutoff)
         joint = [a * 6 + p for a in (d, u) for p in (d, u)]
         np.testing.assert_allclose(block * prob,
-                                   s.state.mat[np.ix_(joint, joint)],
+                                   s.state[np.ix_(joint, joint)],
                                    atol=1e-15)
 
     def test_block_weight_is_chi(self):

@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
 """Write every scenario's outputs in every mode, for a byte-level diff.
 
-    PYTHONPATH=<tree>/src python3 tools/snapshot_campaigns.py OUT
+    PYTHONPATH=<tree>/src python3 tools/snapshot_campaigns.py OUT [SEED ...]
 
 Runs the 8 scenarios in ``auto``, ``analytic`` and ``mc`` mode at the
 default seed and default trial counts through ``run_experiment`` into
 ``OUT/<scenario>-<mode>/`` (summary.kv, summary.txt and the CSVs).
+Each SEED (an integer, or a range ``A-B`` of them) also runs the three
+sampled campaigns of the benchmark's ``cli`` workload (``checkpoints``,
+``bell`` and ``fidelity`` in ``auto`` mode) at that master seed into
+``OUT/seed-<n>/<scenario>/``, so that one diff covers the seeds a
+benchmark run may draw.
 Snapshot two source trees into two directories and compare them with
 ``diff -r``: a refactor that claims unchanged numbers leaves it empty.
 The golden files under ``tests/golden/`` pin only the ``auto`` runs.
@@ -17,20 +22,40 @@ from memlink.config import SCENARIOS, CampaignConfig
 from memlink.scenarios import run_experiment
 
 MODES = ("auto", "analytic", "mc")
+SEEDED_SCENARIOS = ("checkpoints", "bell", "fidelity")
+
+
+def parse_seeds(args: list[str]) -> list[int]:
+    """Seeds from integers and inclusive ``A-B`` ranges, in order."""
+    seeds = []
+    for arg in args:
+        first, _, last = arg.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def run(label: str, cfg: CampaignConfig) -> None:
+    result = run_experiment(cfg)
+    status = result.summary.get("error") or (
+        "PASS" if result.passed else "FAIL")
+    print(f"{label}: {status}")
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if not argv:
         print(__doc__, file=sys.stderr)
         return 2
+    out, seeds = argv[0], parse_seeds(argv[1:])
     for scenario in SCENARIOS:
         for mode in MODES:
-            out_dir = f"{argv[0]}/{scenario}-{mode}"
-            result = run_experiment(CampaignConfig(
-                scenario=scenario, mode=mode, out_dir=out_dir))
-            status = result.summary.get("error") or (
-                "PASS" if result.passed else "FAIL")
-            print(f"{scenario}-{mode}: {status}")
+            run(f"{scenario}-{mode}", CampaignConfig(
+                scenario=scenario, mode=mode,
+                out_dir=f"{out}/{scenario}-{mode}"))
+    for seed in seeds:
+        for scenario in SEEDED_SCENARIOS:
+            run(f"seed-{seed}/{scenario}", CampaignConfig(
+                scenario=scenario, seed=seed,
+                out_dir=f"{out}/seed-{seed}/{scenario}"))
     return 0
 
 
