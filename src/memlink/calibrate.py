@@ -7,12 +7,24 @@ those five knobs so the analytic forward model reproduces the measured
 write/read correlation at the three checkpoints plus the CHSH and
 fidelity values, weighting each residual by the published uncertainty.
 
+The solver gets the exact Jacobian (``prediction_gradients``): every
+map of the chain before the detectors is linear in the state and every
+POVM element is a polynomial in (1 - dark), so the derivatives ride
+through the same stages as the state (``detection.trial_tangents``) and
+the chain rule carries them through g2, the correlators, S and F.  The
+result reports each free constant's one-sigma uncertainty and their
+correlations from (J^T J)^-1 of the weighted residuals; a constant the
+fit leaves on one of its bounds is reported as such, with no sigma.
+A targets file whose entries are not finite numbers is refused as a
+``ConfigError``.
+
 The fitted values are frozen into config.py as the CAL_* constants and
 switched in by ``calibrated_bundle``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +32,9 @@ import yaml
 
 from . import estimators
 from .config import NOISE_PARAMS, ConfigError, ExperimentBundle, with_noise
-from .detection import (BasisSetting, expected_click_probs,
-                        expected_outcome_probs, trial_distribution)
+from .detection import (BINS, CLICKS, TALLY, BasisSetting,
+                        expected_click_probs, expected_outcome_probs,
+                        trial_distribution, trial_tangents)
 from .estimators import EstimateWithError
 from .scenarios import (CHSH_SETTINGS, CHSH_TARGET, CORR_SETTINGS,
                         FIDELITY_TARGET, G2_TARGETS, bell_delay_s)
@@ -68,6 +81,14 @@ class CalibrationResult:
     cost: float = 0.0
     converged: bool = True
     message: str = ""
+    # one-sigma uncertainty of each fitted constant not on a bound, and
+    # the correlation of each pair of them, from (J^T J)^-1
+    sigmas: dict[str, float] = field(default_factory=dict)
+    correlations: dict[tuple[str, str], float] = field(default_factory=dict)
+    # "lower" or "upper" for each constant the fit left on that bound
+    at_bound: dict[str, str] = field(default_factory=dict)
+    nfev: int = 0
+    njev: int = 0
 
 
 def bundle_with(params: dict[str, float]) -> ExperimentBundle:
@@ -75,16 +96,20 @@ def bundle_with(params: dict[str, float]) -> ExperimentBundle:
     return with_noise(ExperimentBundle(), params)
 
 
-def model_predictions(bundle: ExperimentBundle) -> dict[str, float]:
-    """Exact forward model of every calibration target."""
+def _stage_delays(bundle: ExperimentBundle) -> tuple:
+    """(checkpoint, delay) of the three g2 targets."""
     tl = bundle.timeline
-    stage_delays = (
+    return (
         ("source", tl.analysis_delay_s),
         ("transferred", link.latency(bundle.channel) + tl.analysis_delay_s),
         ("stored", bell_delay_s(bundle)),
     )
+
+
+def model_predictions(bundle: ExperimentBundle) -> dict[str, float]:
+    """Exact forward model of every calibration target."""
     out = {}
-    for stage, delay in stage_delays:
+    for stage, delay in _stage_delays(bundle):
         clicks = expected_click_probs(
             trial_distribution(bundle, None, delay, stage))
         out[f"g2_{stage}"] = clicks["ab"] / (clicks["a"] * clicks["b"])
@@ -109,6 +134,58 @@ def model_predictions(bundle: ExperimentBundle) -> dict[str, float]:
     return out
 
 
+def _directions(stage: str) -> list[int]:
+    """FREE_PARAMS index of each direction of ``trial_tangents``; node
+    B's detectors are the monitor's at the source checkpoint."""
+    dark_b = "dark_monitor" if stage == "source" else "dark_b"
+    return [FREE_PARAMS.index(name) for name in
+            ("double_amp_scale", "background_rate", dark_b, "dark_a")]
+
+
+def _probs_and_slopes(bundle: ExperimentBundle, setting, delay: float,
+                      stage: str) -> tuple[np.ndarray, np.ndarray]:
+    """Mean pattern probabilities and their (len(FREE_PARAMS), 16)
+    derivatives."""
+    probs = trial_distribution(bundle, setting, delay,
+                               stage).mean_probabilities()
+    slopes = np.zeros((len(FREE_PARAMS), len(probs)))
+    slopes[_directions(stage)] = trial_tangents(bundle, setting, delay,
+                                                stage)
+    return probs, slopes
+
+
+def prediction_gradients(bundle: ExperimentBundle) -> dict[str, np.ndarray]:
+    """Exact derivative of every ``model_predictions`` value by each
+    FREE_PARAMS constant, in FREE_PARAMS order."""
+    out = {}
+    for stage, delay in _stage_delays(bundle):
+        probs, slopes = _probs_and_slopes(bundle, None, delay, stage)
+        a, b, ab = TALLY[CLICKS] @ probs
+        da, db, dab = TALLY[CLICKS] @ slopes.T
+        out[f"g2_{stage}"] = ab / (a * b) * (dab / ab - da / a - db / b)
+
+    # E = (b0 + b3 - b1 - b2) / sum(b) over the signed outcome bins
+    signs = np.array([1.0, -1.0, -1.0, 1.0])
+    rows = TALLY[BINS[bundle.detection.double_click_policy]]
+    delay = bell_delay_s(bundle)
+    corr, dcorr = {}, {}
+    for pair in CHSH_SETTINGS + CORR_SETTINGS:
+        setting = BasisSetting(*pair)
+        probs, slopes = _probs_and_slopes(bundle, setting, delay, "stored")
+        bins, dbins = rows @ probs, rows @ slopes.T
+        total = bins.sum()
+        corr[setting.key] = signs @ bins / total
+        dcorr[setting.key] = (signs @ dbins
+                              - corr[setting.key] * dbins.sum(axis=0)) / total
+
+    chsh_sum = (corr["A0,B0"] + corr["A0,B1"] + corr["A1,B0"]
+                - corr["A1,B1"])
+    out["chsh"] = np.sign(chsh_sum) * (dcorr["A0,B0"] + dcorr["A0,B1"]
+                                       + dcorr["A1,B0"] - dcorr["A1,B1"])
+    out["fidelity"] = (dcorr["X,X"] - dcorr["Y,Y"] + dcorr["Z,Z"]) / 4.0
+    return out
+
+
 def load_targets(path: str) -> dict[str, tuple[float, float]]:
     """Read a target table: {name: {value, sigma}} in YAML."""
     try:
@@ -129,11 +206,60 @@ def load_targets(path: str) -> dict[str, tuple[float, float]]:
         if (not isinstance(entry, dict) or "value" not in entry
                 or "sigma" not in entry):
             raise ConfigError(f"target {name!r} needs value and sigma")
-        sigma = float(entry["sigma"])
+        value, sigma = (_finite(name, entry, key)
+                        for key in ("value", "sigma"))
         if sigma <= 0:
             raise ConfigError(f"target {name!r} needs a positive sigma")
-        targets[name] = (float(entry["value"]), sigma)
+        targets[name] = (value, sigma)
     return targets
+
+
+def _finite(name: str, entry: dict, key: str) -> float:
+    """entry[key] as a finite float, or a ConfigError naming the target."""
+    try:
+        number = float(entry[key])
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(
+            f"target {name!r} needs a finite number as {key}, "
+            f"got {entry[key]!r}")
+    return number
+
+
+def _weighted_problem(targets: dict[str, tuple[float, float]],
+                      free: tuple[str, ...]) -> tuple:
+    """The weighted residual vector over the sorted target names, and
+    its exact Jacobian, as functions of the free constants' values."""
+    names = sorted(targets)
+    centre = np.array([targets[n][0] for n in names])
+    sigma = np.array([targets[n][1] for n in names])
+    columns = [FREE_PARAMS.index(name) for name in free]
+
+    def residuals(x: np.ndarray) -> np.ndarray:
+        preds = model_predictions(bundle_with(dict(zip(free, x))))
+        return (np.array([preds[n] for n in names]) - centre) / sigma
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        grads = prediction_gradients(bundle_with(dict(zip(free, x))))
+        return (np.array([grads[n][columns] for n in names])
+                / sigma[:, None])
+
+    return residuals, jacobian
+
+
+def _uncertainties(jac: np.ndarray, names: list[str]) -> tuple[dict, dict]:
+    """One-sigma uncertainties and pairwise correlations of the named
+    constants from (J^T J)^-1 of the weighted residual Jacobian."""
+    try:
+        cov = np.linalg.inv(jac.T @ jac)
+    except np.linalg.LinAlgError:
+        return {name: math.inf for name in names}, {}
+    sigma = np.sqrt(np.diag(cov))
+    corr = cov / np.outer(sigma, sigma)
+    return ({name: float(v) for name, v in zip(names, sigma)},
+            {tuple(sorted((names[i], names[j]))): float(corr[i, j])
+             for i in range(len(names)) for j in range(i + 1, len(names))})
 
 
 def calibrate(targets: dict[str, tuple[float, float]] | None = None,
@@ -152,13 +278,6 @@ def calibrate(targets: dict[str, tuple[float, float]] | None = None,
         raise ConfigError(f"unknown free parameters: {sorted(unknown)}")
 
     names = sorted(targets)
-
-    def residual_vec(x: np.ndarray) -> np.ndarray:
-        params = dict(zip(free, x))
-        preds = model_predictions(bundle_with(params))
-        return np.array([(preds[n] - targets[n][0]) / targets[n][1]
-                         for n in names])
-
     if not free:
         bundle = bundle_with({})
         preds = model_predictions(bundle)
@@ -175,19 +294,27 @@ def calibrate(targets: dict[str, tuple[float, float]] | None = None,
     x0 = np.array([_X0[name] for name in free])
     lo = np.array([_BOUNDS[name][0] for name in free])
     hi = np.array([_BOUNDS[name][1] for name in free])
-    fit = least_squares(residual_vec, x0, bounds=(lo, hi), method="trf",
-                        ftol=1e-12, xtol=1e-12, gtol=1e-12,
-                        diff_step=1e-4, max_nfev=400)
+    residual_vec, jacobian = _weighted_problem(targets, free)
+    fit = least_squares(residual_vec, x0, jac=jacobian, bounds=(lo, hi),
+                        method="trf", ftol=1e-12, xtol=1e-12, gtol=1e-12,
+                        max_nfev=400)
     params = {name: float(v) for name, v in zip(free, fit.x)}
     bundle = bundle_with(params)
     preds = model_predictions(bundle)
     residuals = {n: (preds[n] - targets[n][0]) / targets[n][1]
                  for n in names}
+    at_bound = {name: "lower" if side < 0 else "upper"
+                for name, side in zip(free, fit.active_mask) if side}
+    inside = [i for i, name in enumerate(free) if name not in at_bound]
+    sigmas, correlations = _uncertainties(fit.jac[:, inside],
+                                          [free[i] for i in inside])
     return CalibrationResult(
         params=params, bundle=bundle, predictions=preds, targets=targets,
         residuals=residuals, cost=float(fit.cost),
         converged=bool(fit.success),
-        message=str(fit.message))
+        message=str(fit.message), sigmas=sigmas,
+        correlations=correlations, at_bound=at_bound,
+        nfev=int(fit.nfev), njev=int(fit.njev))
 
 
 def report_lines(result: CalibrationResult) -> list[str]:
@@ -197,7 +324,17 @@ def report_lines(result: CalibrationResult) -> list[str]:
     if not result.params:
         lines.append("  (none; defaults passed through)")
     for name in sorted(result.params):
-        lines.append(f"  {name} = {result.params[name]:.6g}")
+        line = f"  {name} = {result.params[name]:.6g}"
+        if name in result.at_bound:
+            line += f" (at {result.at_bound[name]} bound)"
+        elif name in result.sigmas:
+            line += f" +/- {result.sigmas[name]:.2g}"
+        lines.append(line)
+    if result.correlations:
+        lines.append("")
+        lines.append("correlations:")
+        for (first, second), value in sorted(result.correlations.items()):
+            lines.append(f"  {first} / {second}: {value:+.3f}")
     lines.append("")
     lines.append("targets:")
     for name in sorted(result.targets):
@@ -211,6 +348,8 @@ def report_lines(result: CalibrationResult) -> list[str]:
     lines.append(f"half sum of squared residuals: {result.cost:.6g}")
     status = "converged" if result.converged else "NOT converged"
     lines.append(f"solver: {status} ({result.message})")
+    lines.append(f"solver evaluations: {result.nfev} residual, "
+                 f"{result.njev} Jacobian")
     if not result.converged:
         lines.append("best-so-far parameters reported above")
     return lines

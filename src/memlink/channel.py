@@ -117,18 +117,32 @@ def photon_loss_joint(s: AtomPhotonState, eta: float) -> AtomPhotonState:
                            cutoff=s.cutoff)
 
 
+def _background(lossy: np.ndarray, cutoff: int) -> np.ndarray:
+    """The state's atomic marginal beside one unpolarized background
+    photon, the state a background click replaces the signal by."""
+    d = dualrail.sector_dim(cutoff)
+    atom_marginal = np.einsum("abcb->ac", lossy.reshape(d, d, d, d))
+    return np.kron(atom_marginal, _background_state(cutoff))
+
+
 def transmit(s: AtomPhotonState, p: ChannelParams) -> AtomPhotonState:
     """Propagate the photonic half through the converted link.
 
     Applies the exact photon-loss map (each excitation survives with
     probability ``channel_efficiency``) and mixes in the converter
     background as an uncorrelated unpolarized single photon.  The atomic
-    factor is untouched.
+    factor is untouched.  The map is linear in the state, so it carries
+    a derivative of the state as well.
     """
     lossy = photon_loss_joint(s, channel_efficiency(p)).state
     if p.background_rate > 0.0:
-        d = dualrail.sector_dim(s.cutoff)
-        atom_marginal = np.einsum("abcb->ac", lossy.reshape(d, d, d, d))
-        bg = np.kron(atom_marginal, _background_state(s.cutoff))
+        bg = _background(lossy, s.cutoff)
         lossy = (1.0 - p.background_rate) * lossy + p.background_rate * bg
     return AtomPhotonState(state=lossy, cutoff=s.cutoff)
+
+
+def background_slope(s: AtomPhotonState, p: ChannelParams) -> np.ndarray:
+    """d transmit(s, p).state / d background_rate: the background state
+    minus the lossy signal it displaces."""
+    lossy = photon_loss_joint(s, channel_efficiency(p)).state
+    return _background(lossy, s.cutoff) - lossy

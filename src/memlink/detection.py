@@ -41,6 +41,15 @@ caller may wrap or patch without hiding a ``cache_clear``; and at
 module level, so clearing the lru_caches found in the module globals
 is a true cold start.  Cached arrays are read-only.
 
+``trial_tangents`` gives the exact derivatives of one distribution by
+the noise values ``calibrate`` fits.  Every prefix map is linear in the
+state, so the derivatives by the source's double-excitation scale and
+by the link's background rate ride through the same stages
+(``_prefix_slopes``).  Each POVM element is a polynomial of degree <= 2
+in (1 - dark) whose rotated coefficients no dark rate changes
+(``_povm_polynomial``), so its slope is exact and cheap; at node A it
+is pulled back like the POVM itself.
+
 Campaigns exploit the reduction: a batch of attempts is one
 multinomial draw over the 16 patterns (``draw_counts``,
 ``sample_counts``) or its exact expectation (``analytic_counts``).  A
@@ -269,16 +278,39 @@ def _rotation(cutoff: int, name: str, z_sign: float) -> np.ndarray:
     return rot
 
 
+def _pattern_stack(elements: dict[str, np.ndarray]) -> np.ndarray:
+    """Read-only (4, d, d) stack of per-outcome operators in
+    PATTERN_NAMES order."""
+    stack = np.stack([elements[n] for n in PATTERN_NAMES])
+    stack.setflags(write=False)
+    return stack
+
+
 @lru_cache(maxsize=64)
 def _povm_stack(cutoff: int, name: str | None, z_sign: float, eta: float,
                 dark: float) -> np.ndarray:
     """One node's detector-pair POVM as a read-only (4, d, d) stack in
     PATTERN_NAMES order; name None measures the bare mode basis."""
     rot = None if name is None else _rotation(cutoff, name, z_sign)
-    povm = dualrail.detection_povm(cutoff, rot, eta=eta, dark=dark)
-    stack = np.stack([povm[n] for n in PATTERN_NAMES])
-    stack.setflags(write=False)
-    return stack
+    return _pattern_stack(
+        dualrail.detection_povm(cutoff, rot, eta=eta, dark=dark))
+
+
+@lru_cache(maxsize=16)
+def _povm_polynomial(cutoff: int, name: str | None, z_sign: float,
+                     eta: float) -> np.ndarray:
+    """Read-only (3, 4, d, d) P with _povm_stack = sum_k P[k] u^k in
+    u = 1 - dark, so every dark-rate step reuses it."""
+    rot = None if name is None else _rotation(cutoff, name, z_sign)
+    return _pattern_stack(
+        dualrail.detection_povm_polynomial(cutoff, rot, eta)).swapaxes(0, 1)
+
+
+def _povm_slope(cutoff: int, name: str | None, z_sign: float, eta: float,
+                dark: float) -> np.ndarray:
+    """d _povm_stack / d dark, stacked alike."""
+    poly = _povm_polynomial(cutoff, name, z_sign, eta)
+    return -(poly[1] + 2.0 * (1.0 - dark) * poly[2])
 
 
 @dataclass(frozen=True)
@@ -304,12 +336,34 @@ class TrialDistribution:
         """Exact trial-averaged probabilities (mains phase averaged)."""
         out = self.base.copy()
         if self.fourier:
-            # imported here: only an unsynced mains phase needs j0, and
-            # scipy.special outweighs the rest of a campaign's start-up
-            from scipy.special import j0
-            for k, coeff in enumerate(self.fourier, start=1):
-                out += 2.0 * float(j0(k * self.swing)) * np.real(coeff)
+            for weight, coeff in zip(_part_weights(self.swing)[1:],
+                                     self.fourier):
+                out += weight * np.real(coeff)
         return np.clip(out, 0.0, None)
+
+
+def _part_weights(swing: float) -> tuple[float, ...]:
+    """Weights of the parts dn = 0, 1, 2 in the phase-averaged pattern
+    probabilities: 1, then 2 J0(dn * swing)."""
+    if swing == 0.0:
+        return (1.0, 2.0, 2.0)
+    # imported here: only an unsynced mains phase needs j0, and
+    # scipy.special outweighs the rest of a campaign's start-up
+    from scipy.special import j0
+    return (1.0,) + tuple(2.0 * float(j0(k * swing)) for k in (1, 2))
+
+
+def _node_b_key(bundle, name_b: str | None, stage: str) -> tuple:
+    """(prefix key, basis, Z sign, efficiency, dark rate) of node B's
+    readout: the monitor's detectors at the source checkpoint, the EIT
+    readout chain after map-out at the others."""
+    det = bundle.detection
+    if stage == "source":
+        eta_b, dark_b = det.det_monitor.eta_det, det.det_monitor.dark_rate
+    else:
+        eta_b, dark_b = bundle.eit.detection_residual(), det.dark_b
+    return (_prefix_key(bundle, stage), name_b, _z_sign_b(name_b, det),
+            eta_b, dark_b)
 
 
 def trial_distributions(bundle, setting: BasisSetting | None, delays,
@@ -335,12 +389,7 @@ def _distributions_cached(bundle, setting_key, delays: tuple,
     det = bundle.detection
     cutoff = bundle.source.fock_cutoff
     name_a, name_b = setting_key or (None, None)
-    if stage == "source":
-        eta_b, dark_b = det.det_monitor.eta_det, det.det_monitor.dark_rate
-    else:
-        eta_b, dark_b = bundle.eit.detection_residual(), det.dark_b
-    states = _conditional_states(_prefix_key(bundle, stage), name_b,
-                                 _z_sign_b(name_b, det), eta_b, dark_b)
+    states = _conditional_states(*_node_b_key(bundle, name_b, stage))
     readout = _stored_readout(cutoff, det.det_a.eta_det, bundle.coherence,
                               bundle.geometry, delays)
     effects = readout.effects(
@@ -360,6 +409,90 @@ def _distributions_cached(bundle, setting_key, delays: tuple,
                           fourier=(coeffs[t, 1], coeffs[t, 2]),
                           swing=float(swing[t]))
         for t in range(len(delays)))
+
+
+# ---------------------------------------------------------------------------
+# exact derivatives of the pattern distribution
+
+
+@lru_cache(maxsize=16)
+def _prefix_slopes(src, channel, eit, stage: str) -> np.ndarray:
+    """Read-only (2, D, D) derivatives of ``_prefix_state`` by the
+    source's double_amp_scale and the link's background_rate.
+
+    Every prefix map is linear in the state, so a derivative rides
+    through the stages after the one that brings its parameter in.
+    """
+    cutoff = src.fock_cutoff
+
+    def carried(slope):
+        return source.AtomPhotonState(state=slope, cutoff=cutoff)
+
+    if stage == "source":
+        amp = link.photon_loss_joint(carried(source.state_slope(src)),
+                                     src.collection).state
+        out = np.stack([amp, np.zeros_like(amp)])
+    elif stage == "transferred":
+        amp, _ = _prefix_slopes(src, None, None, "source")
+        out = np.stack([
+            link.transmit(carried(amp), channel).state,
+            link.background_slope(
+                _prefix_state(src, None, None, "source"), channel)])
+    else:
+        out = np.stack([
+            memory_b.map_out(memory_b.map_in(carried(slope), eit), eit).state
+            for slope in _prefix_slopes(src, channel, None, "transferred")])
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=32)
+def _conditional_slopes(prefix: tuple, name: str | None, z_sign: float,
+                        eta: float, dark: float) -> np.ndarray:
+    """Read-only (3, 4, d*d) derivatives of ``_conditional_states`` by
+    double_amp_scale, background_rate and node B's dark rate."""
+    s = _prefix_state(*prefix)
+    d = dualrail.sector_dim(s.cutoff)
+    povm = _povm_stack(s.cutoff, name, z_sign, eta, dark)
+    slopes = _prefix_slopes(*prefix).reshape(-1, d, d, d, d)
+    out = np.concatenate([
+        np.einsum("mxbyc,jcb->mjyx", slopes, povm),
+        np.einsum("xbyc,jcb->jyx", s.state.reshape(d, d, d, d),
+                  _povm_slope(s.cutoff, name, z_sign, eta, dark))[None],
+    ]).reshape(3, len(povm), -1)
+    out.setflags(write=False)
+    return out
+
+
+def trial_tangents(bundle, setting: BasisSetting | None, delay_s: float,
+                   stage: str = "stored") -> np.ndarray:
+    """Exact derivatives of one attempt's mean pattern probabilities.
+
+    Returns a (4, 16) array: the derivatives of
+    ``trial_distribution(...).mean_probabilities()`` by, in order, the
+    source's double_amp_scale, the link's background_rate, node B's
+    dark rate (the monitor's at the source checkpoint) and node A's
+    dark rate.  The first three ride through node B's side the way the
+    state does (``_conditional_slopes``); node A's POVM slope is pulled
+    back through the same ``StoredReadout`` as its POVM.
+    """
+    det = bundle.detection
+    cutoff = bundle.source.fock_cutoff
+    name_a, name_b = ((None, None) if setting is None
+                      else (setting.node_a, setting.node_b))
+    key = _node_b_key(bundle, name_b, stage)
+    states = _conditional_states(*key)
+    readout = _stored_readout(cutoff, det.det_a.eta_det, bundle.coherence,
+                              bundle.geometry, (float(delay_s),))
+    povm_a = (cutoff, name_a, 1.0, 1.0, det.det_a.dark_rate)
+    effects = readout.effects(_povm_stack(*povm_a))[0]
+    # coeffs[m, k, 4a + b]: direction m, part k, as in the distribution
+    coeffs = np.concatenate([
+        effects @ _conditional_slopes(*key).transpose(0, 2, 1)[:, None],
+        (readout.effects(_povm_slope(*povm_a))[0] @ states.T)[None],
+    ]).reshape(4, 3, -1)
+    weights = np.array(_part_weights(float(readout.swing[0])))
+    return np.einsum("k,mkp->mp", weights, np.real(coeffs))
 
 
 def noise_distribution(bundle, setting: BasisSetting | None,

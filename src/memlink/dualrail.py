@@ -219,6 +219,14 @@ def click_probabilities(cutoff: int, eta: float, dark: float) -> np.ndarray:
     return 1.0 - (1.0 - eta) ** occs * (1.0 - dark)
 
 
+def _in_detector_basis(cutoff: int, rot: np.ndarray | None,
+                       diag: np.ndarray) -> np.ndarray:
+    """The operator diagonal in the detector basis, on the sector."""
+    if rot is None:
+        rot = np.eye(sector_dim(cutoff), dtype=complex)
+    return rot.conj().T @ np.diag(diag.astype(complex)) @ rot
+
+
 def detection_povm(cutoff: int, rot: np.ndarray | None, eta: float,
                    dark: float) -> dict[str, np.ndarray]:
     """POVM for two threshold detectors behind a mode rotation.
@@ -242,9 +250,29 @@ def detection_povm(cutoff: int, rot: np.ndarray | None, eta: float,
         "both": pc[:, 0] * pc[:, 1],
         "none": (1.0 - pc[:, 0]) * (1.0 - pc[:, 1]),
     }
-    if rot is None:
-        rot = np.eye(sector_dim(cutoff), dtype=complex)
-    return {
-        key: rot.conj().T @ np.diag(diag.astype(complex)) @ rot
-        for key, diag in outcomes.items()
+    return {key: _in_detector_basis(cutoff, rot, diag)
+            for key, diag in outcomes.items()}
+
+
+def detection_povm_polynomial(cutoff: int, rot: np.ndarray | None,
+                              eta: float) -> dict[str, np.ndarray]:
+    """``detection_povm`` as a polynomial in u = 1 - dark.
+
+    A detector misses n excitations with probability q u, where
+    q = (1 - eta)^n, and clicks with probability 1 - q u, so each
+    element, a product of one click-or-miss factor per detector, is
+    P[0] + P[1] u + P[2] u^2.  Returns each element's (3, d, d) stack P,
+    which no dark rate changes: its exact slope in the dark rate is
+    -(P[1] + 2 u P[2]).
+    """
+    q = (1.0 - eta) ** np.array(occupations(cutoff), dtype=float)
+    q0, q1 = q[:, 0], q[:, 1]
+    zero, one = np.zeros_like(q0), np.ones_like(q0)
+    coeffs = {
+        "plus": (zero, q1, -q0 * q1),
+        "minus": (zero, q0, -q0 * q1),
+        "both": (one, -(q0 + q1), q0 * q1),
+        "none": (zero, zero, q0 * q1),
     }
+    return {key: np.stack([_in_detector_basis(cutoff, rot, c) for c in cs])
+            for key, cs in coeffs.items()}

@@ -108,8 +108,9 @@ def _bin_amplitudes(chi_bin: float, cutoff: int) -> list[float]:
     return [chi_bin ** (k / 2.0) for k in range(cutoff + 1)]
 
 
-def atom_photon_state(p: SourceParams) -> AtomPhotonState:
-    """Build the joint density matrix of one write attempt at t = 0.
+def _kets(p: SourceParams) -> tuple[np.ndarray, np.ndarray]:
+    """The joint ket of one write attempt and its derivative by
+    ``double_amp_scale``, from one pass over the excitation ladder.
 
     The two bins are independent ladders with single-pair probability
     chi/2 each (modulo write imbalance), correlated excitation-by-
@@ -125,23 +126,45 @@ def atom_photon_state(p: SourceParams) -> AtomPhotonState:
     amps_l = _bin_amplitudes(chi_l, cutoff)
 
     ket = np.zeros(dim * dim, dtype=complex)
+    dket = np.zeros(dim * dim, dtype=complex)
     ladder_weight = 0.0
+    dweight = 0.0
     for ke in range(cutoff + 1):
         for kl in range(cutoff + 1 - ke):
             if ke == 0 and kl == 0:
                 continue
-            amp = (amps_e[ke] * amps_l[kl]
-                   * p.double_amp_scale ** max(ke + kl - 1, 0)
-                   * np.exp(-1j * p.phi0 * kl))
+            bare = amps_e[ke] * amps_l[kl]
+            phase = np.exp(-1j * p.phi0 * kl)
+            power = max(ke + kl - 1, 0)
+            amp = bare * p.double_amp_scale ** power * phase
+            damp = (bare * power * p.double_amp_scale ** (power - 1) * phase
+                    if power else 0.0)
             j = idx[(ke, kl)]
             ket[j * dim + j] = amp
+            dket[j * dim + j] = damp
             ladder_weight += abs(amp) ** 2
+            dweight += 2.0 * (amp.conjugate() * damp).real
     if ladder_weight >= 1.0:
         raise SourceConfigError(
             f"excitation ladder weight {ladder_weight:.4f} reaches 1; "
             "lower chi or double_amp_scale"
         )
+    # the vacuum amplitude sqrt(1 - weight) absorbs the ladder's change
     ket[0] = math.sqrt(1.0 - ladder_weight)
+    dket[0] = -dweight / (2.0 * ket[0].real)
+    return ket, dket
 
+
+def atom_photon_state(p: SourceParams) -> AtomPhotonState:
+    """Build the joint density matrix of one write attempt at t = 0."""
+    ket, _ = _kets(p)
     mat = np.outer(ket, ket.conj())
-    return AtomPhotonState(state=mat, cutoff=cutoff)
+    return AtomPhotonState(state=mat, cutoff=p.fock_cutoff)
+
+
+def state_slope(p: SourceParams) -> np.ndarray:
+    """d rho / d double_amp_scale of ``atom_photon_state(p).state``:
+    d(psi psi^dag) = dpsi psi^dag + psi dpsi^dag."""
+    ket, dket = _kets(p)
+    half = np.outer(dket, ket.conj())
+    return half + half.conj().T

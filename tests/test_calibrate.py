@@ -1,6 +1,7 @@
 """Noise-parameter fitting against the measured figures of merit."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -85,6 +86,67 @@ class TestSingleParameterFit:
         assert 0.0 < res.params["dark_monitor"] < 2e-2
 
 
+@pytest.fixture(scope="module")
+def joint_fit():
+    return cal.calibrate()
+
+
+def central_differences(residuals, x, rel_step=1e-4):
+    """(m, n) central-difference Jacobian of residuals at x."""
+    cols = []
+    for i, value in enumerate(x):
+        step = np.zeros_like(x)
+        step[i] = rel_step * abs(value)
+        cols.append((residuals(x + step) - residuals(x - step))
+                    / (2.0 * step[i]))
+    return np.stack(cols, axis=1)
+
+
+FROZEN = {name: value for name, _, value, _ in NOISE_PARAMS}
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("point", [cal._X0, FROZEN],
+                             ids=["start", "calibrated"])
+    def test_all_five_match_central_differences(self, point):
+        residuals, jacobian = cal._weighted_problem(
+            cal.DEFAULT_TARGETS, cal.FREE_PARAMS)
+        x = np.array([point[name] for name in cal.FREE_PARAMS])
+        np.testing.assert_allclose(jacobian(x),
+                                   central_differences(residuals, x),
+                                   rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("targets, free", [
+        ({"g2_source": (14.2, 0.5)}, ("dark_monitor",)),
+        ({"chsh": (2.73, 0.2), "g2_stored": (12.6, 2.0)}, cal.FREE_PARAMS),
+    ], ids=["one-parameter", "target-subset"])
+    def test_selection_matches_central_differences(self, targets, free):
+        residuals, jacobian = cal._weighted_problem(targets, free)
+        x = np.array([FROZEN[name] for name in free])
+        jac = jacobian(x)
+        assert jac.shape == (len(targets), len(free))
+        np.testing.assert_allclose(jac, central_differences(residuals, x),
+                                   rtol=1e-6, atol=0.0)
+
+    def test_fit_needs_few_model_evaluations(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(bundle):
+                calls.append(fn.__name__)
+                return fn(bundle)
+            return wrapper
+
+        for name in ("model_predictions", "prediction_gradients"):
+            monkeypatch.setattr(cal, name, counted(getattr(cal, name)))
+        res = cal.calibrate()
+        assert res.converged
+        assert len(calls) <= 90
+        # every residual of the solver, plus the final prediction
+        assert calls.count("model_predictions") == res.nfev + 1
+        assert calls.count("prediction_gradients") == res.njev
+
+
 class TestJointFit:
     def test_joint_fit_recovers_frozen_constants(self):
         res = cal.calibrate()
@@ -97,7 +159,7 @@ class TestJointFit:
             "dark_b": CAL_DARK_B,
         }
         for name, value in frozen.items():
-            np.testing.assert_allclose(res.params[name], value, rtol=1e-4)
+            np.testing.assert_allclose(res.params[name], value, rtol=1e-5)
         # the node A floor rails at its cap; see the bound comment
         np.testing.assert_allclose(res.params["dark_a"], 6e-4, rtol=1e-6)
         for stage in ("source", "transferred", "stored"):
@@ -156,6 +218,18 @@ class TestLoadTargets:
         with pytest.raises(ConfigError, match="malformed"):
             cal.load_targets(str(path))
 
+    @pytest.mark.parametrize("entry, match", [
+        ("{value: abc, sigma: 0.2}", "finite number as value, got 'abc'"),
+        ("{value: 2.73, sigma: .nan}", "finite number as sigma, got nan"),
+        ("{value: .inf, sigma: 0.2}", "finite number as value, got inf"),
+    ], ids=["non-numeric-value", "nan-sigma", "infinite-value"])
+    def test_non_finite_entry_rejected(self, tmp_path, entry, match):
+        path = tmp_path / "targets.yaml"
+        path.write_text(f"chsh: {entry}\n", encoding="utf-8")
+        with pytest.raises(ConfigError,
+                           match=f"target 'chsh' needs a {match}"):
+            cal.load_targets(str(path))
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             cal.load_targets(str(tmp_path / "absent.yaml"))
@@ -200,6 +274,40 @@ class TestReportLines:
         assert any(line.startswith("  dark_monitor = ") for line in lines)
         assert any("g2_source: model" in line for line in lines)
         assert any(line.startswith("solver: converged") for line in lines)
+
+    def test_joint_report_gives_sigmas_bounds_and_evaluations(self,
+                                                              joint_fit):
+        lines = cal.report_lines(joint_fit)
+        assert joint_fit.at_bound == {"dark_a": "upper"}
+        assert "  dark_a = 0.0006 (at upper bound)" in lines
+        assert set(joint_fit.sigmas) == set(cal.FREE_PARAMS) - {"dark_a"}
+        for name, sigma in joint_fit.sigmas.items():
+            assert sigma > 0.0
+            assert (f"  {name} = {joint_fit.params[name]:.6g} "
+                    f"+/- {sigma:.2g}") in lines
+        assert len(joint_fit.correlations) == 6
+        assert all(-1.0 <= c <= 1.0 for c in joint_fit.correlations.values())
+        assert "correlations:" in lines
+        assert joint_fit.njev > 0
+        assert (f"solver evaluations: {joint_fit.nfev} residual, "
+                f"{joint_fit.njev} Jacobian") in lines
+
+    def test_sigma_is_target_sigma_over_slope_for_one_parameter(self):
+        target = {"g2_source": (14.2, 0.5)}
+        res = cal.calibrate(targets=target, free_params=("dark_monitor",))
+        residuals, _ = cal._weighted_problem(target, ("dark_monitor",))
+        slope = central_differences(
+            residuals, np.array([res.params["dark_monitor"]]))[0, 0]
+        np.testing.assert_allclose(res.sigmas["dark_monitor"],
+                                   1.0 / abs(slope), rtol=1e-6)
+        assert res.correlations == {}
+
+    def test_constant_no_target_reads_has_infinite_sigma(self):
+        # node B's dark rate never reaches the source checkpoint
+        res = cal.calibrate(targets={"g2_source": (14.2, 0.5)},
+                            free_params=("dark_b",))
+        assert res.sigmas == {"dark_b": math.inf}
+        assert "  dark_b = 1e-05 +/- inf" in cal.report_lines(res)
 
     def test_pass_through_report_notes_no_parameters(self):
         res = cal.calibrate(free_params=())

@@ -734,3 +734,47 @@ class TestCacheDiscipline:
             fn = getattr(mod, name)
             assert not hasattr(fn, "cache_info"), f"{mod.__name__}.{name}"
             assert not hasattr(fn, "__wrapped__"), f"{mod.__name__}.{name}"
+
+
+class TestTrialTangents:
+    """Exact derivatives of the pattern distribution (the calibration
+    Jacobian's engine) against central differences."""
+
+    @staticmethod
+    def paths(stage):
+        """(bundle path, step) of each tangent direction; node B's
+        detectors are the monitor's at the source checkpoint."""
+        dark_b = (("detection", "det_monitor", "dark_rate")
+                  if stage == "source" else ("detection", "dark_b"))
+        return ((("source", "double_amp_scale"), 1e-4),
+                (("channel", "background_rate"), 1e-7),
+                (dark_b, 1e-8),
+                (("detection", "det_a", "dark_rate"), 1e-7))
+
+    @staticmethod
+    def shifted(bundle, path, step):
+        """bundle with the value at path moved by step."""
+        head, *rest = path
+        inner = getattr(bundle, head)
+        value = (TestTrialTangents.shifted(inner, tuple(rest), step)
+                 if rest else inner + step)
+        return dataclasses.replace(bundle, **{head: value})
+
+    @pytest.mark.parametrize("synced", [True, False],
+                             ids=["synced", "free-running-mains"])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_match_central_differences(self, stage, synced):
+        base = calibrated_bundle()
+        bundle = dataclasses.replace(base, coherence=dataclasses.replace(
+            base.coherence, mains_synced=synced))
+        setting = BasisSetting("A1", "B0")
+        # long enough for a large mains swing, short of the T2* washout
+        delay = 300e-6
+        tangents = detection.trial_tangents(bundle, setting, delay, stage)
+        assert tangents.shape == (4, 16)
+        for row, (path, step) in zip(tangents, self.paths(stage)):
+            up, down = (trial_distribution(
+                self.shifted(bundle, path, sign * step), setting, delay,
+                stage).mean_probabilities() for sign in (1.0, -1.0))
+            np.testing.assert_allclose(row, (up - down) / (2.0 * step),
+                                       rtol=1e-5, atol=1e-12)

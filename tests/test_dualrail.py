@@ -227,6 +227,22 @@ class TestDetectionPovm:
             eigs = np.linalg.eigvalsh(mat)
             assert eigs.min() > -1e-12
 
+    @pytest.mark.parametrize("dark", [0.0, 3e-4, 0.2])
+    def test_polynomial_in_no_dark_probability_is_the_povm(self, dark):
+        basis = np.array([[1, 1j], [1j, 1]]) / math.sqrt(2.0)
+        rot = dualrail.mode_rotation(2, basis)
+        povm = dualrail.detection_povm(2, rot, eta=0.3, dark=dark)
+        poly = dualrail.detection_povm_polynomial(2, rot, eta=0.3)
+        u = 1.0 - dark
+        for key, mat in povm.items():
+            np.testing.assert_allclose(
+                poly[key][0] + poly[key][1] * u + poly[key][2] * u * u,
+                mat, atol=1e-15)
+        # the elements sum to the identity at every dark rate
+        total = sum(poly.values())
+        np.testing.assert_allclose(total[0], np.eye(6), atol=1e-15)
+        np.testing.assert_allclose(total[1:], 0.0, atol=1e-15)
+
     def test_bare_basis_single_photon_routing(self):
         povm = dualrail.detection_povm(2, None, eta=1.0, dark=0.0)
         ket = np.zeros(6)

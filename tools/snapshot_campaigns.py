@@ -10,14 +10,21 @@ Each SEED (an integer, or a range ``A-B`` of them) also runs the three
 sampled campaigns of the benchmark's ``cli`` workload (``checkpoints``,
 ``bell`` and ``fidelity`` in ``auto`` mode) at that master seed into
 ``OUT/seed-<n>/<scenario>/``, so that one diff covers the seeds a
-benchmark run may draw.
+benchmark run may draw.  ``memlink calibrate`` on the default targets
+writes its ``calibration.txt`` and ``calibrated.yaml`` to
+``OUT/calibrate/``, so the diff also shows every printed calibration
+value.
 Snapshot two source trees into two directories and compare them with
 ``diff -r``: a refactor that claims unchanged numbers leaves it empty.
 The golden files under ``tests/golden/`` pin only the ``auto`` runs.
 """
 
+import contextlib
+import io
+import os
 import sys
 
+from memlink import cli
 from memlink.config import SCENARIOS, CampaignConfig
 from memlink.scenarios import run_experiment
 
@@ -41,6 +48,19 @@ def run(label: str, cfg: CampaignConfig) -> None:
     print(f"{label}: {status}")
 
 
+def calibrate(out: str) -> int:
+    """``memlink calibrate --out calibrate`` run inside OUT, so that the
+    ``out_dir`` it records is the same for every OUT."""
+    os.makedirs(out, exist_ok=True)
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(["calibrate", "--out", "calibrate"])
+    finally:
+        os.chdir(cwd)
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__, file=sys.stderr)
@@ -51,6 +71,7 @@ def main(argv: list[str]) -> int:
             run(f"{scenario}-{mode}", CampaignConfig(
                 scenario=scenario, mode=mode,
                 out_dir=f"{out}/{scenario}-{mode}"))
+    print(f"calibrate: exit {calibrate(out)}")
     for seed in seeds:
         for scenario in SEEDED_SCENARIOS:
             run(f"seed-{seed}/{scenario}", CampaignConfig(
