@@ -7,12 +7,15 @@ those five knobs so the analytic forward model reproduces the measured
 write/read correlation at the three checkpoints plus the CHSH and
 fidelity values, weighting each residual by the published uncertainty.
 
-The solver gets the exact Jacobian (``prediction_gradients``): every
-map of the chain before the detectors is linear in the state and every
-POVM element is a polynomial in (1 - dark), so the derivatives ride
-through the same stages as the state (``detection.trial_tangents``) and
-the chain rule carries them through g2, the correlators, S and F.  The
-result reports each free constant's one-sigma uncertainty and their
+The solver gets the exact Jacobian: every map of the chain before the
+detectors is linear in the state and every POVM element is a polynomial
+in the dark rate, so the derivatives ride through the same stages as
+the state (``detection.trial_tangents``).  One pass per point
+(``_model_pass``) walks the ten (stage, setting) pairs once and writes
+g2, the correlators, S and F each once, together with their
+derivatives.  The solver's residual and Jacobian share that pass
+through a memo of the last point, local to the fit.  The result
+reports each free constant's one-sigma uncertainty and their
 correlations from (J^T J)^-1 of the weighted residuals; a constant the
 fit leaves on one of its bounds is reported as such, with no sigma.
 A targets file whose entries are not finite numbers is refused as a
@@ -30,15 +33,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from . import estimators
 from .config import NOISE_PARAMS, ConfigError, ExperimentBundle, with_noise
-from .detection import (BINS, CLICKS, TALLY, BasisSetting,
-                        expected_click_probs, expected_outcome_probs,
+from .detection import (BINS, CLICKS, PATTERNS, TALLY, BasisSetting,
                         trial_distribution, trial_tangents)
-from .estimators import EstimateWithError
 from .scenarios import (CHSH_SETTINGS, CHSH_TARGET, CORR_SETTINGS,
-                        FIDELITY_TARGET, G2_TARGETS, bell_delay_s)
-from . import channel as link
+                        FIDELITY_TARGET, G2_TARGETS, bell_delay_s,
+                        stage_delays)
 
 FREE_PARAMS = tuple(name for name, *_ in NOISE_PARAMS)
 
@@ -96,44 +96,6 @@ def bundle_with(params: dict[str, float]) -> ExperimentBundle:
     return with_noise(ExperimentBundle(), params)
 
 
-def _stage_delays(bundle: ExperimentBundle) -> tuple:
-    """(checkpoint, delay) of the three g2 targets."""
-    tl = bundle.timeline
-    return (
-        ("source", tl.analysis_delay_s),
-        ("transferred", link.latency(bundle.channel) + tl.analysis_delay_s),
-        ("stored", bell_delay_s(bundle)),
-    )
-
-
-def model_predictions(bundle: ExperimentBundle) -> dict[str, float]:
-    """Exact forward model of every calibration target."""
-    out = {}
-    for stage, delay in _stage_delays(bundle):
-        clicks = expected_click_probs(
-            trial_distribution(bundle, None, delay, stage))
-        out[f"g2_{stage}"] = clicks["ab"] / (clicks["a"] * clicks["b"])
-
-    delay = bell_delay_s(bundle)
-    corr = {}
-    for a, b in CHSH_SETTINGS + CORR_SETTINGS:
-        setting = BasisSetting(a, b)
-        bins = expected_outcome_probs(
-            trial_distribution(bundle, setting, delay, "stored"),
-            bundle.detection.double_click_policy)
-        corr[setting.key] = float(
-            estimators.correlator_from_bins(bins).value)
-
-    def _e(key):
-        return EstimateWithError(corr[key], 0.0)
-
-    out["chsh"] = estimators.chsh(_e("A0,B0"), _e("A0,B1"),
-                                  _e("A1,B0"), _e("A1,B1")).value
-    out["fidelity"] = estimators.fidelity(_e("X,X"), _e("Y,Y"),
-                                          _e("Z,Z")).value
-    return out
-
-
 def _directions(stage: str) -> list[int]:
     """FREE_PARAMS index of each direction of ``trial_tangents``; node
     B's detectors are the monitor's at the source checkpoint."""
@@ -142,48 +104,52 @@ def _directions(stage: str) -> list[int]:
             ("double_amp_scale", "background_rate", dark_b, "dark_a")]
 
 
-def _probs_and_slopes(bundle: ExperimentBundle, setting, delay: float,
-                      stage: str) -> tuple[np.ndarray, np.ndarray]:
-    """Mean pattern probabilities and their (len(FREE_PARAMS), 16)
-    derivatives."""
-    probs = trial_distribution(bundle, setting, delay,
-                               stage).mean_probabilities()
-    slopes = np.zeros((len(FREE_PARAMS), len(probs)))
-    slopes[_directions(stage)] = trial_tangents(bundle, setting, delay,
-                                                stage)
-    return probs, slopes
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, each a value followed by its gradient."""
+    value = num[0] / den[0]
+    return np.concatenate(([value], (num[1:] - value * den[1:]) / den[0]))
 
 
-def prediction_gradients(bundle: ExperimentBundle) -> dict[str, np.ndarray]:
-    """Exact derivative of every ``model_predictions`` value by each
-    FREE_PARAMS constant, in FREE_PARAMS order."""
-    out = {}
-    for stage, delay in _stage_delays(bundle):
-        probs, slopes = _probs_and_slopes(bundle, None, delay, stage)
-        a, b, ab = TALLY[CLICKS] @ probs
-        da, db, dab = TALLY[CLICKS] @ slopes.T
-        out[f"g2_{stage}"] = ab / (a * b) * (dab / ab - da / a - db / b)
-
-    # E = (b0 + b3 - b1 - b2) / sum(b) over the signed outcome bins
-    signs = np.array([1.0, -1.0, -1.0, 1.0])
-    rows = TALLY[BINS[bundle.detection.double_click_policy]]
+def _model_pass(bundle: ExperimentBundle
+                ) -> tuple[dict[str, float], dict[str, np.ndarray]]:
+    """Every calibration target and its exact derivative by each
+    FREE_PARAMS constant, in FREE_PARAMS order, from one walk over the
+    ten (stage, setting) pairs."""
     delay = bell_delay_s(bundle)
-    corr, dcorr = {}, {}
-    for pair in CHSH_SETTINGS + CORR_SETTINGS:
-        setting = BasisSetting(*pair)
-        probs, slopes = _probs_and_slopes(bundle, setting, delay, "stored")
-        bins, dbins = rows @ probs, rows @ slopes.T
-        total = bins.sum()
-        corr[setting.key] = signs @ bins / total
-        dcorr[setting.key] = (signs @ dbins
-                              - corr[setting.key] * dbins.sum(axis=0)) / total
+    points = ([(stage, None, t) for stage, t in stage_delays(bundle)]
+              + [("stored", BasisSetting(*pair), delay)
+                 for pair in CHSH_SETTINGS + CORR_SETTINGS])
+    # duals[i] holds point i's mean pattern probabilities, then their
+    # derivatives; every tally and estimate below keeps that layout
+    duals = np.zeros((len(points), 1 + len(FREE_PARAMS), len(PATTERNS)))
+    for dual, (stage, setting, t) in zip(duals, points):
+        dual[0] = trial_distribution(bundle, setting, t,
+                                     stage).mean_probabilities()
+        dual[1 + np.array(_directions(stage))] = trial_tangents(
+            bundle, setting, t, stage)
+    tallies = duals @ TALLY.T
 
-    chsh_sum = (corr["A0,B0"] + corr["A0,B1"] + corr["A1,B0"]
-                - corr["A1,B1"])
-    out["chsh"] = np.sign(chsh_sum) * (dcorr["A0,B0"] + dcorr["A0,B1"]
-                                       + dcorr["A1,B0"] - dcorr["A1,B1"])
-    out["fidelity"] = (dcorr["X,X"] - dcorr["Y,Y"] + dcorr["Z,Z"]) / 4.0
-    return out
+    out = {}
+    for (stage, _, _), tally in zip(points, tallies):
+        a, b, ab = tally[:, CLICKS].T
+        out[f"g2_{stage}"] = _ratio(_ratio(ab, a), b)
+    # E = (b0 - b1 - b2 + b3) / sum(b) over the signed outcome bins
+    bins = tallies[3:, :, BINS[bundle.detection.double_click_policy]]
+    e = {pair: _ratio(pair_bins @ np.array([1.0, -1.0, -1.0, 1.0]),
+                      pair_bins.sum(axis=1))
+         for pair, pair_bins in zip(CHSH_SETTINGS + CORR_SETTINGS, bins)}
+    chsh_sum = (e["A0", "B0"] + e["A0", "B1"] + e["A1", "B0"]
+                - e["A1", "B1"])
+    out["chsh"] = np.sign(chsh_sum[0]) * chsh_sum
+    one = np.eye(1 + len(FREE_PARAMS))[0]
+    out["fidelity"] = (one + e["X", "X"] - e["Y", "Y"] + e["Z", "Z"]) / 4.0
+    return ({name: float(v[0]) for name, v in out.items()},
+            {name: v[1:] for name, v in out.items()})
+
+
+def model_predictions(bundle: ExperimentBundle) -> dict[str, float]:
+    """Exact forward model of every calibration target."""
+    return _model_pass(bundle)[0]
 
 
 def load_targets(path: str) -> dict[str, tuple[float, float]]:
@@ -235,13 +201,23 @@ def _weighted_problem(targets: dict[str, tuple[float, float]],
     centre = np.array([targets[n][0] for n in names])
     sigma = np.array([targets[n][1] for n in names])
     columns = [FREE_PARAMS.index(name) for name in free]
+    # the solver asks for each Jacobian at the x of its last residual,
+    # so one model pass serves both
+    last: dict = {}
+
+    def model_pass(x: np.ndarray) -> tuple:
+        key = x.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = _model_pass(bundle_with(dict(zip(free, x))))
+        return last[key]
 
     def residuals(x: np.ndarray) -> np.ndarray:
-        preds = model_predictions(bundle_with(dict(zip(free, x))))
+        preds, _ = model_pass(x)
         return (np.array([preds[n] for n in names]) - centre) / sigma
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        grads = prediction_gradients(bundle_with(dict(zip(free, x))))
+        _, grads = model_pass(x)
         return (np.array([grads[n][columns] for n in names])
                 / sigma[:, None])
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -107,6 +108,8 @@ class CampaignConfig:
         if self.sweep_us is not None:
             if len(self.sweep_us) < 1:
                 raise ConfigError("sweep_us must not be empty")
+            if not all(math.isfinite(t) for t in self.sweep_us):
+                raise ConfigError("sweep_us times must be finite")
             if any(t < 0 for t in self.sweep_us):
                 raise ConfigError("sweep_us times must be non-negative")
 
@@ -278,7 +281,11 @@ def config_from_mapping(raw: dict,
     if sweep is not None:
         if not isinstance(sweep, (list, tuple)):
             raise ConfigError("sweep_us must be a list of times")
-        sweep = tuple(float(v) for v in sweep)
+        try:
+            sweep = tuple(float(v) for v in sweep)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sweep_us times must be numbers: {exc}"
+                              ) from exc
     raw_trials = raw.get("trials")
     try:
         return CampaignConfig(

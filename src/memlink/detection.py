@@ -31,10 +31,14 @@ stages, each behind its own cache:
   * contraction: one matrix product of the E^A(t) stack with sigma
     gives every delay's pattern probabilities at once.
 
-The POVM stacks (``_povm_stack``) are keyed on cutoff, basis, Z sign,
-efficiency and dark rate, around a basis rotation keyed on the first
-three.  The finished distributions are cached per (bundle, setting,
-delay vector, stage).  Every cache is a module-level lru_cache of
+Each node's POVM is a polynomial of degree <= 2 in its dark rate
+(``dualrail.threshold_povm``).  Its rotated coefficients
+(``_povm_polynomial``) are keyed on cutoff, basis, Z sign and
+efficiency, around a basis rotation keyed on the first three, so a
+dark-rate step neither rebuilds nor re-rotates them: the POVM stack at
+a dark rate (``_povm_stack``) and its slope (``_povm_slope``) are
+evaluated from them.  The finished distributions are cached per
+(bundle, setting, delay vector, stage).  Every cache is a module-level lru_cache of
 finite size: bounded, so a long delay sweep cannot grow memory;
 private, so the public stage functions stay plain functions that a
 caller may wrap or patch without hiding a ``cache_clear``; and at
@@ -45,10 +49,9 @@ is a true cold start.  Cached arrays are read-only.
 the noise values ``calibrate`` fits.  Every prefix map is linear in the
 state, so the derivatives by the source's double-excitation scale and
 by the link's background rate ride through the same stages
-(``_prefix_slopes``).  Each POVM element is a polynomial of degree <= 2
-in (1 - dark) whose rotated coefficients no dark rate changes
-(``_povm_polynomial``), so its slope is exact and cheap; at node A it
-is pulled back like the POVM itself.
+(``_prefix_slopes``).  The slope of a POVM by its dark rate comes from
+the same coefficients as the POVM, so it is exact and cheap; at node A
+it is pulled back like the POVM itself.
 
 Campaigns exploit the reduction: a batch of attempts is one
 multinomial draw over the 16 patterns (``draw_counts``,
@@ -278,39 +281,37 @@ def _rotation(cutoff: int, name: str, z_sign: float) -> np.ndarray:
     return rot
 
 
-def _pattern_stack(elements: dict[str, np.ndarray]) -> np.ndarray:
-    """Read-only (4, d, d) stack of per-outcome operators in
-    PATTERN_NAMES order."""
-    stack = np.stack([elements[n] for n in PATTERN_NAMES])
-    stack.setflags(write=False)
-    return stack
+@lru_cache(maxsize=16)
+def _povm_polynomial(cutoff: int, name: str | None, z_sign: float,
+                     eta: float) -> np.ndarray:
+    """One node's detector-pair POVM as a read-only (3, 4, d, d) P in
+    PATTERN_NAMES order, the POVM being P[0] + P[1] dark + P[2] dark^2;
+    name None measures the bare mode basis.  No dark rate changes P, so
+    every dark-rate step reuses it."""
+    rot = None if name is None else _rotation(cutoff, name, z_sign)
+    elements = dualrail.threshold_povm(cutoff, rot, eta)
+    poly = np.stack([elements[n] for n in PATTERN_NAMES], axis=1)
+    poly.setflags(write=False)
+    return poly
 
 
 @lru_cache(maxsize=64)
 def _povm_stack(cutoff: int, name: str | None, z_sign: float, eta: float,
                 dark: float) -> np.ndarray:
-    """One node's detector-pair POVM as a read-only (4, d, d) stack in
-    PATTERN_NAMES order; name None measures the bare mode basis."""
-    rot = None if name is None else _rotation(cutoff, name, z_sign)
-    return _pattern_stack(
-        dualrail.detection_povm(cutoff, rot, eta=eta, dark=dark))
-
-
-@lru_cache(maxsize=16)
-def _povm_polynomial(cutoff: int, name: str | None, z_sign: float,
-                     eta: float) -> np.ndarray:
-    """Read-only (3, 4, d, d) P with _povm_stack = sum_k P[k] u^k in
-    u = 1 - dark, so every dark-rate step reuses it."""
-    rot = None if name is None else _rotation(cutoff, name, z_sign)
-    return _pattern_stack(
-        dualrail.detection_povm_polynomial(cutoff, rot, eta)).swapaxes(0, 1)
+    """The POVM at one dark rate as a read-only (4, d, d) stack."""
+    if not 0.0 <= dark < 1.0:
+        raise ValueError(f"dark-count probability {dark} outside [0, 1)")
+    poly = _povm_polynomial(cutoff, name, z_sign, eta)
+    stack = poly[0] + poly[1] * dark + poly[2] * (dark * dark)
+    stack.setflags(write=False)
+    return stack
 
 
 def _povm_slope(cutoff: int, name: str | None, z_sign: float, eta: float,
                 dark: float) -> np.ndarray:
     """d _povm_stack / d dark, stacked alike."""
     poly = _povm_polynomial(cutoff, name, z_sign, eta)
-    return -(poly[1] + 2.0 * (1.0 - dark) * poly[2])
+    return poly[1] + 2.0 * dark * poly[2]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,11 @@ channels, linear mode rotations (beam splitters / waveplates), quantum
 transfer between the modes, dephasing and threshold-detector POVMs.
 All constructions are exact on the truncated space.
 
+The detector POVM has one formula, ``threshold_povm``: each element's
+coefficients as a polynomial of degree 2 in the dark-count probability.
+No dark rate changes the coefficients, so one rotated set serves every
+dark rate, and the slope in the dark rate comes from the same set.
+
 Loss and transfer channels are real Kraus stacks built from their
 closed-form amplitudes.  Given vectors of survival or transfer
 probabilities they build one channel per entry, stacked on a leading
@@ -204,32 +209,18 @@ def dephasing_envelope(cutoff: int, coherence_arg) -> np.ndarray:
     return np.exp(-(dn.astype(float) ** 2) * arg[..., None, None])
 
 
-def click_probabilities(cutoff: int, eta: float, dark: float) -> np.ndarray:
-    """Per-detector click probability table for the diagonal basis.
+def threshold_povm(cutoff: int, rot: np.ndarray | None,
+                   eta: float) -> dict[str, np.ndarray]:
+    """POVM of two threshold detectors behind a mode rotation, as a
+    polynomial in the dark-count probability d.
 
-    Returns an array P[state, mode] giving the probability that the
-    detector watching that mode fires, for a state of definite
-    occupation: 1 - (1-eta)^n * (1-dark).
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"detection efficiency {eta} outside [0, 1]")
-    if not 0.0 <= dark < 1.0:
-        raise ValueError(f"dark-count probability {dark} outside [0, 1)")
-    occs = np.array(occupations(cutoff), dtype=float)
-    return 1.0 - (1.0 - eta) ** occs * (1.0 - dark)
-
-
-def _in_detector_basis(cutoff: int, rot: np.ndarray | None,
-                       diag: np.ndarray) -> np.ndarray:
-    """The operator diagonal in the detector basis, on the sector."""
-    if rot is None:
-        rot = np.eye(sector_dim(cutoff), dtype=complex)
-    return rot.conj().T @ np.diag(diag.astype(complex)) @ rot
-
-
-def detection_povm(cutoff: int, rot: np.ndarray | None, eta: float,
-                   dark: float) -> dict[str, np.ndarray]:
-    """POVM for two threshold detectors behind a mode rotation.
+    A detector watching n excitations misses them all with probability
+    q = (1 - eta)^n and then clicks only on a dark count, so it clicks
+    with probability c + q d, where c = 1 - q, and stays silent with
+    q (1 - d).  Each element, one click-or-miss factor per detector, is
+    P[0] + P[1] d + P[2] d^2; "both", for one, is
+    c0 c1 + (c0 q1 + q0 c1) d + q0 q1 d^2.  Taken in d, no coefficient
+    cancels: the vacuum's "both" is d^2 exactly.
 
     Args:
         cutoff: sector truncation.
@@ -237,42 +228,24 @@ def detection_povm(cutoff: int, rot: np.ndarray | None, eta: float,
             basis, whose first mode goes to the "plus" detector (see
             ``mode_rotation``); None for the bare mode basis.
         eta: detection efficiency applied per excitation.
-        dark: per-window dark-count probability of each detector.
 
     Returns:
-        dict with elements "plus", "minus", "both", "none" summing to
-        the identity on the sector.
+        dict of the (3, d, d) coefficient stacks P of the elements
+        "plus", "minus", "both" and "none", which sum to the identity on
+        the sector at every dark rate.
     """
-    pc = click_probabilities(cutoff, eta, dark)
-    outcomes = {
-        "plus": pc[:, 0] * (1.0 - pc[:, 1]),
-        "minus": (1.0 - pc[:, 0]) * pc[:, 1],
-        "both": pc[:, 0] * pc[:, 1],
-        "none": (1.0 - pc[:, 0]) * (1.0 - pc[:, 1]),
-    }
-    return {key: _in_detector_basis(cutoff, rot, diag)
-            for key, diag in outcomes.items()}
-
-
-def detection_povm_polynomial(cutoff: int, rot: np.ndarray | None,
-                              eta: float) -> dict[str, np.ndarray]:
-    """``detection_povm`` as a polynomial in u = 1 - dark.
-
-    A detector misses n excitations with probability q u, where
-    q = (1 - eta)^n, and clicks with probability 1 - q u, so each
-    element, a product of one click-or-miss factor per detector, is
-    P[0] + P[1] u + P[2] u^2.  Returns each element's (3, d, d) stack P,
-    which no dark rate changes: its exact slope in the dark rate is
-    -(P[1] + 2 u P[2]).
-    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"detection efficiency {eta} outside [0, 1]")
     q = (1.0 - eta) ** np.array(occupations(cutoff), dtype=float)
-    q0, q1 = q[:, 0], q[:, 1]
-    zero, one = np.zeros_like(q0), np.ones_like(q0)
+    (q0, q1), (c0, c1) = q.T, (1.0 - q).T
     coeffs = {
-        "plus": (zero, q1, -q0 * q1),
-        "minus": (zero, q0, -q0 * q1),
-        "both": (one, -(q0 + q1), q0 * q1),
-        "none": (zero, zero, q0 * q1),
+        "plus": (c0 * q1, q0 * q1 - c0 * q1, -q0 * q1),
+        "minus": (q0 * c1, q0 * q1 - q0 * c1, -q0 * q1),
+        "both": (c0 * c1, c0 * q1 + q0 * c1, q0 * q1),
+        "none": (q0 * q1, -2.0 * q0 * q1, q0 * q1),
     }
-    return {key: np.stack([_in_detector_basis(cutoff, rot, c) for c in cs])
+    if rot is None:
+        rot = np.eye(sector_dim(cutoff), dtype=complex)
+    return {key: np.stack([rot.conj().T @ np.diag(c.astype(complex)) @ rot
+                           for c in cs])
             for key, cs in coeffs.items()}

@@ -109,6 +109,17 @@ def bell_delay_s(bundle: ExperimentBundle) -> float:
     return k * period
 
 
+def stage_delays(bundle: ExperimentBundle) -> tuple:
+    """(checkpoint, delay) of the three g2 checkpoints: the source, the
+    far end of the link and the stored qubit at the Bell delay."""
+    tl = bundle.timeline
+    return (
+        ("source", tl.analysis_delay_s),
+        ("transferred", link.latency(bundle.channel) + tl.analysis_delay_s),
+        ("stored", bell_delay_s(bundle)),
+    )
+
+
 def _exact_correlator(bundle, setting: BasisSetting, dist) -> float:
     """Exact post-selected correlator of one setting's distribution."""
     bins = expected_outcome_probs(dist, bundle.detection.double_click_policy)
@@ -312,17 +323,12 @@ def _scn_correlation_sweep(cfg, bundle, mode, streams) -> ScenarioOutput:
 
 def _scn_checkpoints(cfg, bundle, mode, streams) -> ScenarioOutput:
     """Write/read g2 and write-photon SNR at the three link stages."""
-    tl = bundle.timeline
-    stage_delays = (
-        ("source", tl.analysis_delay_s),
-        ("transferred", link.latency(bundle.channel) + tl.analysis_delay_s),
-        ("stored", bell_delay_s(bundle)),
-    )
+    checkpoints = stage_delays(bundle)
     n_stage = max(cfg.trials // 3, 1)
     g2_rows, snr_rows = [], []
     g2_list, snr_list = [], []
     out = ScenarioOutput()
-    for idx, (stage, delay) in enumerate(stage_delays):
+    for idx, (stage, delay) in enumerate(checkpoints):
         rng = streams.take()
         if mode == "analytic":
             table = analytic_counts(bundle, None, n_stage, delay,
@@ -343,7 +349,7 @@ def _scn_checkpoints(cfg, bundle, mode, streams) -> ScenarioOutput:
     out.tables["snr"] = snr_rows
 
     for (target, band), est, (stage, _) in zip(G2_TARGETS, g2_list,
-                                               stage_delays):
+                                               checkpoints):
         ok = est.compatible(target, band, n_sigma=1.0)
         out.verdicts.append((
             f"g2-{stage}", ok,

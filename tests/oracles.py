@@ -5,6 +5,10 @@ an expectation value or starts from a bare qubit; these helpers do, so
 the tests can check the chain's output against hand-derivable states
 and expectation values.  Matrices go in and come out as arrays.
 
+The chain builds the detector POVM as a polynomial in the dark rate;
+``detection_povm`` is the reference product of click probabilities it
+is checked against.
+
 The chain also never evolves a joint state through node A's storage:
 it pulls node A's POVM back instead.  ``decohere_state`` is the forward
 (Schroedinger-picture) reference for that step, on the whole joint
@@ -82,6 +86,32 @@ def from_qubit_block(mat2, cutoff: int = 2) -> np.ndarray:
     mat = np.zeros((dim, dim), dtype=complex)
     mat[block] = mat2
     return mat
+
+
+def click_probabilities(cutoff: int, eta: float, dark: float) -> np.ndarray:
+    """P[state, mode]: the probability that the detector watching that
+    mode fires, for a state of definite occupation n:
+    1 - (1 - eta)^n (1 - dark)."""
+    occs = np.array(dualrail.occupations(cutoff), dtype=float)
+    return 1.0 - (1.0 - eta) ** occs * (1.0 - dark)
+
+
+def detection_povm(cutoff: int, rot, eta: float,
+                   dark: float) -> dict[str, np.ndarray]:
+    """Two threshold detectors behind the sector unitary ``rot`` (None
+    for the bare mode basis), each element a product of one click or
+    miss probability per detector."""
+    pc = click_probabilities(cutoff, eta, dark)
+    outcomes = {
+        "plus": pc[:, 0] * (1.0 - pc[:, 1]),
+        "minus": (1.0 - pc[:, 0]) * pc[:, 1],
+        "both": pc[:, 0] * pc[:, 1],
+        "none": (1.0 - pc[:, 0]) * (1.0 - pc[:, 1]),
+    }
+    if rot is None:
+        rot = np.eye(dualrail.sector_dim(cutoff), dtype=complex)
+    return {key: rot.conj().T @ np.diag(diag.astype(complex)) @ rot
+            for key, diag in outcomes.items()}
 
 
 def apply_channel(rho, operators) -> np.ndarray:

@@ -153,6 +153,18 @@ class TestMappingRoundTrip:
         with pytest.raises(ConfigError):
             config_from_mapping({"source": {"chi": 2.0}})
 
+    @pytest.mark.parametrize("sweep, match", [
+        ("[0, abc]", "sweep_us times must be numbers"),
+        ("[0, .nan, 10]", "sweep_us times must be finite"),
+        ("[0, .inf]", "sweep_us times must be finite"),
+    ], ids=["non-numeric", "nan", "infinite"])
+    def test_bad_sweep_entry_rejected(self, tmp_path, sweep, match):
+        path = tmp_path / "campaign.yaml"
+        path.write_text(f"scenario: lifetime\nsweep_us: {sweep}\n",
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match=match):
+            load_config(str(path))
+
     def test_non_mapping_section_rejected(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"source": [1, 2]})

@@ -28,8 +28,8 @@ from memlink.detection import (
 from memlink.estimators import correlator
 from memlink.memory_b import EITParams
 from memlink.scenarios import bell_delay_s
-from oracles import (apply_channel, decohere_state, embedded, expectation,
-                     partial_trace, project_basis, pure_state)
+from oracles import (apply_channel, decohere_state, detection_povm, embedded,
+                     expectation, partial_trace, project_basis, pure_state)
 
 IDEAL_PAIR = pure_state([1.0, 0.0, 0.0, 1.0])
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -127,6 +127,10 @@ class TestConfigValidation:
             DetectorParams(eta_det=1.5)
         with pytest.raises(DetectionConfigError):
             DetectorParams(dark_rate=1.0)
+
+    def test_povm_dark_rate_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match="dark-count probability"):
+            detection._povm_stack(2, None, 1.0, 1.0, 1.0)
 
     def test_double_click_policy_names(self):
         with pytest.raises(DetectionConfigError):
@@ -555,9 +559,8 @@ def reference_distribution(bundle, setting, delay_s, stage):
         eta_b, dark_b = det.det_monitor.eta_det, det.det_monitor.dark_rate
     else:
         eta_b, dark_b = bundle.eit.detection_residual(), det.dark_b
-    povm_a = dualrail.detection_povm(cutoff, rot_a, eta=1.0,
-                                     dark=det.det_a.dark_rate)
-    povm_b = dualrail.detection_povm(cutoff, rot_b, eta=eta_b, dark=dark_b)
+    povm_a = detection_povm(cutoff, rot_a, eta=1.0, dark=det.det_a.dark_rate)
+    povm_b = detection_povm(cutoff, rot_b, eta=eta_b, dark=dark_b)
 
     nu = np.repeat(dualrail.mode2_count_vector(cutoff), rest)
     dn = nu[:, None] - nu[None, :]
@@ -623,7 +626,7 @@ TRACED_PUBLIC = (
     (source, "atom_photon_state"), (link, "photon_loss_joint"),
     (link, "transmit"), (memory_b, "map_in"), (memory_b, "map_out"),
     (memory_a, "decohere"), (dualrail, "loss_channel"),
-    (dualrail, "detection_povm"), (detection, "trial_distribution"),
+    (detection, "trial_distribution"),
 )
 
 

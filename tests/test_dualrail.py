@@ -7,7 +7,8 @@ import pytest
 
 from memlink import dualrail
 from memlink.qcore import adjoint_matrix, apply_to_second
-from oracles import apply_channel, embedded, phase_unitary, pure_state
+from oracles import (apply_channel, detection_povm, embedded, phase_unitary,
+                     pure_state)
 
 
 def completeness(channel):
@@ -201,50 +202,73 @@ class TestPhaseAndDephasing:
             dualrail.dephasing_envelope(2, -0.1)
 
 
+def at_dark(poly: dict, dark: float) -> dict:
+    """The POVM of ``threshold_povm`` coefficients at one dark rate."""
+    return {key: p[0] + p[1] * dark + p[2] * dark * dark
+            for key, p in poly.items()}
+
+
+def plus_clicks(cutoff: int, eta: float, dark: float) -> np.ndarray:
+    """Probability that the "plus" detector fires, per bare basis state."""
+    povm = at_dark(dualrail.threshold_povm(cutoff, None, eta), dark)
+    return np.real(np.diag(povm["plus"] + povm["both"]))
+
+
 class TestDetectionPovm:
     def test_click_probability_table(self):
-        pc = dualrail.click_probabilities(2, eta=0.5, dark=0.0)
+        pc = plus_clicks(2, eta=0.5, dark=0.0)
         # one photon: 0.5; two photons: 1 - 0.25
-        assert pc[1, 0] == pytest.approx(0.5)
-        assert pc[3, 0] == pytest.approx(0.75)
-        assert pc[0, 0] == pytest.approx(0.0)
+        assert pc[1] == pytest.approx(0.5)
+        assert pc[3] == pytest.approx(0.75)
+        assert pc[0] == pytest.approx(0.0)
 
     def test_dark_counts_add_to_vacuum(self):
-        pc = dualrail.click_probabilities(2, eta=0.5, dark=0.01)
-        assert pc[0, 0] == pytest.approx(0.01)
-        assert pc[1, 0] == pytest.approx(1 - 0.5 * 0.99)
+        pc = plus_clicks(2, eta=0.5, dark=0.01)
+        assert pc[0] == pytest.approx(0.01)
+        assert pc[1] == pytest.approx(1 - 0.5 * 0.99)
 
     def test_povm_resolves_identity(self):
         basis = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
         rot = dualrail.mode_rotation(2, basis.conj().T)
-        povm = dualrail.detection_povm(2, rot, eta=0.6, dark=2e-3)
+        povm = at_dark(dualrail.threshold_povm(2, rot, eta=0.6), 2e-3)
         total = sum(povm.values())
         np.testing.assert_allclose(total, np.eye(6), atol=1e-9)
 
     def test_povm_elements_positive(self):
-        povm = dualrail.detection_povm(2, None, eta=0.4, dark=1e-3)
+        povm = at_dark(dualrail.threshold_povm(2, None, eta=0.4), 1e-3)
         for mat in povm.values():
             eigs = np.linalg.eigvalsh(mat)
             assert eigs.min() > -1e-12
 
     @pytest.mark.parametrize("dark", [0.0, 3e-4, 0.2])
-    def test_polynomial_in_no_dark_probability_is_the_povm(self, dark):
+    def test_polynomial_in_dark_probability_is_the_product_povm(self, dark):
         basis = np.array([[1, 1j], [1j, 1]]) / math.sqrt(2.0)
         rot = dualrail.mode_rotation(2, basis)
-        povm = dualrail.detection_povm(2, rot, eta=0.3, dark=dark)
-        poly = dualrail.detection_povm_polynomial(2, rot, eta=0.3)
-        u = 1.0 - dark
-        for key, mat in povm.items():
-            np.testing.assert_allclose(
-                poly[key][0] + poly[key][1] * u + poly[key][2] * u * u,
-                mat, atol=1e-15)
+        poly = dualrail.threshold_povm(2, rot, eta=0.3)
+        for key, mat in detection_povm(2, rot, eta=0.3, dark=dark).items():
+            np.testing.assert_allclose(at_dark(poly, dark)[key], mat,
+                                       rtol=0.0, atol=1e-15)
         # the elements sum to the identity at every dark rate
         total = sum(poly.values())
         np.testing.assert_allclose(total[0], np.eye(6), atol=1e-15)
         np.testing.assert_allclose(total[1:], 0.0, atol=1e-15)
 
+    def test_vacuum_double_click_is_dark_squared(self):
+        # in 1 - dark the vacuum's coefficients would be 1, -2 and 1,
+        # and d^2 would come out of a cancellation; in dark they are 0,
+        # 0 and 1
+        basis = np.array([[1, 1j], [1j, 1]]) / math.sqrt(2.0)
+        rot = dualrail.mode_rotation(2, basis)
+        dark = 1e-6
+        both = at_dark(dualrail.threshold_povm(2, rot, eta=0.3), dark)["both"]
+        assert both[0, 0].real == pytest.approx(dark * dark, rel=1e-12)
+
+    def test_efficiency_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match="detection efficiency"):
+            dualrail.threshold_povm(2, None, eta=1.2)
+
     def test_bare_basis_single_photon_routing(self):
-        povm = dualrail.detection_povm(2, None, eta=1.0, dark=0.0)
+        povm = at_dark(dualrail.threshold_povm(2, None, eta=1.0), 0.0)
         ket = np.zeros(6)
         ket[1] = 1.0
         assert ket @ povm["plus"] @ ket == pytest.approx(1.0)

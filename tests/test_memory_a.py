@@ -29,8 +29,8 @@ from memlink.memory_a import (
     spinwave_wavevectors,
     zeeman_phase_increment,
 )
-from oracles import (apply_channel, decohere_state, embedded, expectation,
-                     from_qubit_block, pure_state)
+from oracles import (apply_channel, decohere_state, detection_povm, embedded,
+                     expectation, from_qubit_block, pure_state)
 
 QUIET = CoherenceParams(t1_s=math.inf, t2_star_s=math.inf,
                         bias_field_gauss=0.0, mains_amplitude_gauss=0.0)
@@ -385,8 +385,7 @@ class TestDecohere:
     def test_state_stays_physical(self):
         # the adjoint of a channel keeps a POVM a POVM: every pulled-back
         # effect is Hermitian and positive, and they sum to the identity
-        povm = np.stack(list(dualrail.detection_povm(2, None, 1.0,
-                                                     3e-4).values()))
+        povm = np.stack(list(detection_povm(2, None, 1.0, 3e-4).values()))
         readout = decohere(2, [0.0, 103e-6, 300e-6], 0.15,
                            CoherenceParams(), FROZEN)
         for effects in pulled_back(readout, povm):

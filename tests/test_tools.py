@@ -58,3 +58,18 @@ def test_every_function_is_reached_by_a_campaign():
         capture_output=True, text=True, timeout=300, cwd=ROOT, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == "", proc.stdout
+
+
+def test_snapshot_ends_with_a_tally_per_sampled_scenario(tmp_path, capsys):
+    snapshot = load_by_path(ROOT / "tools" / "snapshot_campaigns.py")
+    assert snapshot.main([str(tmp_path / "out"), "1-2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for scenario, tally in zip(snapshot.SEEDED_SCENARIOS, lines[-3:]):
+        statuses = [line.split(": ", 1)[1] for line in lines
+                    if line.startswith(("seed-1/", "seed-2/"))
+                    and line.split(": ", 1)[0].endswith(f"/{scenario}")]
+        assert len(statuses) == 2
+        counts = {s: statuses.count(s) for s in ("PASS", "FAIL")}
+        counts["ERROR"] = 2 - counts["PASS"] - counts["FAIL"]
+        assert tally == (f"{scenario}: PASS {counts['PASS']} "
+                         f"FAIL {counts['FAIL']} ERROR {counts['ERROR']}")

@@ -14,6 +14,10 @@ benchmark run may draw.  ``memlink calibrate`` on the default targets
 writes its ``calibration.txt`` and ``calibrated.yaml`` to
 ``OUT/calibrate/``, so the diff also shows every printed calibration
 value.
+Each run prints one status line.  With seeds, the log ends with one
+tally line per sampled scenario over the seeds, such as
+``bell: PASS 46 FAIL 74 ERROR 0``: the share of those campaigns that
+did not pass, which the benchmark counts as failed operations.
 Snapshot two source trees into two directories and compare them with
 ``diff -r``: a refactor that claims unchanged numbers leaves it empty.
 The golden files under ``tests/golden/`` pin only the ``auto`` runs.
@@ -23,6 +27,7 @@ import contextlib
 import io
 import os
 import sys
+from collections import Counter
 
 from memlink import cli
 from memlink.config import SCENARIOS, CampaignConfig
@@ -41,11 +46,17 @@ def parse_seeds(args: list[str]) -> list[int]:
     return seeds
 
 
-def run(label: str, cfg: CampaignConfig) -> None:
+STATUSES = ("PASS", "FAIL", "ERROR")
+
+
+def run(label: str, cfg: CampaignConfig) -> str:
+    """Run one campaign, print its status (the error text for an
+    error) and return PASS, FAIL or ERROR."""
     result = run_experiment(cfg)
-    status = result.summary.get("error") or (
-        "PASS" if result.passed else "FAIL")
-    print(f"{label}: {status}")
+    error = result.summary.get("error")
+    status = "ERROR" if error else "PASS" if result.passed else "FAIL"
+    print(f"{label}: {error or status}")
+    return status
 
 
 def calibrate(out: str) -> int:
@@ -72,11 +83,16 @@ def main(argv: list[str]) -> int:
                 scenario=scenario, mode=mode,
                 out_dir=f"{out}/{scenario}-{mode}"))
     print(f"calibrate: exit {calibrate(out)}")
+    tally = {scenario: Counter() for scenario in SEEDED_SCENARIOS}
     for seed in seeds:
         for scenario in SEEDED_SCENARIOS:
-            run(f"seed-{seed}/{scenario}", CampaignConfig(
+            tally[scenario][run(f"seed-{seed}/{scenario}", CampaignConfig(
                 scenario=scenario, seed=seed,
-                out_dir=f"{out}/seed-{seed}/{scenario}"))
+                out_dir=f"{out}/seed-{seed}/{scenario}"))] += 1
+    if seeds:
+        for scenario, counts in tally.items():
+            print(f"{scenario}: "
+                  + " ".join(f"{s} {counts[s]}" for s in STATUSES))
     return 0
 
 
