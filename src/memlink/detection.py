@@ -38,12 +38,12 @@ efficiency, around a basis rotation keyed on the first three, so a
 dark-rate step neither rebuilds nor re-rotates them: the POVM stack at
 a dark rate (``_povm_stack``) and its slope (``_povm_slope``) are
 evaluated from them.  The finished distributions are cached per
-(bundle, setting, delay vector, stage).  Every cache is a module-level lru_cache of
-finite size: bounded, so a long delay sweep cannot grow memory;
-private, so the public stage functions stay plain functions that a
-caller may wrap or patch without hiding a ``cache_clear``; and at
-module level, so clearing the lru_caches found in the module globals
-is a true cold start.  Cached arrays are read-only.
+(bundle, setting, delay vector, stage).  Every cache is a module-level
+lru_cache of finite size: bounded, so a long delay sweep cannot grow
+memory; private, so the public stage functions stay plain functions
+that a caller may wrap or patch without hiding a ``cache_clear``; and
+at module level, so clearing the lru_caches found in the module
+globals is a true cold start.  Cached arrays are read-only.
 
 ``trial_tangents`` gives the exact derivatives of one distribution by
 the noise values ``calibrate`` fits.  Every prefix map is linear in the
@@ -295,16 +295,13 @@ def _povm_polynomial(cutoff: int, name: str | None, z_sign: float,
     return poly
 
 
-@lru_cache(maxsize=64)
 def _povm_stack(cutoff: int, name: str | None, z_sign: float, eta: float,
                 dark: float) -> np.ndarray:
-    """The POVM at one dark rate as a read-only (4, d, d) stack."""
+    """The POVM at one dark rate as a (4, d, d) stack."""
     if not 0.0 <= dark < 1.0:
         raise ValueError(f"dark-count probability {dark} outside [0, 1)")
     poly = _povm_polynomial(cutoff, name, z_sign, eta)
-    stack = poly[0] + poly[1] * dark + poly[2] * (dark * dark)
-    stack.setflags(write=False)
-    return stack
+    return poly[0] + poly[1] * dark + poly[2] * (dark * dark)
 
 
 def _povm_slope(cutoff: int, name: str | None, z_sign: float, eta: float,
