@@ -256,6 +256,15 @@ def load_config(path: str, overrides: dict | None = None) -> CampaignConfig:
     return config_from_mapping(raw, overrides)
 
 
+def _whole(key: str, value) -> int:
+    """An integer config value; a bool or a fractional number is refused
+    rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def config_from_mapping(raw: dict,
                         overrides: dict | None = None) -> CampaignConfig:
     unknown = set(raw) - set(_TOP_KEYS)
@@ -287,14 +296,18 @@ def config_from_mapping(raw: dict,
             raise ConfigError(f"sweep_us times must be numbers: {exc}"
                               ) from exc
     raw_trials = raw.get("trials")
+    calibrated = raw.get("calibrated")
+    if calibrated is not None and not isinstance(calibrated, bool):
+        raise ConfigError(
+            f"calibrated must be true, false or null, got {calibrated!r}")
     try:
         return CampaignConfig(
             scenario=raw.get("scenario", "bell"), bundle=bundle,
-            trials=None if raw_trials is None else int(raw_trials),
-            seed=int(raw.get("seed", 20260823)), sweep_us=sweep,
+            trials=(None if raw_trials is None
+                    else _whole("trials", raw_trials)),
+            seed=_whole("seed", raw.get("seed", 20260823)), sweep_us=sweep,
             out_dir=str(raw.get("out_dir", "results")),
-            mode=raw.get("mode", "auto"),
-            calibrated=raw.get("calibrated"))
+            mode=raw.get("mode", "auto"), calibrated=calibrated)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

@@ -54,14 +54,15 @@ the same coefficients as the POVM, so it is exact and cheap; at node A
 it is pulled back like the POVM itself.
 
 Campaigns exploit the reduction: a batch of attempts is one
-multinomial draw over the 16 patterns (``draw_counts``,
-``sample_counts``) or its exact expectation (``analytic_counts``).  A
-sweep builds its distributions in one call and still draws delay by
-delay.  An unsynced mains phase enters each pattern probability as a
-three-term Fourier series in the per-trial phase phi (the random phase
-enters as exp(-i*phi*dn)), which the draw averages exactly.  Pattern
-vectors, sampled or expected, become singles, coincidences and signed
-outcome bins through one fixed table, ``TALLY``.
+multinomial draw over the 16 patterns, or its exact expectation, and
+``tally`` gives either (an rng draws, no rng expects); ``tally_noise``
+adds the source-off windows the same way.  A sweep builds its
+distributions in one call and still draws delay by delay.  An unsynced
+mains phase enters each pattern probability as a three-term Fourier
+series in the per-trial phase phi (the random phase enters as
+exp(-i*phi*dn)), which the draw averages exactly.  Pattern vectors,
+sampled or expected, become singles, coincidences and signed outcome
+bins through one fixed table, ``TALLY``.
 """
 
 from __future__ import annotations
@@ -200,16 +201,18 @@ class CountsTable:
     """Coincidence and singles bookkeeping of one batch of attempts.
 
     ``outcome_counts`` holds the signed coincidences in the order
-    [++, +-, -+, --], node A's sign first.
+    [++, +-, -+, --], node A's sign first.  A sampled table holds
+    integer counts; an expected table (``tally`` without an rng) holds
+    the exact expected counts as floats.
     """
 
     outcome_counts: np.ndarray
     trials: int
-    singles_a: int
-    singles_b: int
-    coincidences: int
+    singles_a: float
+    singles_b: float
+    coincidences: float
     noise_windows: int = 0
-    noise_counts: int = 0
+    noise_counts: float = 0
 
 
 # ---------------------------------------------------------------------------
@@ -579,22 +582,16 @@ def _resolve_doubles(counts: np.ndarray,
     return out.ravel()
 
 
-def _counts_table(trials: int, clicks: np.ndarray,
-                  bins: np.ndarray) -> CountsTable:
-    singles_a, singles_b, coincidences = (int(c) for c in clicks)
-    return CountsTable(outcome_counts=bins, trials=trials,
-                       singles_a=singles_a, singles_b=singles_b,
-                       coincidences=coincidences)
-
-
 def _tally_counts(counts: np.ndarray, policy: str,
                   rng: np.random.Generator) -> CountsTable:
     """CountsTable of a sampled pattern-count vector under the policy."""
     if policy == "random":
         counts = _resolve_doubles(counts, rng)
     tallies = _TALLY_INT @ counts
-    return _counts_table(int(counts.sum()), tallies[CLICKS],
-                         tallies[BINS["discard"]])
+    singles_a, singles_b, coincidences = tallies[CLICKS].tolist()
+    return CountsTable(outcome_counts=tallies[BINS["discard"]],
+                       trials=int(counts.sum()), singles_a=singles_a,
+                       singles_b=singles_b, coincidences=coincidences)
 
 
 def _sample_pattern_counts(dist: TrialDistribution, n_trials: int,
@@ -616,64 +613,35 @@ def _sample_pattern_counts(dist: TrialDistribution, n_trials: int,
     return rng.multinomial(n_trials, p)
 
 
-def draw_counts(dist: TrialDistribution, n_trials: int,
-                rng: np.random.Generator,
-                policy: str = "discard") -> CountsTable:
-    """Simulate a batch of attempts from one distribution."""
-    return _tally_counts(_sample_pattern_counts(dist, n_trials, rng),
-                         policy, rng)
+def tally(dist: TrialDistribution, n_trials: int, policy: str = "discard",
+          rng: np.random.Generator | None = None) -> CountsTable:
+    """Tallies of n_trials attempts from one distribution.
 
-
-def sample_counts(bundle, setting: BasisSetting | None, n_trials: int,
-                  rng: np.random.Generator, delay_s: float,
-                  stage: str = "stored",
-                  noise_windows: int = 0) -> CountsTable:
-    """Simulate a batch of attempts at one setting into a CountsTable."""
-    table = draw_counts(trial_distribution(bundle, setting, delay_s, stage),
-                        n_trials, rng, bundle.detection.double_click_policy)
-    if noise_windows > 0:
-        ndist = noise_distribution(bundle, setting, stage)
-        ncounts = _sample_pattern_counts(ndist, noise_windows, rng)
-        table.noise_windows += noise_windows
-        table.noise_counts += int(_TALLY_INT[_SINGLES_B] @ ncounts)
-    return table
-
-
-def analytic_counts(bundle, setting: BasisSetting | None, n_trials: int,
-                    delay_s: float, stage: str = "stored",
-                    noise_windows: int = 0) -> CountsTable:
-    """Expected counts (rounded) for the same batch, no sampling.
-
-    Used by the cross-validation suite and the fast analytic campaign
-    mode.  Each pattern's expected count is rounded before the singles
-    and coincidences are tallied; the outcome bins are rounded after.
-    Under the random policy double clicks are split evenly.
+    With an rng they are one multinomial draw, its double clicks
+    resolved under the policy; without one they are the exact expected
+    counts, as floats.
     """
-    dist = trial_distribution(bundle, setting, delay_s, stage)
-    mean = dist.mean_probabilities() * n_trials
-    policy = bundle.detection.double_click_policy
-    clicks = _TALLY_INT[CLICKS] @ np.rint(mean).astype(np.int64)
-    bins = np.round(_in_order(TALLY[BINS[policy]], mean)).astype(np.int64)
-    table = _counts_table(n_trials, clicks, bins)
-    if noise_windows > 0:
-        ndist = noise_distribution(bundle, setting, stage)
-        click_p = _in_order(TALLY[_SINGLES_B], ndist.mean_probabilities())
-        table.noise_windows += noise_windows
-        table.noise_counts += int(round(click_p * noise_windows))
-    return table
+    if rng is not None:
+        return _tally_counts(_sample_pattern_counts(dist, n_trials, rng),
+                             policy, rng)
+    tallies = _in_order(TALLY, dist.mean_probabilities()) * n_trials
+    singles_a, singles_b, coincidences = tallies[CLICKS].tolist()
+    return CountsTable(outcome_counts=tallies[BINS[policy]],
+                       trials=n_trials, singles_a=singles_a,
+                       singles_b=singles_b, coincidences=coincidences)
 
 
-def expected_outcome_probs(dist: TrialDistribution,
-                           policy: str = "discard") -> np.ndarray:
-    """Per-trial probabilities of the signed coincidences [++, +-, -+, --].
-
-    This is the exact analytic counterpart of the sampled outcome bins,
-    kept in floats so ideal-state checks stay exact to rounding.
-    """
-    return _in_order(TALLY[BINS[policy]], dist.mean_probabilities())
-
-
-def expected_click_probs(dist: TrialDistribution) -> dict[str, float]:
-    """Per-trial click probabilities: each node's singles and coincidences."""
-    a, b, ab = _in_order(TALLY[CLICKS], dist.mean_probabilities())
-    return {"a": a, "b": b, "ab": ab}
+def tally_noise(table: CountsTable, dist: TrialDistribution, windows: int,
+                rng: np.random.Generator | None = None) -> CountsTable:
+    """The table with node B's clicks in ``windows`` source-off windows
+    of ``dist`` added: drawn with an rng (pattern counts only, no
+    double-click resolution), expected without one."""
+    if rng is not None:
+        clicks = int(_TALLY_INT[_SINGLES_B]
+                     @ _sample_pattern_counts(dist, windows, rng))
+    else:
+        clicks = _in_order(TALLY[_SINGLES_B],
+                           dist.mean_probabilities()) * windows
+    return dataclasses.replace(table,
+                               noise_windows=table.noise_windows + windows,
+                               noise_counts=table.noise_counts + clicks)

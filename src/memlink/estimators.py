@@ -7,9 +7,11 @@ them.  Error bars follow photon-counting statistics: Poisson for
 singles-based rates, multinomial for correlators, quadrature for
 derived sums.
 
-The estimators read a CountsTable or plain outcome bins, and they work
-identically on exact expected counts (floats) so the analytic and Monte
-Carlo paths share one code path.
+The estimators read a CountsTable or plain outcome bins.  A campaign's
+tallies are sampled counts in ``mc`` mode and exact expected counts
+(floats) in ``analytic`` mode (``detection.tally``), and every reported
+value and sigma comes from here in both, so the two modes share one
+code path.
 """
 
 from __future__ import annotations
@@ -95,6 +97,22 @@ def g2_wr(t: CountsTable) -> EstimateWithError:
     return EstimateWithError(value, sigma, n_samples=int(n))
 
 
+def retrieval(t: CountsTable) -> EstimateWithError:
+    """Coincidences per node-B single, the heralded retrieval efficiency.
+
+    The error is binomial with the rate shrunk to (k + 1) / (n + 2), so
+    a point with no coincidences keeps an honest uncertainty instead of
+    a vanishing one; with no singles the rate is 0 +/- 1.
+    """
+    n_b = t.singles_b
+    if n_b == 0:
+        return EstimateWithError(0.0, 1.0, n_samples=0)
+    k = t.coincidences
+    p_t = (k + 1.0) / (n_b + 2.0)
+    return EstimateWithError(k / n_b, math.sqrt(p_t * (1.0 - p_t) / n_b),
+                             n_samples=int(round(n_b)))
+
+
 def correlator_from_bins(bins: np.ndarray) -> EstimateWithError:
     """Signed correlator from outcome bins ordered [++, +-, -+, --]."""
     bins = np.asarray(bins, dtype=float)
@@ -129,3 +147,16 @@ def fidelity(xx: EstimateWithError, yy: EstimateWithError,
     sigma = math.sqrt(xx.sigma ** 2 + yy.sigma ** 2 + zz.sigma ** 2) / 4.0
     n = xx.n_samples + yy.n_samples + zz.n_samples
     return EstimateWithError(value, sigma, n_samples=n)
+
+
+def envelope(x: EstimateWithError, y: EstimateWithError
+             ) -> EstimateWithError:
+    """Length of the quadrature pair (x, y) with its propagated error."""
+    value = math.hypot(x.value, y.value)
+    if value > 0:
+        sigma = math.sqrt((x.value * x.sigma) ** 2
+                          + (y.value * y.sigma) ** 2) / value
+    else:
+        sigma = math.hypot(x.sigma, y.sigma)
+    return EstimateWithError(value, sigma,
+                             n_samples=x.n_samples + y.n_samples)

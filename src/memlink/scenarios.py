@@ -25,10 +25,8 @@ from . import estimators, fitting, memory_a
 from .config import (CampaignConfig, ExperimentBundle, calibrated_bundle,
                      config_hash)
 from .constants import CODATA
-from .detection import (BasisSetting, analytic_counts, draw_counts,
-                        expected_click_probs, expected_outcome_probs,
-                        sample_counts, trial_distribution,
-                        trial_distributions)
+from .detection import (BasisSetting, noise_distribution, tally,
+                        tally_noise, trial_distribution, trial_distributions)
 from .estimators import EstimateWithError
 
 CSV_HEADER = "t_us,value,sigma,n"
@@ -47,10 +45,6 @@ MAINS_AMPLITUDE_FREE_G = 1.61e-3
 MAINS_AMPLITUDE_SYNCED_G = 0.35e-3
 
 _MC_SCENARIOS = ("bell", "fidelity", "checkpoints")
-
-
-class ScenarioError(RuntimeError):
-    """Raised when a scenario cannot produce its outputs."""
 
 
 @dataclass
@@ -78,13 +72,19 @@ def _fmt(x: float) -> str:
 
 
 class _Streams:
-    """Deterministic per-batch random generators from one master seed."""
+    """Deterministic per-batch random generators from one master seed.
 
-    def __init__(self, master_seed: int):
+    With no seed every batch gets None, which ``detection.tally`` reads
+    as the exact expectation: this is the whole of ``analytic`` mode.
+    """
+
+    def __init__(self, master_seed: int | None):
         self._seed = master_seed
         self._next = 0
 
-    def take(self) -> np.random.Generator:
+    def take(self) -> np.random.Generator | None:
+        if self._seed is None:
+            return None
         seq = np.random.SeedSequence(self._seed, spawn_key=(self._next,))
         self._next += 1
         return np.random.default_rng(seq)
@@ -120,25 +120,18 @@ def stage_delays(bundle: ExperimentBundle) -> tuple:
     )
 
 
-def _exact_correlator(bundle, setting: BasisSetting, dist) -> float:
-    """Exact post-selected correlator of one setting's distribution."""
-    bins = expected_outcome_probs(dist, bundle.detection.double_click_policy)
-    if bins.sum() <= 0.0:
-        raise ScenarioError(f"no coincidence mass for {setting.key}")
-    return float(estimators.correlator_from_bins(bins).value)
+def _correlator(bundle, dist, n_trials: int, rng) -> EstimateWithError:
+    """Post-selected correlator of n_trials attempts from dist."""
+    return estimators.correlator(
+        tally(dist, n_trials, bundle.detection.double_click_policy, rng))
 
 
-def _analytic_series(bundle, setting: BasisSetting,
-                     sweep_us: np.ndarray) -> np.ndarray:
-    return np.array([_exact_correlator(bundle, setting, dist)
+def _exact_series(bundle, setting: BasisSetting,
+                  sweep_us: np.ndarray) -> np.ndarray:
+    """Exact correlator of one trial at each delay of the sweep."""
+    return np.array([_correlator(bundle, dist, 1, None).value
                      for dist in trial_distributions(bundle, setting,
                                                      sweep_us * 1e-6)])
-
-
-def _mc_correlator(bundle, dist, n_trials: int, rng) -> EstimateWithError:
-    table = draw_counts(dist, n_trials, rng,
-                        bundle.detection.double_click_policy)
-    return estimators.correlator(table)
 
 
 def _resolve_mode(cfg: CampaignConfig) -> str:
@@ -164,7 +157,7 @@ def _sweep_us(cfg: CampaignConfig, default: np.ndarray) -> np.ndarray:
 # scenarios
 
 
-def _scn_lifetime(cfg, bundle, mode, streams) -> ScenarioOutput:
+def _scn_lifetime(cfg, bundle, streams) -> ScenarioOutput:
     """Retrieval efficiency vs storage time; Gaussian 1/e fit."""
     frozen = bundle.geometry.frozen
     span = 900.0 if frozen else 80.0
@@ -179,27 +172,9 @@ def _scn_lifetime(cfg, bundle, mode, streams) -> ScenarioOutput:
     policy = bundle.detection.double_click_policy
     for t_us, dist in zip(sweep, trial_distributions(bundle, None,
                                                      sweep * 1e-6)):
-        if mode == "analytic":
-            clicks = expected_click_probs(dist)
-            if clicks["b"] <= 0.0:
-                raise ScenarioError("no heralding clicks in lifetime sweep")
-            value = clicks["ab"] / clicks["b"]
-            sigma, n = 0.0, 0
-        else:
-            table = draw_counts(dist, n_pt, rng, policy)
-            n_b = table.singles_b
-            if n_b == 0:
-                value, sigma, n = 0.0, 1.0, 0
-            else:
-                k = table.coincidences
-                value = k / n_b
-                # shrunk binomial error so zero-count points keep an
-                # honest uncertainty instead of a vanishing one
-                p_t = (k + 1.0) / (n_b + 2.0)
-                sigma = math.sqrt(p_t * (1.0 - p_t) / n_b)
-                n = n_b
-        rows.append((t_us, value, sigma, n))
-        values.append(value)
+        est = estimators.retrieval(tally(dist, n_pt, policy, rng))
+        rows.append((t_us, est.value, est.sigma, est.n_samples))
+        values.append(est.value)
 
     fit = fitting.fit_decay(sweep, np.array(values), "gaussian-decay")
     tau_fit_us = fit.one_over_e_time
@@ -223,7 +198,7 @@ def _scn_lifetime(cfg, bundle, mode, streams) -> ScenarioOutput:
     return out
 
 
-def _scn_correlation_sweep(cfg, bundle, mode, streams) -> ScenarioOutput:
+def _scn_correlation_sweep(cfg, bundle, streams) -> ScenarioOutput:
     """<ZZ> and <XX> vs storage time with decay/oscillation fits.
 
     The showcase tables use the bundle as configured.  The T1/T2*
@@ -241,18 +216,14 @@ def _scn_correlation_sweep(cfg, bundle, mode, streams) -> ScenarioOutput:
         setting = BasisSetting(a, b)
         dists = trial_distributions(bundle, setting, sweep * 1e-6)
         for t_us, dist in zip(sweep, dists):
-            if mode == "analytic":
-                value = _exact_correlator(bundle, setting, dist)
-                sigma, n = 0.0, 0
+            try:
+                est = _correlator(bundle, dist, n_pt, rng)
+            except estimators.EstimatorError:
+                # no coincidences landed in this point's windows; keep
+                # the dropout in the table but out of the fits
+                value, sigma, n = math.nan, math.inf, 0
             else:
-                try:
-                    est = _mc_correlator(bundle, dist, n_pt, rng)
-                except estimators.EstimatorError:
-                    # no coincidences landed in this point's windows; keep
-                    # the dropout in the table but out of the fits
-                    value, sigma, n = math.nan, math.inf, 0
-                else:
-                    value, sigma, n = est.value, est.sigma, est.n_samples
+                value, sigma, n = est.value, est.sigma, est.n_samples
             table_rows[name].append((t_us, value, sigma, n))
             series[name].append(value)
 
@@ -290,8 +261,8 @@ def _scn_correlation_sweep(cfg, bundle, mode, streams) -> ScenarioOutput:
         t1_bundle = dataclasses.replace(bundle, source=singles, eit=sym)
         t1_sweep = np.linspace(0.0, 2.0 * coh.t1_s * 1e6, 25)
         iso = fitting.fit_decay(
-            t1_sweep, _analytic_series(t1_bundle, BasisSetting("Z", "Z"),
-                                       t1_sweep),
+            t1_sweep, _exact_series(t1_bundle, BasisSetting("Z", "Z"),
+                                    t1_sweep),
             "exponential-decay")
         out.summary["t1_recovered_us"] = _fmt(iso.one_over_e_time)
         ok = (math.isfinite(iso.one_over_e_time)
@@ -310,8 +281,8 @@ def _scn_correlation_sweep(cfg, bundle, mode, streams) -> ScenarioOutput:
         t2_us = coh.t2_star_s * 1e6
         t2_sweep = np.linspace(0.0, 400.0, 49)
         iso = fitting.fit_oscillation(
-            t2_sweep, _analytic_series(t2_bundle, BasisSetting("X", "X"),
-                                       t2_sweep))
+            t2_sweep, _exact_series(t2_bundle, BasisSetting("X", "X"),
+                                    t2_sweep))
         out.summary["t2star_recovered_us"] = _fmt(iso.one_over_e_time)
         ok = abs(iso.one_over_e_time - t2_us) <= 0.05 * t2_us
         out.verdicts.append((
@@ -321,7 +292,7 @@ def _scn_correlation_sweep(cfg, bundle, mode, streams) -> ScenarioOutput:
     return out
 
 
-def _scn_checkpoints(cfg, bundle, mode, streams) -> ScenarioOutput:
+def _scn_checkpoints(cfg, bundle, streams) -> ScenarioOutput:
     """Write/read g2 and write-photon SNR at the three link stages."""
     checkpoints = stage_delays(bundle)
     n_stage = max(cfg.trials // 3, 1)
@@ -330,12 +301,10 @@ def _scn_checkpoints(cfg, bundle, mode, streams) -> ScenarioOutput:
     out = ScenarioOutput()
     for idx, (stage, delay) in enumerate(checkpoints):
         rng = streams.take()
-        if mode == "analytic":
-            table = analytic_counts(bundle, None, n_stage, delay,
-                                    stage=stage, noise_windows=n_stage)
-        else:
-            table = sample_counts(bundle, None, n_stage, rng, delay,
-                                  stage=stage, noise_windows=n_stage)
+        table = tally(trial_distribution(bundle, None, delay, stage),
+                      n_stage, bundle.detection.double_click_policy, rng)
+        table = tally_noise(table, noise_distribution(bundle, None, stage),
+                            n_stage, rng)
         g2 = estimators.g2_wr(table)
         ratio = estimators.snr(table)
         g2_rows.append((float(idx), g2.value, g2.sigma, g2.n_samples))
@@ -366,79 +335,62 @@ def _scn_checkpoints(cfg, bundle, mode, streams) -> ScenarioOutput:
     return out
 
 
-def _correlation_campaign(bundle, settings, delay_s, n_setting, mode,
-                          streams) -> dict[str, EstimateWithError]:
-    results = {}
+def _correlator_campaign(cfg, bundle, settings, streams
+                         ) -> tuple[dict[str, EstimateWithError],
+                                    ScenarioOutput]:
+    """One correlator per setting at the Bell delay, with its table row
+    and summary line, and the delay in the summary."""
+    delay = bell_delay_s(bundle)
+    n_setting = max(cfg.trials // len(settings), 1)
+    est = {}
     for a, b in settings:
         setting = BasisSetting(a, b)
-        rng = streams.take()
-        dist = trial_distribution(bundle, setting, delay_s, "stored")
-        if mode == "analytic":
-            bins = expected_outcome_probs(
-                dist, bundle.detection.double_click_policy) * n_setting
-            results[setting.key] = estimators.correlator_from_bins(bins)
-        else:
-            results[setting.key] = _mc_correlator(bundle, dist, n_setting,
-                                                  rng)
-    return results
+        dist = trial_distribution(bundle, setting, delay, "stored")
+        est[setting.key] = _correlator(bundle, dist, n_setting,
+                                       streams.take())
+    rows = [(float(i), e.value, e.sigma, e.n_samples)
+            for i, e in enumerate(est.values())]
+    out = ScenarioOutput(tables={"correlators": rows})
+    for key, e in est.items():
+        out.summary[f"correlator_{key.replace(',', '_')}"] = str(e)
+    out.summary["delay_us"] = _fmt(delay * 1e6)
+    return est, out
 
 
-def _scn_bell(cfg, bundle, mode, streams) -> ScenarioOutput:
+def _fidelity_verdict(est, out: ScenarioOutput) -> None:
+    f_val = estimators.fidelity(est["X,X"], est["Y,Y"], est["Z,Z"])
+    out.summary["fidelity"] = str(f_val)
+    out.verdicts.append((
+        "fidelity", f_val.compatible(*FIDELITY_TARGET, n_sigma=1.0),
+        f"F = {f_val} vs {FIDELITY_TARGET[0]} +/- {FIDELITY_TARGET[1]} "
+        f"(1 combined sigma)"))
+
+
+def _scn_bell(cfg, bundle, streams) -> ScenarioOutput:
     """CHSH S and Bell-state fidelity at the phase-revival delay."""
-    delay = bell_delay_s(bundle)
     settings = CHSH_SETTINGS + CORR_SETTINGS
-    n_setting = max(cfg.trials // len(settings), 1)
-    est = _correlation_campaign(bundle, settings, delay, n_setting, mode,
-                                streams)
+    est, out = _correlator_campaign(cfg, bundle, settings, streams)
     s_val = estimators.chsh(est["A0,B0"], est["A0,B1"],
                             est["A1,B0"], est["A1,B1"])
-    f_val = estimators.fidelity(est["X,X"], est["Y,Y"], est["Z,Z"])
-
-    rows = [(float(i), e.value, e.sigma, e.n_samples)
-            for i, e in enumerate(est.values())]
-    out = ScenarioOutput(tables={"correlators": rows})
-    for key, e in est.items():
-        out.summary[f"correlator_{key.replace(',', '_')}"] = str(e)
     out.summary["chsh_s"] = str(s_val)
-    out.summary["fidelity"] = str(f_val)
-    out.summary["delay_us"] = _fmt(delay * 1e6)
-    out.summary["trials_per_setting"] = str(n_setting)
-    ok_s = s_val.compatible(*CHSH_TARGET, n_sigma=1.0)
-    ok_f = f_val.compatible(*FIDELITY_TARGET, n_sigma=1.0)
+    out.summary["trials_per_setting"] = str(
+        max(cfg.trials // len(settings), 1))
     out.verdicts.append((
-        "chsh", ok_s,
+        "chsh", s_val.compatible(*CHSH_TARGET, n_sigma=1.0),
         f"S = {s_val} vs {CHSH_TARGET[0]} +/- {CHSH_TARGET[1]} "
         f"(1 combined sigma)"))
-    out.verdicts.append((
-        "fidelity", ok_f,
-        f"F = {f_val} vs {FIDELITY_TARGET[0]} +/- {FIDELITY_TARGET[1]} "
-        f"(1 combined sigma)"))
+    _fidelity_verdict(est, out)
     return out
 
 
-def _scn_fidelity(cfg, bundle, mode, streams) -> ScenarioOutput:
+def _scn_fidelity(cfg, bundle, streams) -> ScenarioOutput:
     """Bell-state fidelity alone (X, Y, Z correlators)."""
-    delay = bell_delay_s(bundle)
-    n_setting = max(cfg.trials // len(CORR_SETTINGS), 1)
-    est = _correlation_campaign(bundle, CORR_SETTINGS, delay, n_setting,
-                                mode, streams)
-    f_val = estimators.fidelity(est["X,X"], est["Y,Y"], est["Z,Z"])
-    rows = [(float(i), e.value, e.sigma, e.n_samples)
-            for i, e in enumerate(est.values())]
-    out = ScenarioOutput(tables={"correlators": rows})
-    for key, e in est.items():
-        out.summary[f"correlator_{key.replace(',', '_')}"] = str(e)
-    out.summary["fidelity"] = str(f_val)
-    out.summary["delay_us"] = _fmt(delay * 1e6)
-    ok = f_val.compatible(*FIDELITY_TARGET, n_sigma=1.0)
-    out.verdicts.append((
-        "fidelity", ok,
-        f"F = {f_val} vs {FIDELITY_TARGET[0]} +/- {FIDELITY_TARGET[1]} "
-        f"(1 combined sigma)"))
+    est, out = _correlator_campaign(cfg, bundle, CORR_SETTINGS, streams)
+    _fidelity_verdict(est, out)
     return out
 
 
-def _scn_budget(cfg, bundle, mode, streams) -> ScenarioOutput:
+def _scn_budget(cfg, bundle, streams) -> ScenarioOutput:
     """Efficiency chain bookkeeping against the published factors."""
     ch = bundle.channel
     eta_ch = link.channel_efficiency(ch)
@@ -447,9 +399,9 @@ def _scn_budget(cfg, bundle, mode, streams) -> ScenarioOutput:
     ent_from_factors = PAIR_COINCIDENCE_P / (eta_a * eta_b)
 
     delay = bell_delay_s(bundle)
-    dist = trial_distribution(bundle, None, delay, "stored")
-    clicks = expected_click_probs(dist)
-    p_cc_model = clicks["ab"]
+    # expected coincidences of one attempt
+    p_cc_model = tally(trial_distribution(bundle, None, delay, "stored"),
+                       1).coincidences
     ent_model = p_cc_model / (eta_a * eta_b)
 
     rows = [
@@ -488,42 +440,31 @@ def _scn_budget(cfg, bundle, mode, streams) -> ScenarioOutput:
     return out
 
 
-def _mains_envelope(bundle, sweep_us, mode, n_pt, rng):
+def _mains_envelope(bundle, sweep_us, n_pt, rng):
     """Storage-time envelope from the X-basis quadrature pair."""
     xs, ys = [], []
-    sx = BasisSetting("X", "X")
-    sy = BasisSetting("X", "Y")
     rows = []
     for t_us, dist_x, dist_y in zip(
-            sweep_us, trial_distributions(bundle, sx, sweep_us * 1e-6),
-            trial_distributions(bundle, sy, sweep_us * 1e-6)):
-        if mode == "analytic":
-            exx = _exact_correlator(bundle, sx, dist_x)
-            exy = _exact_correlator(bundle, sy, dist_y)
-            env = math.hypot(exx, exy)
-            sigma, n = 0.0, 0
-        else:
-            try:
-                est_x = _mc_correlator(bundle, dist_x, n_pt, rng)
-                est_y = _mc_correlator(bundle, dist_y, n_pt, rng)
-            except estimators.EstimatorError:
-                rows.append((t_us, math.nan, math.inf, 0))
-                continue
-            env = math.hypot(est_x.value, est_y.value)
-            if env > 0:
-                sigma = math.sqrt(
-                    (est_x.value * est_x.sigma) ** 2
-                    + (est_y.value * est_y.sigma) ** 2) / env
-            else:
-                sigma = math.hypot(est_x.sigma, est_y.sigma)
-            n = est_x.n_samples + est_y.n_samples
-        rows.append((t_us, env, sigma, n))
+            sweep_us,
+            trial_distributions(bundle, BasisSetting("X", "X"),
+                                sweep_us * 1e-6),
+            trial_distributions(bundle, BasisSetting("X", "Y"),
+                                sweep_us * 1e-6)):
+        # the Y quadrature is drawn only once the X draw has coincidences
+        try:
+            env = estimators.envelope(
+                _correlator(bundle, dist_x, n_pt, rng),
+                _correlator(bundle, dist_y, n_pt, rng))
+        except estimators.EstimatorError:
+            rows.append((t_us, math.nan, math.inf, 0))
+            continue
+        rows.append((t_us, env.value, env.sigma, env.n_samples))
         xs.append(t_us)
-        ys.append(env)
+        ys.append(env.value)
     return rows, np.asarray(xs), np.asarray(ys)
 
 
-def _scn_mains(cfg, bundle, mode, streams) -> ScenarioOutput:
+def _scn_mains(cfg, bundle, streams) -> ScenarioOutput:
     """Line-noise dephasing with and without sequence triggering.
 
     Both arms disable amplitude damping so the fitted envelope isolates
@@ -545,7 +486,7 @@ def _scn_mains(cfg, bundle, mode, streams) -> ScenarioOutput:
     for name, coh in arms.items():
         arm_bundle = dataclasses.replace(bundle, coherence=coh)
         rng = streams.take()
-        rows, xs, ys = _mains_envelope(arm_bundle, sweep, mode, n_pt, rng)
+        rows, xs, ys = _mains_envelope(arm_bundle, sweep, n_pt, rng)
         out.tables[name] = rows
         fit = fitting.fit_decay(xs, ys, "gaussian-decay")
         taus[name] = fit.one_over_e_time
@@ -560,7 +501,7 @@ def _scn_mains(cfg, bundle, mode, streams) -> ScenarioOutput:
     return out
 
 
-def _scn_direct_fiber(cfg, bundle, mode, streams) -> ScenarioOutput:
+def _scn_direct_fiber(cfg, bundle, streams) -> ScenarioOutput:
     """Telecom conversion versus sending the native photon directly."""
     ch = bundle.channel
     eta_tele = link.channel_efficiency(ch)
@@ -641,7 +582,7 @@ def run_experiment(cfg: CampaignConfig) -> CampaignResult:
     """Run one campaign: tables, summary and verdicts under cfg.out_dir."""
     bundle = _resolve_bundle(cfg)
     mode = _resolve_mode(cfg)
-    streams = _Streams(cfg.seed)
+    streams = _Streams(cfg.seed if mode == "mc" else None)
     os.makedirs(cfg.out_dir, exist_ok=True)
     header = {
         "scenario": cfg.scenario,
@@ -652,7 +593,7 @@ def run_experiment(cfg: CampaignConfig) -> CampaignResult:
         "calibrated": str(bundle != cfg.bundle).lower(),
     }
     try:
-        out = _DISPATCH[cfg.scenario](cfg, bundle, mode, streams)
+        out = _DISPATCH[cfg.scenario](cfg, bundle, streams)
     except Exception as exc:
         files = _write_summaries(cfg.out_dir, cfg.scenario, header,
                                  {"error": str(exc)}, [], "ERROR")

@@ -72,6 +72,19 @@ class TestRun:
         assert main(["run", "budget", "--trials", "0", "--out", out]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("line", ['calibrated: "false"',
+                                      "trials: 2.7", "seed: true"])
+    def test_mistyped_config_value_exits_two(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "typed.yaml"
+        cfg_path.write_text(f"scenario: lifetime\n{line}\n",
+                            encoding="utf-8")
+        out = str(tmp_path / "typed")
+        rc = main(["run", "lifetime", "--config", str(cfg_path),
+                   "--out", out])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not os.path.exists(out)
+
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         out = str(tmp_path / "z")
         rc = main(["run", "budget", "--config",

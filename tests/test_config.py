@@ -139,6 +139,31 @@ class TestMappingRoundTrip:
         cfg = config_from_mapping({"trials": 100}, overrides={"trials": None})
         assert cfg.trials == 100
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, "yes"])
+    def test_calibrated_must_be_a_bool_or_null(self, value):
+        # a quoted "false" is a truthy string that would switch the
+        # calibrated bundle in
+        with pytest.raises(ConfigError, match="calibrated"):
+            config_from_mapping({"scenario": "lifetime",
+                                 "calibrated": value})
+        for ok in (True, False, None):
+            cfg = config_from_mapping({"scenario": "lifetime",
+                                       "calibrated": ok})
+            assert cfg.calibrated is ok
+
+    @pytest.mark.parametrize("key", ["trials", "seed"])
+    @pytest.mark.parametrize("value", [2.7, 1.9, True, False, math.inf,
+                                       math.nan])
+    def test_counts_refuse_bools_and_fractions(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping({key: value})
+
+    @pytest.mark.parametrize("key", ["trials", "seed"])
+    def test_whole_float_counts_accepted(self, key):
+        cfg = config_from_mapping({key: 1e6})
+        assert getattr(cfg, key) == 1_000_000
+        assert isinstance(getattr(cfg, key), int)
+
     def test_unknown_top_key_rejected(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"scneario": "bell"})

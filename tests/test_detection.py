@@ -18,11 +18,9 @@ from memlink.detection import (
     DetectionConfig,
     DetectionConfigError,
     DetectorParams,
-    analytic_counts,
-    expected_click_probs,
-    expected_outcome_probs,
     noise_distribution,
-    sample_counts,
+    tally,
+    tally_noise,
     trial_distribution,
 )
 from memlink.estimators import correlator
@@ -60,8 +58,18 @@ def assert_conserved(t):
 
 def conditional_correlator(bundle, setting, delay_s=0.0, stage="stored"):
     dist = trial_distribution(bundle, setting, delay_s, stage)
-    bins = expected_outcome_probs(dist)
+    bins = tally(dist, 1).outcome_counts
     return (bins[0] + bins[3] - bins[1] - bins[2]) / bins.sum()
+
+
+def batch(bundle, setting, n, delay_s, rng=None, stage="stored",
+          noise_windows=0):
+    """Tallies of n attempts at one setting, sampled with an rng and
+    expected without one, plus node B's clicks in the noise windows."""
+    dist = trial_distribution(bundle, setting, delay_s, stage)
+    table = tally(dist, n, bundle.detection.double_click_policy, rng)
+    return tally_noise(table, noise_distribution(bundle, setting, stage),
+                       noise_windows, rng)
 
 
 class TestProjectBasis:
@@ -221,7 +229,7 @@ class TestNoiseFreeOracles:
         delay = link.latency(ExperimentBundle().channel)
         for bundle in (ExperimentBundle(), calibrated_bundle()):
             dist = trial_distribution(bundle, BasisSetting(), delay, "stored")
-            ab = expected_click_probs(dist)["ab"]
+            ab = tally(dist, 1).coincidences
             np.testing.assert_allclose(ab, 6.1e-6, rtol=0.2)
 
     def test_conditional_correlators_are_ideal(self):
@@ -278,10 +286,8 @@ class TestSampling:
         bundle = calibrated_bundle()
         n = 200_000
         rng = np.random.default_rng(101)
-        sampled = sample_counts(bundle, BasisSetting("Z", "Z"), n, rng,
-                                delay_s=103e-6)
-        expected = analytic_counts(bundle, BasisSetting("Z", "Z"), n,
-                                   delay_s=103e-6)
+        sampled = batch(bundle, BasisSetting("Z", "Z"), n, 103e-6, rng)
+        expected = batch(bundle, BasisSetting("Z", "Z"), n, 103e-6)
         for name in ("singles_a", "singles_b", "coincidences"):
             got = getattr(sampled, name)
             want = getattr(expected, name)
@@ -290,18 +296,17 @@ class TestSampling:
 
     def test_sampling_reproducible(self):
         bundle = calibrated_bundle()
-        a = sample_counts(bundle, BasisSetting("X", "X"), 50_000,
-                          np.random.default_rng(5), delay_s=103e-6)
-        b = sample_counts(bundle, BasisSetting("X", "X"), 50_000,
-                          np.random.default_rng(5), delay_s=103e-6)
+        a = batch(bundle, BasisSetting("X", "X"), 50_000, 103e-6,
+                   np.random.default_rng(5))
+        b = batch(bundle, BasisSetting("X", "X"), 50_000, 103e-6,
+                   np.random.default_rng(5))
         np.testing.assert_array_equal(a.outcome_counts, b.outcome_counts)
         assert a.trials == b.trials
 
     def test_tables_pass_conservation_check(self):
         bundle = calibrated_bundle()
-        t = sample_counts(bundle, BasisSetting("Z", "Z"), 100_000,
-                          np.random.default_rng(17), delay_s=103e-6,
-                          noise_windows=100_000)
+        t = batch(bundle, BasisSetting("Z", "Z"), 100_000, 103e-6,
+                   np.random.default_rng(17), noise_windows=100_000)
         assert_conserved(t)
         assert t.noise_windows == 100_000
         assert t.noise_counts >= 0
@@ -316,7 +321,7 @@ class TestSampling:
                 detection=dataclasses.replace(det, dark_b=dark),
             )
             dist = noise_distribution(bundle, BasisSetting())
-            return expected_click_probs(dist)["b"]
+            return tally(dist, 1).singles_b
 
         r1 = noise_rate(2e-6)
         r2 = noise_rate(4e-6)
@@ -324,39 +329,46 @@ class TestSampling:
 
     def test_analytic_counts_deterministic(self):
         bundle = calibrated_bundle()
-        a = analytic_counts(bundle, BasisSetting("Y", "Y"), 300_000,
-                            delay_s=103e-6, noise_windows=300_000)
-        b = analytic_counts(bundle, BasisSetting("Y", "Y"), 300_000,
-                            delay_s=103e-6, noise_windows=300_000)
+        a = batch(bundle, BasisSetting("Y", "Y"), 300_000, 103e-6,
+                   noise_windows=300_000)
+        b = batch(bundle, BasisSetting("Y", "Y"), 300_000, 103e-6,
+                   noise_windows=300_000)
         np.testing.assert_array_equal(a.outcome_counts, b.outcome_counts)
         assert a.noise_counts == b.noise_counts
 
-    def test_analytic_counts_round_each_pattern(self):
+    def test_expected_counts_are_unrounded_means(self):
+        # no count is rounded: every tally is the trial count times the
+        # pattern probabilities summed over the patterns it reads
         bundle = calibrated_bundle()
         n = 300_000_000
         for stage in ("source", "stored"):
-            table = analytic_counts(bundle, None, n, 103e-6, stage=stage)
-            dist = trial_distribution(bundle, None, 103e-6, stage)
-            mean = dist.mean_probabilities() * n
-            want = {"singles_a": 0, "singles_b": 0, "coincidences": 0}
-            for (a, b), m in zip(PATTERNS, mean):
-                n_pat = int(round(m))
-                want["singles_a"] += n_pat if a != "none" else 0
-                want["singles_b"] += n_pat if b != "none" else 0
-                want["coincidences"] += (n_pat if "none" not in (a, b)
-                                         else 0)
+            table = batch(bundle, None, n, 103e-6, stage=stage,
+                           noise_windows=n)
+            mean = trial_distribution(bundle, None, 103e-6,
+                                      stage).mean_probabilities()
+            noise = noise_distribution(bundle, None,
+                                       stage).mean_probabilities()
+            want = {"singles_a": 0.0, "singles_b": 0.0, "coincidences": 0.0,
+                    "noise_counts": 0.0}
+            for (a, b), p, q in zip(PATTERNS, mean, noise):
+                want["singles_a"] += p * n if a != "none" else 0.0
+                want["singles_b"] += p * n if b != "none" else 0.0
+                want["coincidences"] += (p * n if "none" not in (a, b)
+                                         else 0.0)
+                want["noise_counts"] += q * n if b != "none" else 0.0
             for name, value in want.items():
-                assert getattr(table, name) == value, (stage, name)
-            assert table.trials == n
+                np.testing.assert_allclose(getattr(table, name), value,
+                                           rtol=1e-12, err_msg=stage)
+            assert table.trials == table.noise_windows == n
 
     def test_double_click_policies_at_distribution_level(self):
         bundle = calibrated_bundle()
         dist = trial_distribution(bundle, BasisSetting("Z", "Z"), 103e-6,
                                   "stored")
-        discard = expected_outcome_probs(dist, policy="discard")
-        random_split = expected_outcome_probs(dist, policy="random")
+        discard = tally(dist, 1, "discard").outcome_counts
+        random_split = tally(dist, 1, "random").outcome_counts
         assert discard.sum() <= random_split.sum() + 1e-15
-        coincidence = expected_click_probs(dist)["ab"]
+        coincidence = tally(dist, 1).coincidences
         np.testing.assert_allclose(random_split.sum(), coincidence,
                                    rtol=1e-12)
 
@@ -434,13 +446,14 @@ class TestAccumulate:
         rows = self.FIXTURE + ((("both", "both"), 2),)
         probs = self.counts(rows) / 8.0
         dist = detection.TrialDistribution(base=probs, fourier=(), swing=0.0)
-        clicks = expected_click_probs(dist)
-        assert (clicks["a"], clicks["b"], clicks["ab"]) == (0.75, 0.75, 0.625)
+        clicks = tally(dist, 1)
+        assert ((clicks.singles_a, clicks.singles_b, clicks.coincidences)
+                == (0.75, 0.75, 0.625))
         np.testing.assert_array_equal(
-            expected_outcome_probs(dist, "discard"), [1 / 8, 0, 1 / 8, 0])
+            tally(dist, 1, "discard").outcome_counts, [1 / 8, 0, 1 / 8, 0])
         # (both, plus) splits over ++ and -+, (both, both) over all four
         np.testing.assert_array_equal(
-            expected_outcome_probs(dist, "random"),
+            tally(dist, 1, "random").outcome_counts,
             [1 / 8 + 1 / 16 + 1 / 16, 1 / 16, 1 / 8 + 1 / 16 + 1 / 16, 1 / 16])
 
 
@@ -457,12 +470,10 @@ class TestSampledInvariance:
             ),
         )
         n = 20_000_000
-        t_full = sample_counts(bundle, BasisSetting("Z", "Z"), n,
-                               np.random.default_rng(8), delay_s=0.0,
-                               stage="transferred")
-        t_half = sample_counts(halved, BasisSetting("Z", "Z"), n,
-                               np.random.default_rng(9), delay_s=0.0,
-                               stage="transferred")
+        t_full = batch(bundle, BasisSetting("Z", "Z"), n, 0.0,
+                        np.random.default_rng(8), stage="transferred")
+        t_half = batch(halved, BasisSetting("Z", "Z"), n, 0.0,
+                        np.random.default_rng(9), stage="transferred")
         c_full = correlator(t_full)
         c_half = correlator(t_half)
         combined = math.hypot(c_full.sigma, c_half.sigma)

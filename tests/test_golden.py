@@ -5,7 +5,10 @@ each scenario at the default seed in ``auto`` mode.  A change to the
 chain engine, the samplers or the writers must leave these bytes as
 they are; the files never absorb a numeric difference.  A change to
 the config schema may move only the ``config_hash`` line, and the
-change states the old and the new hash of each scenario.
+change states the old and the new hash of each scenario.  A deliberate
+change of what a table reports moves its files once and names every
+moved line; so the analytic sweeps' ``sigma,n`` columns went from 0 to
+the σ and n of their expected counts.
 """
 
 from pathlib import Path

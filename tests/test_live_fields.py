@@ -13,8 +13,7 @@ import numpy as np
 
 from memlink.calibrate import model_predictions
 from memlink.config import CampaignConfig, calibrated_bundle
-from memlink.detection import (BasisSetting, expected_outcome_probs,
-                               trial_distribution)
+from memlink.detection import BasisSetting, tally, trial_distribution
 from memlink.scenarios import _DISPATCH, _Streams
 
 VALIDATION_ONLY = {
@@ -37,10 +36,10 @@ def fingerprint(bundle):
         for delay in DELAYS_S:
             dist = trial_distribution(bundle, setting, delay)
             blocks.append(dist.mean_probabilities())
-            blocks.append(expected_outcome_probs(dist, policy))
+            blocks.append(tally(dist, 1, policy).outcome_counts)
     for scenario in SUMMARY_SCENARIOS:
         out = _DISPATCH[scenario](CampaignConfig(scenario=scenario), bundle,
-                                  "analytic", _Streams(0))
+                                  _Streams(None))
         for rows in out.tables.values():
             blocks.append(np.array([value for _, value, _, _ in rows]))
     return blocks

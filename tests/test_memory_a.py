@@ -13,8 +13,8 @@ import pytest
 from memlink import dualrail
 from memlink.config import ExperimentBundle
 from memlink.constants import CODATA
-from memlink.detection import (BasisSetting, DetectorParams,
-                               expected_click_probs, trial_distribution)
+from memlink.detection import (BasisSetting, DetectorParams, tally,
+                               trial_distribution)
 from memlink.memory_a import (
     CoherenceParams,
     FreezingGeometry,
@@ -81,7 +81,7 @@ def single_pair_bundle(eta_a=1.0, **coherence):
 
 def node_a_click_probability(bundle, delay_s=0.0, setting=None):
     dist = trial_distribution(bundle, setting, delay_s, "source")
-    return expected_click_probs(dist)["a"]
+    return tally(dist, 1).singles_a
 
 
 class TestWavevectors:

@@ -9,8 +9,11 @@ import pytest
 
 from memlink import channel as link
 from memlink import scenarios
-from memlink.config import CampaignConfig, ExperimentBundle, config_hash
+from memlink.calibrate import model_predictions
+from memlink.config import (CampaignConfig, ExperimentBundle,
+                            calibrated_bundle, config_hash)
 from memlink.constants import CODATA
+from memlink.detection import PATTERNS, BasisSetting, trial_distributions
 from memlink.scenarios import bell_delay_s, run_experiment
 
 
@@ -395,3 +398,111 @@ class TestFigureTargets:
             ("A0", "B0"), ("A0", "B1"), ("A1", "B0"), ("A1", "B1"))
         assert scenarios.CORR_SETTINGS == (
             ("X", "X"), ("Y", "Y"), ("Z", "Z"))
+
+
+class TestAnalyticModeIsTheCalibrateModel:
+    def test_printed_values_are_the_model_predictions(self, tmp_path):
+        # analytic campaigns tally exact expected counts, so they print
+        # the forward model that calibrate fits, digit for digit
+        model = model_predictions(calibrated_bundle())
+        printed = {}
+        for scenario in ("checkpoints", "bell", "fidelity"):
+            _, res = run(tmp_path, scenario, sub=scenario, mode="analytic")
+            assert kv_of(res)["calibrated"] == "true"
+            printed.update({f"{scenario}.{k}": v.split()[0]
+                            for k, v in res.summary.items()})
+        for stage in ("source", "transferred", "stored"):
+            assert (printed[f"checkpoints.g2_{stage}"]
+                    == f"{model[f'g2_{stage}']:.6g}")
+        assert printed["bell.chsh_s"] == f"{model['chsh']:.6g}"
+        assert printed["bell.fidelity"] == f"{model['fidelity']:.6g}"
+        assert printed["fidelity.fidelity"] == f"{model['fidelity']:.6g}"
+
+
+SIGN = {"plus": 1.0, "minus": -1.0}
+
+
+def expected_correlator(dist, n):
+    """Exact correlator, sigma and coincidence count of n attempts,
+    summed pattern by pattern with double clicks discarded."""
+    total = signed = 0.0
+    for (a, b), p in zip(PATTERNS, dist.mean_probabilities()):
+        if a in SIGN and b in SIGN:
+            total += p * n
+            signed += SIGN[a] * SIGN[b] * p * n
+    value = signed / total
+    return value, math.sqrt((1.0 - value * value) / total), total
+
+
+def expected_lifetime_rows(bundle, sweep, n):
+    rows = []
+    for dist in trial_distributions(bundle, None, sweep * 1e-6):
+        n_b = k = 0.0
+        for (a, b), p in zip(PATTERNS, dist.mean_probabilities()):
+            n_b += p * n if b != "none" else 0.0
+            k += p * n if "none" not in (a, b) else 0.0
+        p_t = (k + 1.0) / (n_b + 2.0)
+        rows.append((k / n_b, math.sqrt(p_t * (1.0 - p_t) / n_b),
+                     round(n_b)))
+    return rows
+
+
+def expected_correlator_rows(bundle, sweep, n, setting):
+    rows = []
+    for dist in trial_distributions(bundle, BasisSetting(*setting),
+                                    sweep * 1e-6):
+        value, sigma, total = expected_correlator(dist, n)
+        rows.append((value, sigma, round(total)))
+    return rows
+
+
+def expected_envelope_rows(bundle, sweep, n, arm):
+    amplitude, synced = {
+        "unsynced": (scenarios.MAINS_AMPLITUDE_FREE_G, False),
+        "synced": (scenarios.MAINS_AMPLITUDE_SYNCED_G, True)}[arm]
+    coh = dataclasses.replace(bundle.coherence, t1_s=math.inf,
+                              mains_amplitude_gauss=amplitude,
+                              mains_synced=synced)
+    arm_bundle = dataclasses.replace(bundle, coherence=coh)
+    rows = []
+    for x, y in zip(expected_correlator_rows(arm_bundle, sweep, n,
+                                             ("X", "X")),
+                    expected_correlator_rows(arm_bundle, sweep, n,
+                                             ("X", "Y"))):
+        env = math.hypot(x[0], y[0])
+        sigma = math.sqrt((x[0] * x[1]) ** 2 + (y[0] * y[1]) ** 2) / env
+        rows.append((env, sigma, x[2] + y[2]))
+    return rows
+
+
+class TestAnalyticSweepErrors:
+    """The analytic sweeps print the sigma and n of their expected
+    counts at the campaign's trials per point, not 0."""
+
+    @pytest.mark.parametrize("scenario, table, batches, expected", [
+        ("lifetime", "sweep", 1, expected_lifetime_rows),
+        ("correlation-sweep", "zz", 2,
+         lambda b, s, n: expected_correlator_rows(b, s, n, ("Z", "Z"))),
+        ("correlation-sweep", "xx", 2,
+         lambda b, s, n: expected_correlator_rows(b, s, n, ("X", "X"))),
+        ("mains", "unsynced", 4,
+         lambda b, s, n: expected_envelope_rows(b, s, n, "unsynced")),
+        ("mains", "synced", 4,
+         lambda b, s, n: expected_envelope_rows(b, s, n, "synced")),
+    ], ids=["lifetime", "correlation-sweep-zz", "correlation-sweep-xx",
+            "mains-unsynced", "mains-synced"])
+    def test_sigma_and_n_are_expected_count_values(self, scenario, table,
+                                                   batches, expected):
+        cfg = CampaignConfig(scenario=scenario, mode="analytic")
+        bundle = scenarios._resolve_bundle(cfg)
+        out = scenarios._DISPATCH[scenario](cfg, bundle,
+                                            scenarios._Streams(None))
+        rows = out.tables[table]
+        sweep = np.array([t_us for t_us, *_ in rows])
+        want = expected(bundle, sweep, cfg.trials // (batches * len(sweep)))
+        assert len(rows) == len(want) == 25
+        for (_, value, sigma, n), (w_value, w_sigma, w_n) in zip(rows, want):
+            assert sigma > 0.0
+            np.testing.assert_allclose([value, sigma], [w_value, w_sigma],
+                                       rtol=1e-12)
+            assert n == w_n

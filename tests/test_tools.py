@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from memlink import qcore, scenarios, source
-from memlink.config import CampaignConfig
+from memlink.config import SCENARIOS, CampaignConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,12 +64,21 @@ def test_snapshot_ends_with_a_tally_per_sampled_scenario(tmp_path, capsys):
     snapshot = load_by_path(ROOT / "tools" / "snapshot_campaigns.py")
     assert snapshot.main([str(tmp_path / "out"), "1-2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    for scenario, tally in zip(snapshot.SEEDED_SCENARIOS, lines[-3:]):
-        statuses = [line.split(": ", 1)[1] for line in lines
-                    if line.startswith(("seed-1/", "seed-2/"))
-                    and line.split(": ", 1)[0].endswith(f"/{scenario}")]
-        assert len(statuses) == 2
-        counts = {s: statuses.count(s) for s in ("PASS", "FAIL")}
-        counts["ERROR"] = 2 - counts["PASS"] - counts["FAIL"]
-        assert tally == (f"{scenario}: PASS {counts['PASS']} "
-                         f"FAIL {counts['FAIL']} ERROR {counts['ERROR']}")
+    status = dict(line.split(": ", 1) for line in lines)
+
+    def tally_line(label, runs):
+        # a run that errs prints its error text instead of a status
+        counts = {s: [status[run] for run in runs].count(s)
+                  for s in ("PASS", "FAIL")}
+        counts["ERROR"] = len(runs) - counts["PASS"] - counts["FAIL"]
+        return (f"{label}: PASS {counts['PASS']} "
+                f"FAIL {counts['FAIL']} ERROR {counts['ERROR']}")
+
+    for scenario, tally in zip(snapshot.SEEDED_SCENARIOS, lines[-4:-1]):
+        assert tally == tally_line(
+            scenario, [f"seed-{seed}/{scenario}" for seed in (1, 2)])
+    # the log ends with the tally of the 24 default-seed runs
+    defaults = [f"{scenario}-{mode}" for scenario in SCENARIOS
+                for mode in snapshot.MODES]
+    assert len(defaults) == 24
+    assert lines[-1] == tally_line("default", defaults)
