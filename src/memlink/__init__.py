@@ -16,8 +16,7 @@ from .config import (CampaignConfig, ConfigError, ExperimentBundle,
                      save_config)
 from .constants import CODATA, PhysicalConstants
 from .detection import (BasisSetting, CountsTable, DetectionConfig,
-                        DetectorParams, TrialDistribution, tally,
-                        trial_distribution, trial_distributions)
+                        DetectorParams, tally, trial_distributions)
 from .estimators import (EstimateWithError, EstimatorError, chsh,
                          correlator, fidelity, g2_wr, snr)
 from .fitting import FitResult, FittingError, fit_decay, fit_oscillation
@@ -38,7 +37,7 @@ __all__ = [
     "DetectionConfig", "DetectorParams", "EITParams", "EstimateWithError",
     "EstimatorError", "ExperimentBundle", "FitResult", "FittingError",
     "FreezingGeometry", "PhysicalConstants", "SCENARIOS", "SourceParams",
-    "TrialDistribution", "TrialTimeline",
+    "TrialTimeline",
     "atom_photon_state", "bell_delay_s", "calibrated_bundle",
     "channel_efficiency", "chsh", "config_hash", "correlator", "decohere",
     "direct_transmission", "fiber_transmission", "fidelity", "fit_decay",
@@ -46,6 +45,5 @@ __all__ = [
     "map_in", "map_out", "mode_lifetimes", "model_predictions",
     "motional_lifetime", "retrieval_weights",
     "run_experiment", "save_config", "snr",
-    "spinwave_wavevectors", "tally", "transmit", "trial_distribution",
-    "trial_distributions",
+    "spinwave_wavevectors", "tally", "transmit", "trial_distributions",
 ]

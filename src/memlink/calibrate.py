@@ -11,10 +11,12 @@ The solver gets the exact Jacobian: every map of the chain before the
 detectors is linear in the state and every POVM element is a polynomial
 in the dark rate, so the derivatives ride through the same stages as
 the state (``detection.trial_tangents``).  One pass per point
-(``_model_pass``) walks the ten (stage, setting) pairs once and writes
-g2, the correlators, S and F each once, together with their
-derivatives.  The solver's residual and Jacobian share that pass
-through a memo of the last point, local to the fit.  The result
+(``_model_pass``) asks the engine once per stage for the distributions
+of its settings (the bare basis at each checkpoint, and the seven CHSH
+and correlator settings at the stored one) and once for their
+tangents, and writes g2, the correlators, S and F each once, together
+with their derivatives.  The solver's residual and Jacobian share that
+pass through a memo of the last point, local to the fit.  The result
 reports each free constant's one-sigma uncertainty and their
 correlations from (J^T J)^-1 of the weighted residuals; a constant the
 fit leaves on one of its bounds is reported as such, with no sigma.
@@ -35,10 +37,9 @@ import yaml
 
 from .config import NOISE_PARAMS, ConfigError, ExperimentBundle, with_noise
 from .detection import (BINS, CLICKS, PATTERNS, TALLY, BasisSetting,
-                        trial_distribution, trial_tangents)
+                        trial_distributions, trial_tangents)
 from .scenarios import (CHSH_SETTINGS, CHSH_TARGET, CORR_SETTINGS,
-                        FIDELITY_TARGET, G2_TARGETS, bell_delay_s,
-                        stage_delays)
+                        FIDELITY_TARGET, G2_TARGETS, stage_delays)
 
 FREE_PARAMS = tuple(name for name, *_ in NOISE_PARAMS)
 
@@ -113,24 +114,26 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def _model_pass(bundle: ExperimentBundle
                 ) -> tuple[dict[str, float], dict[str, np.ndarray]]:
     """Every calibration target and its exact derivative by each
-    FREE_PARAMS constant, in FREE_PARAMS order, from one walk over the
-    ten (stage, setting) pairs."""
-    delay = bell_delay_s(bundle)
-    points = ([(stage, None, t) for stage, t in stage_delays(bundle)]
-              + [("stored", BasisSetting(*pair), delay)
-                 for pair in CHSH_SETTINGS + CORR_SETTINGS])
-    # duals[i] holds point i's mean pattern probabilities, then their
-    # derivatives; every tally and estimate below keeps that layout
-    duals = np.zeros((len(points), 1 + len(FREE_PARAMS), len(PATTERNS)))
-    for dual, (stage, setting, t) in zip(duals, points):
-        dual[0] = trial_distribution(bundle, setting, t,
-                                     stage).mean_probabilities()
-        dual[1 + np.array(_directions(stage))] = trial_tangents(
-            bundle, setting, t, stage)
-    tallies = duals @ TALLY.T
+    FREE_PARAMS constant, in FREE_PARAMS order, from one engine call
+    for the distributions and one for their tangents per stage."""
+    settings = (None,) + tuple(BasisSetting(*pair)
+                               for pair in CHSH_SETTINGS + CORR_SETTINGS)
+    # each row holds one point's mean pattern probabilities, then their
+    # derivatives: the bare basis at each stage, then the stored
+    # settings; every tally and estimate below keeps that layout
+    stages = stage_delays(bundle)
+    duals = []
+    for stage, t in stages:
+        chosen = settings if stage == "stored" else settings[:1]
+        dual = np.zeros((len(chosen), 1 + len(FREE_PARAMS), len(PATTERNS)))
+        dual[:, 0] = trial_distributions(bundle, chosen, (t,), stage)[:, 0]
+        dual[:, 1 + np.array(_directions(stage))] = trial_tangents(
+            bundle, chosen, t, stage)
+        duals.append(dual)
+    tallies = np.concatenate(duals) @ TALLY.T
 
     out = {}
-    for (stage, _, _), tally in zip(points, tallies):
+    for (stage, _), tally in zip(stages, tallies):
         a, b, ab = tally[:, CLICKS].T
         out[f"g2_{stage}"] = _ratio(_ratio(ab, a), b)
     # E = (b0 - b1 - b2 + b3) / sum(b) over the signed outcome bins

@@ -121,8 +121,11 @@ def _background(lossy: np.ndarray, cutoff: int) -> np.ndarray:
     """The state's atomic marginal beside one unpolarized background
     photon, the state a background click replaces the signal by."""
     d = dualrail.sector_dim(cutoff)
-    atom_marginal = np.einsum("abcb->ac", lossy.reshape(d, d, d, d))
-    return np.kron(atom_marginal, _background_state(cutoff))
+    lead = lossy.shape[:-2]
+    atom_marginal = np.einsum("...abcb->...ac",
+                              lossy.reshape(lead + (d, d, d, d)))
+    return np.einsum("...ac,bd->...abcd", atom_marginal,
+                     _background_state(cutoff)).reshape(lossy.shape)
 
 
 def transmit(s: AtomPhotonState, p: ChannelParams) -> AtomPhotonState:
@@ -132,7 +135,7 @@ def transmit(s: AtomPhotonState, p: ChannelParams) -> AtomPhotonState:
     probability ``channel_efficiency``) and mixes in the converter
     background as an uncorrelated unpolarized single photon.  The atomic
     factor is untouched.  The map is linear in the state, so it carries
-    a derivative of the state as well.
+    a derivative of the state, or a stack of them, as well.
     """
     lossy = photon_loss_joint(s, channel_efficiency(p)).state
     if p.background_rate > 0.0:
@@ -141,8 +144,11 @@ def transmit(s: AtomPhotonState, p: ChannelParams) -> AtomPhotonState:
     return AtomPhotonState(state=lossy, cutoff=s.cutoff)
 
 
-def background_slope(s: AtomPhotonState, p: ChannelParams) -> np.ndarray:
-    """d transmit(s, p).state / d background_rate: the background state
-    minus the lossy signal it displaces."""
-    lossy = photon_loss_joint(s, channel_efficiency(p)).state
-    return _background(lossy, s.cutoff) - lossy
+def background_slope(t: AtomPhotonState, p: ChannelParams) -> np.ndarray:
+    """d transmit(s, p).state / d background_rate, from the transmitted
+    state t = transmit(s, p): the background state minus the lossy
+    signal it displaces.  A background keeps the atomic marginal, so
+    t's background is the lossy signal's, and the signal is
+    (t - rate * background) / (1 - rate)."""
+    bg = _background(t.state, t.cutoff)
+    return (bg - t.state) / (1.0 - p.background_rate)

@@ -7,60 +7,65 @@ none at each node), and the probability of pattern (i, j) factors as
 
     p_ij(t) = Tr[E_i^A(t) sigma_j],   sigma_j = Tr_B[(1 x E_j^B) rho]
 
-``trial_distributions`` builds it for a whole vector of delays in
-stages, each behind its own cache:
+``trial_distributions`` builds it for a list of settings and a vector
+of delays at once, as a read-only (S, T, 16) array of phase-averaged
+probabilities, in stages, each behind its own cache:
 
-  * prefix (``_prefix_state``): the delay-independent joint state rho
+  * prefix (``_prefix_stack``): the delay-independent joint state rho
     at the checkpoint -- source ket and collection loss ("source"),
     then the converted link ("transferred"), then the receiving
-    memory's map-in and map-out ("stored").  Each map acts on its own
-    factor of the joint state.  Keyed on the source, channel and EIT
-    parameters the checkpoint reads (None for the others), so bundles
-    that differ only in detectors or storage share it, and each
-    checkpoint extends the cached state of the one before;
-  * node B (``_conditional_states``): sigma_j, the emitting node's
-    (4, d, d) stack of unnormalized states per receiving-node outcome,
-    keyed on the prefix and node B's POVM;
-  * node A (``_stored_readout``): storage and readout at the emitting
-    node in the Heisenberg picture (``memory_a.decohere``), keyed on
-    the coherence, geometry, node-A efficiency and delay vector, so
-    every setting, dark rate and bundle that reads it shares it.  Node
-    A's POVM stack pulled back through it is E^A(t), split into the
-    parts that meet the state's coherences with mode-2 occupation gap
-    dn = 0, 1, 2;
-  * contraction: one matrix product of the E^A(t) stack with sigma
-    gives every delay's pattern probabilities at once.
+    memory's map-in and map-out ("stored") -- beside its derivatives
+    by the source's double-excitation scale and the link's background
+    rate.  Every map is linear, so each acts once on the (3, D, D)
+    stack, on its own factor of the joint state.  Keyed on the source,
+    channel and EIT parameters the checkpoint reads (None for the
+    others), so bundles that differ only in detectors or storage share
+    it, and each checkpoint extends the cached stack of the one before;
+  * node B (``_node_b_stack``): sigma_j for every node-B basis of the
+    settings, with its derivatives, from one product of the prefix
+    stack with node B's POVMs and their dark-rate slopes;
+  * node A (``_stored_readout``, ``_node_a_stack``): storage and
+    readout at the emitting node in the Heisenberg picture
+    (``memory_a.decohere``), keyed on the coherence, geometry, node-A
+    efficiency and delay vector, so every setting, dark rate and bundle
+    that reads it shares it.  Node A's POVMs of every basis and their
+    dark-rate slopes are pulled back through it in one call, as E^A(t)
+    split into the parts that meet the state's coherences with mode-2
+    occupation gap dn = 0, 1, 2;
+  * contraction: one batched product of the E^A(t) stacks with the
+    sigma stacks gives every setting's and delay's pattern
+    probabilities at once.
 
 Each node's POVM is a polynomial of degree <= 2 in its dark rate
 (``dualrail.threshold_povm``).  Its rotated coefficients
 (``_povm_polynomial``) are keyed on cutoff, basis, Z sign and
 efficiency, around a basis rotation keyed on the first three, so a
-dark-rate step neither rebuilds nor re-rotates them: the POVM stack at
-a dark rate (``_povm_stack``) and its slope (``_povm_slope``) are
-evaluated from them.  The finished distributions are cached per
-(bundle, setting, delay vector, stage).  Every cache is a module-level
-lru_cache of finite size: bounded, so a long delay sweep cannot grow
-memory; private, so the public stage functions stay plain functions
-that a caller may wrap or patch without hiding a ``cache_clear``; and
-at module level, so clearing the lru_caches found in the module
-globals is a true cold start.  Cached arrays are read-only.
+dark-rate step neither rebuilds nor re-rotates them: the POVM and its
+slope at a dark rate (``_povm_terms``) are evaluated from them.  The
+finished distributions are cached per (bundle, settings, delay vector,
+stage).  Every cache is a module-level lru_cache of finite size:
+bounded, so a long delay sweep cannot grow memory; private, so the
+public stage functions stay plain functions that a caller may wrap or
+patch without hiding a ``cache_clear``; and at module level, so
+clearing the lru_caches found in the module globals is a true cold
+start.  Cached arrays are read-only.
 
-``trial_tangents`` gives the exact derivatives of one distribution by
-the noise values ``calibrate`` fits.  Every prefix map is linear in the
-state, so the derivatives by the source's double-excitation scale and
-by the link's background rate ride through the same stages
-(``_prefix_slopes``).  The slope of a POVM by its dark rate comes from
-the same coefficients as the POVM, so it is exact and cheap; at node A
-it is pulled back like the POVM itself.
+``trial_tangents`` gives the exact derivatives of the distributions at
+one delay by the noise values ``calibrate`` fits, an (S, 4, 16) array
+from the same stacks and one product: the derivatives by the source's
+double-excitation scale, the link's background rate and node B's dark
+rate ride through node B's side with the state, and node A's POVM
+slope is pulled back beside the POVM.
 
 Campaigns exploit the reduction: a batch of attempts is one
 multinomial draw over the 16 patterns, or its exact expectation, and
-``tally`` gives either (an rng draws, no rng expects); ``tally_noise``
-adds the source-off windows the same way.  A sweep builds its
-distributions in one call and still draws delay by delay.  An unsynced
-mains phase enters each pattern probability as a three-term Fourier
-series in the per-trial phase phi (the random phase enters as
-exp(-i*phi*dn)), which the draw averages exactly.  Pattern vectors,
+``tally`` gives either from a 16-vector (an rng draws, no rng expects);
+``tally_noise`` adds the source-off windows the same way.  A sweep
+builds its distributions in one call and still draws delay by delay.
+An unsynced mains phase enters each pattern probability as a
+three-term Fourier series in the per-trial phase phi (the random
+phase enters as exp(-i*phi*dn)); the distributions hold its exact
+average over phi, which the draw then samples.  Pattern vectors,
 sampled or expected, become singles, coincidences and signed outcome
 bins through one fixed table, ``TALLY``.
 """
@@ -82,6 +87,8 @@ PATTERN_NAMES = ("plus", "minus", "both", "none")
 PATTERNS = tuple((a, b) for a in PATTERN_NAMES for b in PATTERN_NAMES)
 _ALLOWED_A = ("Z", "X", "Y", "A0", "A1")
 _ALLOWED_B = ("Z", "X", "Y", "B0", "B1")
+# node A's CHSH bases are its plain Z and X
+_SAME_AS = {"A0": "Z", "A1": "X"}
 
 class DetectionConfigError(ValueError):
     """Raised for invalid measurement configuration."""
@@ -185,7 +192,7 @@ def _node_matrix(name: str, z_sign: float) -> np.ndarray:
     if name in ("B0", "B1"):
         sign_x = 1.0 if name == "B0" else -1.0
         return (-z + sign_x * PAULI["X"]) / math.sqrt(2.0)
-    name = {"A0": "Z", "A1": "X"}.get(name, name)
+    name = _SAME_AS.get(name, name)
     return z if name == "Z" else PAULI[name]
 
 
@@ -216,7 +223,7 @@ class CountsTable:
 
 
 # ---------------------------------------------------------------------------
-# staged chain engine -> pattern distribution
+# staged chain engine -> pattern distributions and their derivatives
 
 
 def _prefix_key(bundle, stage: str) -> tuple:
@@ -231,32 +238,50 @@ def _prefix_key(bundle, stage: str) -> tuple:
 
 
 @lru_cache(maxsize=16)
-def _prefix_state(src, channel, eit, stage: str) -> source.AtomPhotonState:
-    """Delay-independent joint state at the checkpoint (see module doc)."""
+def _prefix_stack(src, channel, eit, stage: str) -> np.ndarray:
+    """Read-only (3, D, D) stack at the checkpoint: the delay-independent
+    joint state, then its derivatives by the source's double_amp_scale
+    and the link's background_rate (see module doc)."""
+    def carried(stack):
+        return source.AtomPhotonState(state=stack, cutoff=src.fock_cutoff)
+
     if stage == "source":
-        s = link.photon_loss_joint(source.atom_photon_state(src),
-                                   src.collection)
+        rho = source.atom_photon_state(src).state
+        out = link.photon_loss_joint(carried(np.stack(
+            [rho, source.state_slope(src), np.zeros_like(rho)])),
+            src.collection).state
     elif stage == "transferred":
-        s = _prefix_state(src, None, None, "source")
-        s = link.transmit(s, channel)
+        prev = _prefix_stack(src, None, None, "source")
+        out = link.transmit(carried(prev), channel).state
+        # the background rate enters here: its row was zero before
+        out[2] = link.background_slope(carried(out[0]), channel)
     else:
-        s = _prefix_state(src, channel, None, "transferred")
-        s = memory_b.map_out(memory_b.map_in(s, eit), eit)
-    s.state.setflags(write=False)
-    return s
+        prev = carried(_prefix_stack(src, channel, None, "transferred"))
+        out = memory_b.map_out(memory_b.map_in(prev, eit), eit).state
+    out.setflags(write=False)
+    return out
 
 
-@lru_cache(maxsize=32)
-def _conditional_states(prefix: tuple, name: str | None, z_sign: float,
-                        eta: float, dark: float) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _node_b_stack(prefix: tuple, bases: tuple, eta: float,
+                  dark: float) -> np.ndarray:
     """Node A's unnormalized states per node-B outcome, sigma_j =
-    Tr_B[(1 x E_j) rho_prefix] with E_j node B's POVM, as a read-only
-    (4, d*d) stack of the row-flattened transposes sigma_j.T."""
-    s = _prefix_state(*prefix)
-    d = dualrail.sector_dim(s.cutoff)
-    povm = _povm_stack(s.cutoff, name, z_sign, eta, dark)
-    out = np.einsum("xbyc,jcb->jyx", s.state.reshape(d, d, d, d),
-                    povm).reshape(len(povm), -1)
+    Tr_B[(1 x E_j) rho_prefix], for each (name, Z sign) basis, as the
+    row-flattened transposes sigma_j.T: a read-only (B, 4, 4, d*d)
+    stack by basis, then the states and their derivatives by
+    double_amp_scale, background_rate and node B's dark rate, then
+    outcome."""
+    cutoff = prefix[0].fock_cutoff
+    d = dualrail.sector_dim(cutoff)
+    # sigma_j[x, y] = sum_bc rho[x b, y c] E_j[c, b]: every POVM element
+    # and dark-rate slope, as a row (c, b), meets each row of the prefix
+    # stack, as a matrix from (c, b) to (y, x), in one product
+    povms = _povm_terms(cutoff, bases, eta, dark).reshape(-1, d * d)
+    out = (povms @ _prefix_stack(*prefix).reshape(3, d, d, d, d)
+           .transpose(0, 4, 2, 3, 1).reshape(3, d * d, d * d))
+    out = out.reshape(3, 2, len(bases), 4, d * d)
+    # the slopes of both the state and the POVM are not needed
+    out = np.stack([out[0, 0], out[1, 0], out[2, 0], out[0, 1]], axis=1)
     out.setflags(write=False)
     return out
 
@@ -272,6 +297,25 @@ def _stored_readout(cutoff: int, eta: float, coherence, geometry,
     return readout
 
 
+# small: a calibrate pass reads one stage's stack twice in a row (its
+# distributions, then its tangents), and a sweep's stack holds every delay
+@lru_cache(maxsize=2)
+def _node_a_stack(readout: tuple, names: tuple, dark: float) -> np.ndarray:
+    """Node A's POVM in each named basis and its dark-rate slope, pulled
+    back through ``_stored_readout(*readout)`` in one call: a read-only
+    (A, T, 3, 2, 4, d*d) stack by basis, delay, part, POVM or slope and
+    outcome (see ``StoredReadout.effects``)."""
+    cutoff = readout[0]
+    d = dualrail.sector_dim(cutoff)
+    povms = _povm_terms(cutoff, tuple((name, 1.0) for name in names), 1.0,
+                        dark)
+    out = _stored_readout(*readout).effects(povms.reshape(-1, d, d))
+    out = np.ascontiguousarray(out.reshape(
+        out.shape[:2] + (2, len(names), 4, d * d)).transpose(3, 0, 1, 2, 4, 5))
+    out.setflags(write=False)
+    return out
+
+
 @lru_cache(maxsize=16)
 def _rotation(cutoff: int, name: str, z_sign: float) -> np.ndarray:
     """Read-only sector unitary into the +1 / -1 eigenmodes of one
@@ -285,230 +329,147 @@ def _rotation(cutoff: int, name: str, z_sign: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _povm_polynomial(cutoff: int, name: str | None, z_sign: float,
-                     eta: float) -> np.ndarray:
-    """One node's detector-pair POVM as a read-only (3, 4, d, d) P in
-    PATTERN_NAMES order, the POVM being P[0] + P[1] dark + P[2] dark^2;
-    name None measures the bare mode basis.  No dark rate changes P, so
-    every dark-rate step reuses it."""
-    rot = None if name is None else _rotation(cutoff, name, z_sign)
-    elements = dualrail.threshold_povm(cutoff, rot, eta)
-    poly = np.stack([elements[n] for n in PATTERN_NAMES], axis=1)
+def _povm_polynomial(cutoff: int, bases: tuple, eta: float) -> np.ndarray:
+    """One node's detector-pair POVM in each (name, Z sign) basis as a
+    read-only (3, B, 4, d, d) P in PATTERN_NAMES order, the POVM being
+    P[0] + P[1] dark + P[2] dark^2; name None measures the bare mode
+    basis.  No dark rate changes P, so every dark-rate step reuses it."""
+    poly = np.stack([
+        np.stack([elements[n] for n in PATTERN_NAMES], axis=1)
+        for elements in (dualrail.threshold_povm(
+            cutoff, None if name is None else _rotation(cutoff, name, sign),
+            eta) for name, sign in bases)], axis=1)
     poly.setflags(write=False)
     return poly
 
 
-def _povm_stack(cutoff: int, name: str | None, z_sign: float, eta: float,
+def _povm_terms(cutoff: int, bases: tuple, eta: float,
                 dark: float) -> np.ndarray:
-    """The POVM at one dark rate as a (4, d, d) stack."""
+    """(2, B, 4, d, d): the POVM of each (name, Z sign) basis at one dark
+    rate, then its slope by the dark rate."""
     if not 0.0 <= dark < 1.0:
         raise ValueError(f"dark-count probability {dark} outside [0, 1)")
-    poly = _povm_polynomial(cutoff, name, z_sign, eta)
-    return poly[0] + poly[1] * dark + poly[2] * (dark * dark)
+    poly = _povm_polynomial(cutoff, bases, eta)
+    return np.stack([poly[0] + poly[1] * dark + poly[2] * (dark * dark),
+                     poly[1] + 2.0 * dark * poly[2]])
 
 
-def _povm_slope(cutoff: int, name: str | None, z_sign: float, eta: float,
-                dark: float) -> np.ndarray:
-    """d _povm_stack / d dark, stacked alike."""
-    poly = _povm_polynomial(cutoff, name, z_sign, eta)
-    return poly[1] + 2.0 * dark * poly[2]
+def _part_weights(swing: np.ndarray) -> np.ndarray:
+    """(T, 3) weights of the parts dn = 0, 1, 2 in the phase-averaged
+    pattern probabilities: 1, then 2 J0(dn * swing)."""
+    weights = np.full((len(swing), 3), 2.0)
+    weights[:, 0] = 1.0
+    if swing.any():
+        # imported here: only an unsynced mains phase needs j0, and
+        # scipy.special outweighs the rest of a campaign's start-up
+        from scipy.special import j0
+        weights[:, 1:] = 2.0 * j0(np.outer(swing, (1, 2)))
+    return weights
 
 
-@dataclass(frozen=True)
-class TrialDistribution:
-    """Pattern probabilities of one attempt as a Fourier series.
-
-    ``base`` holds the 16 pattern probabilities with no mains phase;
-    ``fourier`` holds the dn = 1, 2 coefficients such that the
-    probability vector at mains phase phi is
-
-        base + 2 * sum_dn Re(exp(-i*phi*dn) * fourier[dn-1])
-
-    For a synced campaign the deterministic phase is already folded in
-    and ``swing`` is zero; for an unsynced campaign ``swing`` is the
-    amplitude of the per-trial random phase phi = swing * sin(uniform).
-    """
-
-    base: np.ndarray
-    fourier: tuple[np.ndarray, ...]
-    swing: float
-
-    def mean_probabilities(self) -> np.ndarray:
-        """Exact trial-averaged probabilities (mains phase averaged)."""
-        out = self.base.copy()
-        if self.fourier:
-            for weight, coeff in zip(_part_weights(self.swing)[1:],
-                                     self.fourier):
-                out += weight * np.real(coeff)
-        return np.clip(out, 0.0, None)
-
-
-def _part_weights(swing: float) -> tuple[float, ...]:
-    """Weights of the parts dn = 0, 1, 2 in the phase-averaged pattern
-    probabilities: 1, then 2 J0(dn * swing)."""
-    if swing == 0.0:
-        return (1.0, 2.0, 2.0)
-    # imported here: only an unsynced mains phase needs j0, and
-    # scipy.special outweighs the rest of a campaign's start-up
-    from scipy.special import j0
-    return (1.0,) + tuple(2.0 * float(j0(k * swing)) for k in (1, 2))
-
-
-def _node_b_key(bundle, name_b: str | None, stage: str) -> tuple:
-    """(prefix key, basis, Z sign, efficiency, dark rate) of node B's
-    readout: the monitor's detectors at the source checkpoint, the EIT
-    readout chain after map-out at the others."""
+def _stage_stacks(bundle, keys: tuple, delays: tuple, stage: str) -> tuple:
+    """Node A's stack (``_node_a_stack``) and node B's stack
+    (``_node_b_stack``) of the settings' bases, each distinct basis
+    once; each setting's row in either; and the mains swing per delay."""
     det = bundle.detection
+    names_a = [_SAME_AS.get(a, a) for a, _ in keys]
+    bases_b = [(b, _z_sign_b(b, det)) for _, b in keys]
+    unique_a = tuple(dict.fromkeys(names_a))
+    unique_b = tuple(dict.fromkeys(bases_b))
     if stage == "source":
         eta_b, dark_b = det.det_monitor.eta_det, det.det_monitor.dark_rate
     else:
         eta_b, dark_b = bundle.eit.detection_residual(), det.dark_b
-    return (_prefix_key(bundle, stage), name_b, _z_sign_b(name_b, det),
-            eta_b, dark_b)
+    states = _node_b_stack(_prefix_key(bundle, stage), unique_b, eta_b,
+                           dark_b)
+    readout = (bundle.source.fock_cutoff, det.det_a.eta_det,
+               bundle.coherence, bundle.geometry, delays)
+    return (_node_a_stack(readout, unique_a, det.det_a.dark_rate), states,
+            [unique_a.index(n) for n in names_a],
+            [unique_b.index(b) for b in bases_b],
+            _stored_readout(*readout).swing)
 
 
-def trial_distributions(bundle, setting: BasisSetting | None, delays,
-                        stage: str = "stored"
-                        ) -> tuple[TrialDistribution, ...]:
-    """Pattern distribution of one attempt at each delay; cached on the
-    bundle, the setting and the whole delay vector."""
-    key = None if setting is None else (setting.node_a, setting.node_b)
-    return _distributions_cached(bundle, key,
+def _setting_keys(settings) -> tuple:
+    """(node A, node B) basis names per setting, None for the bare mode
+    basis."""
+    return tuple((None, None) if s is None else (s.node_a, s.node_b)
+                 for s in settings)
+
+
+def trial_distributions(bundle, settings, delays,
+                        stage: str = "stored") -> np.ndarray:
+    """Phase-averaged pattern probabilities of one attempt, a read-only
+    (S, T, 16) array over the settings (each a BasisSetting, or None for
+    the bare mode basis) and the delays; cached on the bundle, the
+    settings and the whole delay vector."""
+    return _distributions_cached(bundle, _setting_keys(settings),
                                  tuple(float(t) for t in delays), stage)
 
 
-def trial_distribution(bundle, setting: BasisSetting | None,
-                       delay_s: float, stage: str = "stored"
-                       ) -> TrialDistribution:
-    """Pattern distribution of one attempt at one delay."""
-    return trial_distributions(bundle, setting, (delay_s,), stage)[0]
-
-
 @lru_cache(maxsize=256)
-def _distributions_cached(bundle, setting_key, delays: tuple,
-                          stage: str) -> tuple[TrialDistribution, ...]:
-    det = bundle.detection
-    cutoff = bundle.source.fock_cutoff
-    name_a, name_b = setting_key or (None, None)
-    states = _conditional_states(*_node_b_key(bundle, name_b, stage))
-    readout = _stored_readout(cutoff, det.det_a.eta_det, bundle.coherence,
-                              bundle.geometry, delays)
-    effects = readout.effects(
-        _povm_stack(cutoff, name_a, 1.0, 1.0, det.det_a.dark_rate))
-
-    # coeffs[t, k, 4a + b] = Tr(E_a(t, k) sigma_b): one matrix product
-    # over every delay, part and node-A effect
-    coeffs = (effects @ states.T).reshape(len(delays), 3, -1)
-    swing = readout.swing
-    base = np.real(coeffs[:, 0])
-    folded = base + 2.0 * np.real(coeffs[:, 1]) + 2.0 * np.real(coeffs[:, 2])
-    return tuple(
-        TrialDistribution(base=np.clip(folded[t], 0.0, None), fourier=(),
-                          swing=0.0)
-        if swing[t] == 0.0 else
-        TrialDistribution(base=np.clip(base[t], 0.0, None),
-                          fourier=(coeffs[t, 1], coeffs[t, 2]),
-                          swing=float(swing[t]))
-        for t in range(len(delays)))
-
-
-# ---------------------------------------------------------------------------
-# exact derivatives of the pattern distribution
-
-
-@lru_cache(maxsize=16)
-def _prefix_slopes(src, channel, eit, stage: str) -> np.ndarray:
-    """Read-only (2, D, D) derivatives of ``_prefix_state`` by the
-    source's double_amp_scale and the link's background_rate.
-
-    Every prefix map is linear in the state, so a derivative rides
-    through the stages after the one that brings its parameter in.
-    """
-    cutoff = src.fock_cutoff
-
-    def carried(slope):
-        return source.AtomPhotonState(state=slope, cutoff=cutoff)
-
-    if stage == "source":
-        amp = link.photon_loss_joint(carried(source.state_slope(src)),
-                                     src.collection).state
-        out = np.stack([amp, np.zeros_like(amp)])
-    elif stage == "transferred":
-        amp, _ = _prefix_slopes(src, None, None, "source")
-        out = np.stack([
-            link.transmit(carried(amp), channel).state,
-            link.background_slope(
-                _prefix_state(src, None, None, "source"), channel)])
-    else:
-        out = np.stack([
-            memory_b.map_out(memory_b.map_in(carried(slope), eit), eit).state
-            for slope in _prefix_slopes(src, channel, None, "transferred")])
+def _distributions_cached(bundle, keys: tuple, delays: tuple,
+                          stage: str) -> np.ndarray:
+    effects, states, rows_a, rows_b, swing = _stage_stacks(
+        bundle, keys, delays, stage)
+    n, dim = len(keys), states.shape[-1]
+    # coeffs[s, t, k, 4a + b] = Tr(E_a(t, k) sigma_b) of setting s: one
+    # product over every setting, delay, part and node-A effect
+    coeffs = (effects[rows_a, :, :, 0].reshape(n, len(delays) * 12, dim)
+              @ states[rows_b, 0].transpose(0, 2, 1))
+    coeffs = coeffs.reshape(n, len(delays), 3, 16)
+    weights = _part_weights(swing)[:, :, None]
+    base = np.real(coeffs[:, :, 0])
+    # a synced phase (swing 0, weights 2) folds the parts as they are; a
+    # free-running one averages them over its phase from a clipped base,
+    # which a per-trial phase cannot take below zero
+    out = np.where((swing == 0.0)[:, None], base, np.clip(base, 0.0, None))
+    out = out + weights[:, 1] * np.real(coeffs[:, :, 1])
+    out = np.clip(out + weights[:, 2] * np.real(coeffs[:, :, 2]), 0.0, None)
     out.setflags(write=False)
     return out
 
 
-@lru_cache(maxsize=32)
-def _conditional_slopes(prefix: tuple, name: str | None, z_sign: float,
-                        eta: float, dark: float) -> np.ndarray:
-    """Read-only (3, 4, d*d) derivatives of ``_conditional_states`` by
-    double_amp_scale, background_rate and node B's dark rate."""
-    s = _prefix_state(*prefix)
-    d = dualrail.sector_dim(s.cutoff)
-    povm = _povm_stack(s.cutoff, name, z_sign, eta, dark)
-    slopes = _prefix_slopes(*prefix).reshape(-1, d, d, d, d)
-    out = np.concatenate([
-        np.einsum("mxbyc,jcb->mjyx", slopes, povm),
-        np.einsum("xbyc,jcb->jyx", s.state.reshape(d, d, d, d),
-                  _povm_slope(s.cutoff, name, z_sign, eta, dark))[None],
-    ]).reshape(3, len(povm), -1)
-    out.setflags(write=False)
-    return out
-
-
-def trial_tangents(bundle, setting: BasisSetting | None, delay_s: float,
+def trial_tangents(bundle, settings, delay_s: float,
                    stage: str = "stored") -> np.ndarray:
-    """Exact derivatives of one attempt's mean pattern probabilities.
+    """Exact derivatives of one attempt's phase-averaged pattern
+    probabilities at one delay.
 
-    Returns a (4, 16) array: the derivatives of
-    ``trial_distribution(...).mean_probabilities()`` by, in order, the
-    source's double_amp_scale, the link's background_rate, node B's
-    dark rate (the monitor's at the source checkpoint) and node A's
-    dark rate.  The first three ride through node B's side the way the
-    state does (``_conditional_slopes``); node A's POVM slope is pulled
-    back through the same ``StoredReadout`` as its POVM.
+    Returns an (S, 4, 16) array: for each setting, the derivatives of
+    ``trial_distributions(bundle, settings, [delay_s], stage)`` by, in
+    order, the source's double_amp_scale, the link's background_rate,
+    node B's dark rate (the monitor's at the source checkpoint) and node
+    A's dark rate.  The first three ride through node B's side with the
+    state (``_node_b_stack``); node A's POVM slope is pulled back beside
+    its POVM (``_node_a_stack``).  One product gives them all.
     """
-    det = bundle.detection
-    cutoff = bundle.source.fock_cutoff
-    name_a, name_b = ((None, None) if setting is None
-                      else (setting.node_a, setting.node_b))
-    key = _node_b_key(bundle, name_b, stage)
-    states = _conditional_states(*key)
-    readout = _stored_readout(cutoff, det.det_a.eta_det, bundle.coherence,
-                              bundle.geometry, (float(delay_s),))
-    povm_a = (cutoff, name_a, 1.0, 1.0, det.det_a.dark_rate)
-    effects = readout.effects(_povm_stack(*povm_a))[0]
-    # coeffs[m, k, 4a + b]: direction m, part k, as in the distribution
-    coeffs = np.concatenate([
-        effects @ _conditional_slopes(*key).transpose(0, 2, 1)[:, None],
-        (readout.effects(_povm_slope(*povm_a))[0] @ states.T)[None],
-    ]).reshape(4, 3, -1)
-    weights = np.array(_part_weights(float(readout.swing[0])))
-    return np.einsum("k,mkp->mp", weights, np.real(coeffs))
+    keys = _setting_keys(settings)
+    effects, states, rows_a, rows_b, swing = _stage_stacks(
+        bundle, keys, (float(delay_s),), stage)
+    n, dim = len(keys), states.shape[-1]
+    # c[s, k, e, a, m, b]: setting, part, node A's POVM or its slope,
+    # node-A outcome, node B's state or its derivative m, node-B outcome
+    c = (effects[rows_a, 0].reshape(n, 24, dim)
+         @ states[rows_b].transpose(0, 3, 1, 2).reshape(n, dim, 16)
+         ).reshape(n, 3, 2, 4, 4, 4)
+    coeffs = np.stack([c[:, :, 0, :, 1], c[:, :, 0, :, 2],
+                       c[:, :, 0, :, 3], c[:, :, 1, :, 0]], axis=1)
+    return np.einsum("k,smkp->smp", _part_weights(swing)[0],
+                     np.real(coeffs).reshape(n, 4, 3, -1))
 
 
 def noise_distribution(bundle, setting: BasisSetting | None,
-                       stage: str = "stored") -> TrialDistribution:
-    """Distribution of a source-off window (backgrounds and darks only)."""
+                       stage: str = "stored") -> np.ndarray:
+    """Pattern probabilities of a source-off window (backgrounds and
+    darks only)."""
     off = _source_off_bundle(bundle)
-    return trial_distribution(off, setting, 0.0, stage)
+    return trial_distributions(off, (setting,), (0.0,), stage)[0, 0]
 
 
 @lru_cache(maxsize=32)
 def _source_off_bundle(bundle):
     src = dataclasses.replace(bundle.source, chi=1e-12, double_amp_scale=0.0)
     return dataclasses.replace(bundle, source=src)
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -594,54 +555,49 @@ def _tally_counts(counts: np.ndarray, policy: str,
                        singles_b=singles_b, coincidences=coincidences)
 
 
-def _sample_pattern_counts(dist: TrialDistribution, n_trials: int,
+def _sample_pattern_counts(probs: np.ndarray, n_trials: int,
                            rng: np.random.Generator) -> np.ndarray:
     """Vector of counts per pattern for n_trials attempts.
 
     Each attempt with an unsynchronized mains phase draws its pattern
     with its own independent phase, so the aggregate counts follow a
-    multinomial over the phase-averaged pattern distribution exactly;
+    multinomial over the phase-averaged pattern probabilities exactly;
     no per-attempt sampling is needed in either case.
     """
     if n_trials <= 0:
         return np.zeros(len(PATTERNS), dtype=np.int64)
-    if dist.swing == 0.0:
-        p = dist.base / dist.base.sum()
-    else:
-        p = dist.mean_probabilities()
-        p = p / p.sum()
-    return rng.multinomial(n_trials, p)
+    return rng.multinomial(n_trials, probs / probs.sum())
 
 
-def tally(dist: TrialDistribution, n_trials: int, policy: str = "discard",
+def tally(probs: np.ndarray, n_trials: int, policy: str = "discard",
           rng: np.random.Generator | None = None) -> CountsTable:
-    """Tallies of n_trials attempts from one distribution.
+    """Tallies of n_trials attempts from one attempt's 16 phase-averaged
+    pattern probabilities.
 
     With an rng they are one multinomial draw, its double clicks
     resolved under the policy; without one they are the exact expected
     counts, as floats.
     """
     if rng is not None:
-        return _tally_counts(_sample_pattern_counts(dist, n_trials, rng),
+        return _tally_counts(_sample_pattern_counts(probs, n_trials, rng),
                              policy, rng)
-    tallies = _in_order(TALLY, dist.mean_probabilities()) * n_trials
+    tallies = _in_order(TALLY, probs) * n_trials
     singles_a, singles_b, coincidences = tallies[CLICKS].tolist()
     return CountsTable(outcome_counts=tallies[BINS[policy]],
                        trials=n_trials, singles_a=singles_a,
                        singles_b=singles_b, coincidences=coincidences)
 
 
-def tally_noise(table: CountsTable, dist: TrialDistribution, windows: int,
+def tally_noise(table: CountsTable, probs: np.ndarray, windows: int,
                 rng: np.random.Generator | None = None) -> CountsTable:
     """The table with node B's clicks in ``windows`` source-off windows
-    of ``dist`` added: drawn with an rng (pattern counts only, no
-    double-click resolution), expected without one."""
+    of pattern probabilities ``probs`` added: drawn with an rng (pattern
+    counts only, no double-click resolution), expected without one."""
     if rng is not None:
         clicks = int(_TALLY_INT[_SINGLES_B]
-                     @ _sample_pattern_counts(dist, windows, rng))
+                     @ _sample_pattern_counts(probs, windows, rng))
     else:
-        clicks = _in_order(TALLY[_SINGLES_B],
-                           dist.mean_probabilities()) * windows
+        clicks = _in_order(TALLY[_SINGLES_B], probs) * windows
     return dataclasses.replace(table,
                                noise_windows=table.noise_windows + windows,
                                noise_counts=table.noise_counts + clicks)

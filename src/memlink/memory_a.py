@@ -293,5 +293,5 @@ def decohere(cutoff: int, delays, eta: float, c: CoherenceParams,
     parts = np.stack([(dn == k) * factor for k in (0, 1, 2)], axis=1)
     return StoredReadout(
         pulled=pulled,
-        parts=parts.swapaxes(-1, -2).reshape(len(delays), 3, -1),
+        parts=parts.swapaxes(-1, -2).reshape(len(delays), 3, dn.size),
         swing=swing)

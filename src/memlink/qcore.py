@@ -11,8 +11,9 @@ ever built.
 A channel is a stack of Kraus operators, and ``KrausChannel`` rejects
 a stack whose sum(K^dag K) is not the identity, so no probability can
 leak out of a state unnoticed.  A stack may carry leading axes (one
-channel per delay, say); every channel in it is checked.  A channel
-acts forward on a state (``apply_to_second``) or backward on
+channel per delay, say); every channel in it is checked, and an empty
+one passes.  A channel acts forward on a state, or on a stack of
+states in one product (``apply_to_second``), or backward on
 measurement effects (``adjoint_matrix``, the Heisenberg picture:
 Tr[E Phi(rho)] = Tr[Phi^dag(E) rho]).
 
@@ -62,7 +63,9 @@ class KrausChannel:
                 f"Kraus operators must be square, got shape {ops.shape}")
         self.operators = ops
         total = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
-        deviation = np.abs(np.linalg.eigvalsh(total - np.eye(self.dim))).max()
+        # an empty stack holds no channel to check
+        deviation = np.abs(np.linalg.eigvalsh(
+            total - np.eye(self.dim))).max(initial=0.0)
         if deviation > ATOL_ACCUM:
             raise QuantumStateError(
                 f"channel {self.name!r} is not trace preserving "
@@ -75,19 +78,19 @@ class KrausChannel:
 
 
 def apply_to_second(rho: np.ndarray, channel: KrausChannel) -> np.ndarray:
-    """sum_k (1 x K) rho (1 x K)^dag for a joint state whose second
-    factor the (unstacked) channel acts on."""
-    ops = channel.operators
-    m, d = ops.shape[0], channel.dim
-    d0 = rho.shape[0] // d
-    # K on the ket: rows (k, b), columns (a, a', c')
-    ket = (ops.reshape(m * d, d)
-           @ rho.reshape(d0, d, d0 * d).transpose(1, 0, 2).reshape(d, -1))
-    # K^dag on the bra: rows (b, a, a'), columns (k, c')
-    ket = ket.reshape(m, d, d0 * d0, d).transpose(1, 2, 0, 3)
-    out = ket.reshape(-1, m * d) @ ops.conj().transpose(0, 2, 1).reshape(
-        m * d, d)
-    return (out.reshape(d, d0, d0, d).transpose(1, 0, 2, 3)
+    """sum_k (1 x K) rho (1 x K)^dag for a joint state, or a (..., D, D)
+    stack of them, whose second factor the (unstacked) channel acts on.
+
+    One product: the channel's matrix on the second factor's row-
+    flattened (ket, bra) pairs, which is the conjugate of its adjoint's,
+    meets every state's block for each pair of first-factor indices.
+    """
+    d = channel.dim
+    d0 = rho.shape[-1] // d
+    # rho[n, a, c, a', c'] as rows (c, c'), columns (n, a, a')
+    cols = rho.reshape(-1, d0, d, d0, d).transpose(2, 4, 0, 1, 3)
+    out = adjoint_matrix(channel).conj() @ cols.reshape(d * d, -1)
+    return (out.reshape(d, d, -1, d0, d0).transpose(2, 3, 0, 4, 1)
             .reshape(rho.shape))
 
 

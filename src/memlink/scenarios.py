@@ -26,7 +26,7 @@ from .config import (CampaignConfig, ExperimentBundle, calibrated_bundle,
                      config_hash)
 from .constants import CODATA
 from .detection import (BasisSetting, noise_distribution, tally,
-                        tally_noise, trial_distribution, trial_distributions)
+                        tally_noise, trial_distributions)
 from .estimators import EstimateWithError
 
 CSV_HEADER = "t_us,value,sigma,n"
@@ -120,18 +120,19 @@ def stage_delays(bundle: ExperimentBundle) -> tuple:
     )
 
 
-def _correlator(bundle, dist, n_trials: int, rng) -> EstimateWithError:
-    """Post-selected correlator of n_trials attempts from dist."""
+def _correlator(bundle, probs, n_trials: int, rng) -> EstimateWithError:
+    """Post-selected correlator of n_trials attempts from one attempt's
+    pattern probabilities."""
     return estimators.correlator(
-        tally(dist, n_trials, bundle.detection.double_click_policy, rng))
+        tally(probs, n_trials, bundle.detection.double_click_policy, rng))
 
 
 def _exact_series(bundle, setting: BasisSetting,
                   sweep_us: np.ndarray) -> np.ndarray:
     """Exact correlator of one trial at each delay of the sweep."""
-    return np.array([_correlator(bundle, dist, 1, None).value
-                     for dist in trial_distributions(bundle, setting,
-                                                     sweep_us * 1e-6)])
+    (dists,) = trial_distributions(bundle, (setting,), sweep_us * 1e-6)
+    return np.array([_correlator(bundle, probs, 1, None).value
+                     for probs in dists])
 
 
 def _resolve_mode(cfg: CampaignConfig) -> str:
@@ -170,9 +171,9 @@ def _scn_lifetime(cfg, bundle, streams) -> ScenarioOutput:
     rng = streams.take()
     n_pt = max(cfg.trials // len(sweep), 1)
     policy = bundle.detection.double_click_policy
-    for t_us, dist in zip(sweep, trial_distributions(bundle, None,
-                                                     sweep * 1e-6)):
-        est = estimators.retrieval(tally(dist, n_pt, policy, rng))
+    (dists,) = trial_distributions(bundle, (None,), sweep * 1e-6)
+    for t_us, probs in zip(sweep, dists):
+        est = estimators.retrieval(tally(probs, n_pt, policy, rng))
         rows.append((t_us, est.value, est.sigma, est.n_samples))
         values.append(est.value)
 
@@ -212,12 +213,12 @@ def _scn_correlation_sweep(cfg, bundle, streams) -> ScenarioOutput:
     n_pt = max(cfg.trials // (2 * len(sweep)), 1)
     table_rows = {"zz": [], "xx": []}
     series = {"zz": [], "xx": []}
-    for name, (a, b) in (("zz", ("Z", "Z")), ("xx", ("X", "X"))):
-        setting = BasisSetting(a, b)
-        dists = trial_distributions(bundle, setting, sweep * 1e-6)
-        for t_us, dist in zip(sweep, dists):
+    settings = (BasisSetting("Z", "Z"), BasisSetting("X", "X"))
+    for name, dists in zip(("zz", "xx"), trial_distributions(
+            bundle, settings, sweep * 1e-6)):
+        for t_us, probs in zip(sweep, dists):
             try:
-                est = _correlator(bundle, dist, n_pt, rng)
+                est = _correlator(bundle, probs, n_pt, rng)
             except estimators.EstimatorError:
                 # no coincidences landed in this point's windows; keep
                 # the dropout in the table but out of the fits
@@ -301,8 +302,9 @@ def _scn_checkpoints(cfg, bundle, streams) -> ScenarioOutput:
     out = ScenarioOutput()
     for idx, (stage, delay) in enumerate(checkpoints):
         rng = streams.take()
-        table = tally(trial_distribution(bundle, None, delay, stage),
-                      n_stage, bundle.detection.double_click_policy, rng)
+        ((probs,),) = trial_distributions(bundle, (None,), (delay,), stage)
+        table = tally(probs, n_stage, bundle.detection.double_click_policy,
+                      rng)
         table = tally_noise(table, noise_distribution(bundle, None, stage),
                             n_stage, rng)
         g2 = estimators.g2_wr(table)
@@ -342,12 +344,10 @@ def _correlator_campaign(cfg, bundle, settings, streams
     and summary line, and the delay in the summary."""
     delay = bell_delay_s(bundle)
     n_setting = max(cfg.trials // len(settings), 1)
-    est = {}
-    for a, b in settings:
-        setting = BasisSetting(a, b)
-        dist = trial_distribution(bundle, setting, delay, "stored")
-        est[setting.key] = _correlator(bundle, dist, n_setting,
-                                       streams.take())
+    bases = [BasisSetting(a, b) for a, b in settings]
+    dists = trial_distributions(bundle, bases, (delay,), "stored")[:, 0]
+    est = {setting.key: _correlator(bundle, probs, n_setting, streams.take())
+           for setting, probs in zip(bases, dists)}
     rows = [(float(i), e.value, e.sigma, e.n_samples)
             for i, e in enumerate(est.values())]
     out = ScenarioOutput(tables={"correlators": rows})
@@ -400,7 +400,7 @@ def _scn_budget(cfg, bundle, streams) -> ScenarioOutput:
 
     delay = bell_delay_s(bundle)
     # expected coincidences of one attempt
-    p_cc_model = tally(trial_distribution(bundle, None, delay, "stored"),
+    p_cc_model = tally(trial_distributions(bundle, (None,), (delay,))[0, 0],
                        1).coincidences
     ent_model = p_cc_model / (eta_a * eta_b)
 
@@ -444,12 +444,10 @@ def _mains_envelope(bundle, sweep_us, n_pt, rng):
     """Storage-time envelope from the X-basis quadrature pair."""
     xs, ys = [], []
     rows = []
+    quadratures = (BasisSetting("X", "X"), BasisSetting("X", "Y"))
     for t_us, dist_x, dist_y in zip(
-            sweep_us,
-            trial_distributions(bundle, BasisSetting("X", "X"),
-                                sweep_us * 1e-6),
-            trial_distributions(bundle, BasisSetting("X", "Y"),
-                                sweep_us * 1e-6)):
+            sweep_us, *trial_distributions(bundle, quadratures,
+                                           sweep_us * 1e-6)):
         # the Y quadrature is drawn only once the X draw has coincidences
         try:
             env = estimators.envelope(

@@ -89,7 +89,9 @@ class AtomPhotonState:
     """Joint atom-photon state right after a write attempt.
 
     ``state`` is the density matrix on (atomic sector) x (photonic
-    sector), the atomic factor first.
+    sector), the atomic factor first.  Every map of the link is linear,
+    so ``state`` may also be a (..., D, D) stack: a state beside its
+    derivatives, carried through each map in one product.
     """
 
     state: np.ndarray

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from memlink import calibrate as cal
+from memlink import detection, memory_a, source
 from memlink.config import (CAL_BACKGROUND_RATE, CAL_DARK_A, CAL_DARK_B,
                             CAL_DARK_MONITOR, CAL_DOUBLE_AMP_SCALE,
                             NOISE_PARAMS, ConfigError, ExperimentBundle,
@@ -147,6 +148,32 @@ class TestJacobian:
         assert calls.count("_model_pass") == res.nfev + 1
         assert calls.count("_model_pass") <= 90
         assert calls.count("model_predictions") == 1
+
+
+    def test_model_pass_batches_settings_per_stage(self, monkeypatch):
+        # counts, not timings: node A's POVMs of every setting are pulled
+        # back together, at most twice per stage, and the source state of
+        # a fresh bundle is built once for all three stages
+        for value in vars(detection).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+        calls = []
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(memory_a.StoredReadout, "effects")
+        counted(source, "atom_photon_state")
+        cal._model_pass(cal.bundle_with({"double_amp_scale": 0.77,
+                                         "dark_a": 1.3e-4}))
+        # three stages: source, transferred, stored
+        assert calls.count("effects") <= 2 * 3
+        assert calls.count("atom_photon_state") == 1
 
 
 class TestJointFit:

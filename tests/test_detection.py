@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from memlink import channel as link
 from memlink import detection, dualrail, memory_a, memory_b, source
@@ -21,11 +22,11 @@ from memlink.detection import (
     noise_distribution,
     tally,
     tally_noise,
-    trial_distribution,
+    trial_distributions,
 )
 from memlink.estimators import correlator
 from memlink.memory_b import EITParams
-from memlink.scenarios import bell_delay_s
+from memlink.scenarios import CHSH_SETTINGS, CORR_SETTINGS, bell_delay_s
 from oracles import (apply_channel, decohere_state, detection_povm, embedded,
                      expectation, partial_trace, project_basis, pure_state)
 
@@ -56,9 +57,15 @@ def assert_conserved(t):
     assert t.outcome_counts.sum() <= t.coincidences <= t.trials
 
 
+def distribution(bundle, setting, delay_s, stage="stored"):
+    """The 16 phase-averaged pattern probabilities of one setting at one
+    delay."""
+    return trial_distributions(bundle, (setting,), (delay_s,), stage)[0, 0]
+
+
 def conditional_correlator(bundle, setting, delay_s=0.0, stage="stored"):
-    dist = trial_distribution(bundle, setting, delay_s, stage)
-    bins = tally(dist, 1).outcome_counts
+    bins = tally(distribution(bundle, setting, delay_s, stage),
+                 1).outcome_counts
     return (bins[0] + bins[3] - bins[1] - bins[2]) / bins.sum()
 
 
@@ -66,8 +73,8 @@ def batch(bundle, setting, n, delay_s, rng=None, stage="stored",
           noise_windows=0):
     """Tallies of n attempts at one setting, sampled with an rng and
     expected without one, plus node B's clicks in the noise windows."""
-    dist = trial_distribution(bundle, setting, delay_s, stage)
-    table = tally(dist, n, bundle.detection.double_click_policy, rng)
+    table = tally(distribution(bundle, setting, delay_s, stage), n,
+                  bundle.detection.double_click_policy, rng)
     return tally_noise(table, noise_distribution(bundle, setting, stage),
                        noise_windows, rng)
 
@@ -138,7 +145,7 @@ class TestConfigValidation:
 
     def test_povm_dark_rate_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError, match="dark-count probability"):
-            detection._povm_stack(2, None, 1.0, 1.0, 1.0)
+            detection._povm_terms(2, ((None, 1.0),), 1.0, 1.0)
 
     def test_double_click_policy_names(self):
         with pytest.raises(DetectionConfigError):
@@ -178,18 +185,45 @@ class TestCountsTable:
             assert_conserved(t)
 
 
+def phase_resolved(bundle, setting, delay_s, stage="stored"):
+    """(c, swing): the coefficients c[k] of the parts dn = k = 0, 1, 2 of
+    one setting's 16 pattern probabilities at one delay, node A's POVM
+    pulled back through a fresh StoredReadout and met with the engine's
+    node-B states, and that readout's mains swing."""
+    det = bundle.detection
+    cutoff = bundle.source.fock_cutoff
+    readout = memory_a.decohere(cutoff, [delay_s], det.det_a.eta_det,
+                                bundle.coherence, bundle.geometry)
+    name_a = None if setting is None else setting.node_a
+    povm_a = detection._povm_terms(cutoff, ((name_a, 1.0),), 1.0,
+                                   det.det_a.dark_rate)[0, 0]
+    _, states, _, (row_b,), _ = detection._stage_stacks(
+        bundle, detection._setting_keys((setting,)), (delay_s,), stage)
+    coeffs = readout.effects(povm_a)[0] @ states[row_b, 0].T
+    return coeffs.reshape(3, -1), float(readout.swing[0])
+
+
+def folded(coeffs):
+    """Pattern probabilities of parts whose phase is fixed."""
+    return np.clip(np.real(coeffs[0]) + 2.0 * np.real(coeffs[1])
+                   + 2.0 * np.real(coeffs[2]), 0.0, None)
+
+
 class TestTrialDistribution:
     def test_probabilities_normalized(self):
-        dist = trial_distribution(calibrated_bundle(), BasisSetting(),
-                                  103e-6, "stored")
-        np.testing.assert_allclose(dist.base.sum(), 1.0, atol=1e-9)
-        assert dist.base.min() >= 0.0
+        probs = distribution(calibrated_bundle(), BasisSetting(), 103e-6)
+        np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-9)
+        assert probs.min() >= 0.0
 
     def test_synced_distribution_has_no_fourier_terms(self):
-        dist = trial_distribution(ExperimentBundle(), BasisSetting(),
-                                  103e-6, "stored")
-        assert dist.swing == 0.0
-        assert dist.fourier == ()
+        # a synced phase is fixed: no swing is left to average over, and
+        # the distribution is its parts folded at that phase
+        bundle = ExperimentBundle()
+        coeffs, swing = phase_resolved(bundle, BasisSetting(), 103e-6)
+        assert swing == 0.0
+        np.testing.assert_allclose(
+            distribution(bundle, BasisSetting(), 103e-6), folded(coeffs),
+            rtol=0.0, atol=1e-12)
 
     def test_unsynced_mean_matches_numerical_phase_average(self):
         base = ExperimentBundle()
@@ -199,37 +233,43 @@ class TestTrialDistribution:
                 base.coherence, mains_synced=False,
                 mains_amplitude_gauss=1.61e-3),
         )
-        dist = trial_distribution(bundle, BasisSetting("X", "X"),
-                                  60e-6, "stored")
-        assert dist.swing > 0.0
+        coeffs, swing = phase_resolved(bundle, BasisSetting("X", "X"),
+                                       60e-6)
+        assert swing > 0.0
         u = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        phi = dist.swing * np.sin(u)[:, None]
-        series = dist.base + sum(
-            2.0 * np.real(np.exp(-1j * k * phi) * coeff)
-            for k, coeff in enumerate(dist.fourier, start=1))
+        phi = swing * np.sin(u)[:, None]
+        series = np.clip(np.real(coeffs[0]), 0.0, None) + sum(
+            2.0 * np.real(np.exp(-1j * k * phi) * coeffs[k])
+            for k in (1, 2))
         numeric = np.clip(series, 0.0, None).mean(axis=0)
-        np.testing.assert_allclose(dist.mean_probabilities(), numeric,
-                                   atol=1e-9)
+        np.testing.assert_allclose(
+            distribution(bundle, BasisSetting("X", "X"), 60e-6), numeric,
+            atol=1e-9)
 
     def test_pattern_index(self):
-        dist = trial_distribution(ExperimentBundle(), BasisSetting(),
-                                  0.0, "source")
+        dists = trial_distributions(ExperimentBundle(), (BasisSetting(),),
+                                    (0.0,), "source")
         assert PATTERNS.index(("plus", "none")) == 3
         assert PATTERNS.index(("none", "plus")) == 12
-        assert dist.base.shape == (len(PATTERNS),) == (16,)
+        assert dists.shape == (1, 1, len(PATTERNS)) == (1, 1, 16)
+        assert not dists.flags.writeable
+
+    def test_empty_delay_vector_gives_empty_array(self):
+        dists = trial_distributions(ExperimentBundle(),
+                                    (BasisSetting("X", "X"),), [])
+        assert dists.shape == (1, 0, 16)
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(DetectionConfigError):
-            trial_distribution(ExperimentBundle(), BasisSetting(),
-                               0.0, "midway")
+            distribution(ExperimentBundle(), BasisSetting(), 0.0, "midway")
 
 
 class TestNoiseFreeOracles:
     def test_coincidence_probability_matches_budget(self):
         delay = link.latency(ExperimentBundle().channel)
         for bundle in (ExperimentBundle(), calibrated_bundle()):
-            dist = trial_distribution(bundle, BasisSetting(), delay, "stored")
-            ab = tally(dist, 1).coincidences
+            ab = tally(distribution(bundle, BasisSetting(), delay),
+                       1).coincidences
             np.testing.assert_allclose(ab, 6.1e-6, rtol=0.2)
 
     def test_conditional_correlators_are_ideal(self):
@@ -344,10 +384,8 @@ class TestSampling:
         for stage in ("source", "stored"):
             table = batch(bundle, None, n, 103e-6, stage=stage,
                            noise_windows=n)
-            mean = trial_distribution(bundle, None, 103e-6,
-                                      stage).mean_probabilities()
-            noise = noise_distribution(bundle, None,
-                                       stage).mean_probabilities()
+            mean = distribution(bundle, None, 103e-6, stage)
+            noise = noise_distribution(bundle, None, stage)
             want = {"singles_a": 0.0, "singles_b": 0.0, "coincidences": 0.0,
                     "noise_counts": 0.0}
             for (a, b), p, q in zip(PATTERNS, mean, noise):
@@ -363,8 +401,7 @@ class TestSampling:
 
     def test_double_click_policies_at_distribution_level(self):
         bundle = calibrated_bundle()
-        dist = trial_distribution(bundle, BasisSetting("Z", "Z"), 103e-6,
-                                  "stored")
+        dist = distribution(bundle, BasisSetting("Z", "Z"), 103e-6)
         discard = tally(dist, 1, "discard").outcome_counts
         random_split = tally(dist, 1, "random").outcome_counts
         assert discard.sum() <= random_split.sum() + 1e-15
@@ -445,15 +482,14 @@ class TestAccumulate:
         # the float reductions read the same table as the integer ones
         rows = self.FIXTURE + ((("both", "both"), 2),)
         probs = self.counts(rows) / 8.0
-        dist = detection.TrialDistribution(base=probs, fourier=(), swing=0.0)
-        clicks = tally(dist, 1)
+        clicks = tally(probs, 1)
         assert ((clicks.singles_a, clicks.singles_b, clicks.coincidences)
                 == (0.75, 0.75, 0.625))
         np.testing.assert_array_equal(
-            tally(dist, 1, "discard").outcome_counts, [1 / 8, 0, 1 / 8, 0])
+            tally(probs, 1, "discard").outcome_counts, [1 / 8, 0, 1 / 8, 0])
         # (both, plus) splits over ++ and -+, (both, both) over all four
         np.testing.assert_array_equal(
-            tally(dist, 1, "random").outcome_counts,
+            tally(probs, 1, "random").outcome_counts,
             [1 / 8 + 1 / 16 + 1 / 16, 1 / 16, 1 / 8 + 1 / 16 + 1 / 16, 1 / 16])
 
 
@@ -596,24 +632,49 @@ def reference_distribution(bundle, setting, delay_s, stage):
     return np.clip(base, 0.0, None), fourier, swing
 
 
+def phase_averaged(base, fourier, swing):
+    """The reference's probabilities averaged over a per-trial phase
+    swing * sin(uniform), which takes exp(-i k phi) to J0(k swing)."""
+    if not fourier:
+        return base
+    return np.clip(base + sum(2.0 * j0(k * swing) * np.real(coeff)
+                              for k, coeff in enumerate(fourier, start=1)),
+                   0.0, None)
+
+
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("stage", STAGES)
     @pytest.mark.parametrize("name", sorted(reference_bundles()))
     def test_base_and_fourier_agree(self, name, stage):
+        # every setting and delay from one call, against the reference's
+        # phase average; the phase-resolved parts through StoredReadout
         bundle = reference_bundles()[name]
-        for setting in REFERENCE_SETTINGS:
-            basis = None if setting is None else BasisSetting(*setting)
-            for delay in reference_delays():
-                dist = trial_distribution(bundle, basis, delay, stage)
+        bases = [None if setting is None else BasisSetting(*setting)
+                 for setting in REFERENCE_SETTINGS]
+        dists = trial_distributions(bundle, bases, reference_delays(),
+                                    stage)
+        assert dists.shape == (len(bases), len(reference_delays()),
+                               len(PATTERNS))
+        for setting, basis, row in zip(REFERENCE_SETTINGS, bases, dists):
+            for delay, probs in zip(reference_delays(), row):
                 base, fourier, swing = reference_distribution(
                     bundle, setting, delay, stage)
                 where = f"{name} {stage} {setting} {delay:g}"
-                assert dist.base.shape == (len(PATTERNS),), where
-                assert dist.swing == swing, where
-                np.testing.assert_allclose(dist.base, base, rtol=0.0,
+                np.testing.assert_allclose(
+                    probs, phase_averaged(base, fourier, swing), rtol=0.0,
+                    atol=1e-12, err_msg=where)
+                coeffs, got_swing = phase_resolved(bundle, basis, delay,
+                                                   stage)
+                assert got_swing == swing, where
+                if swing == 0.0:
+                    got_base, got_fourier = folded(coeffs), ()
+                else:
+                    got_base = np.clip(np.real(coeffs[0]), 0.0, None)
+                    got_fourier = tuple(coeffs[1:])
+                np.testing.assert_allclose(got_base, base, rtol=0.0,
                                            atol=1e-12, err_msg=where)
-                assert len(dist.fourier) == len(fourier), where
-                for got, want in zip(dist.fourier, fourier):
+                assert len(got_fourier) == len(fourier), where
+                for got, want in zip(got_fourier, fourier):
                     np.testing.assert_allclose(got, want, rtol=0.0,
                                                atol=1e-12, err_msg=where)
 
@@ -624,9 +685,9 @@ class TestEngineMatchesReference:
             bundle.source, chi=1e-12, double_amp_scale=0.0))
         for setting in REFERENCE_SETTINGS:
             basis = None if setting is None else BasisSetting(*setting)
-            dist = noise_distribution(bundle, basis, stage)
+            probs = noise_distribution(bundle, basis, stage)
             base, _, _ = reference_distribution(off, setting, 0.0, stage)
-            np.testing.assert_allclose(dist.base, base, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(probs, base, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +698,7 @@ TRACED_PUBLIC = (
     (source, "atom_photon_state"), (link, "photon_loss_joint"),
     (link, "transmit"), (memory_b, "map_in"), (memory_b, "map_out"),
     (memory_a, "decohere"), (dualrail, "loss_channel"),
-    (detection, "trial_distribution"),
+    (detection, "trial_distributions"),
 )
 
 
@@ -685,10 +746,11 @@ class TestCacheDiscipline:
         monkeypatch.setattr(source, "atom_photon_state", counting)
         bundle = calibrated_bundle()
         delay = bell_delay_s(bundle)
-        first = trial_distribution(bundle, BasisSetting("X", "X"), delay)
+        first = trial_distributions(bundle, (BasisSetting("X", "X"),),
+                                    (delay,))
         assert len(calls) == 1
-        assert trial_distribution(bundle, BasisSetting("X", "X"),
-                                  delay) is first
+        assert trial_distributions(bundle, (BasisSetting("X", "X"),),
+                                   (delay,)) is first
         assert len(calls) == 1
         # other settings, delays, stages and a detector-only change all
         # reuse the one source state
@@ -700,7 +762,8 @@ class TestCacheDiscipline:
                             BasisSetting("A1", "B0")):
                 for delay in (0.0, 50e-6):
                     for stage in STAGES:
-                        trial_distribution(b, setting, delay, stage)
+                        trial_distributions(b, (setting,), (delay,),
+                                            stage)
         assert len(calls) == 1
 
     def test_basis_rotation_shared_across_dark_rates(self, monkeypatch):
@@ -721,7 +784,7 @@ class TestCacheDiscipline:
             det = base.detection
             bundle = dataclasses.replace(base, detection=dataclasses.replace(
                 det, det_a=dataclasses.replace(det.det_a, dark_rate=dark)))
-            trial_distribution(bundle, BasisSetting("X", "Y"), 0.0)
+            trial_distributions(bundle, (BasisSetting("X", "Y"),), (0.0,))
         assert len(calls) == 2  # one per node
 
     def test_every_cache_is_bounded(self):
@@ -738,8 +801,8 @@ class TestCacheDiscipline:
                 base, channel=dataclasses.replace(
                     base.channel, background_rate=rate))
             for stage in STAGES:
-                trial_distribution(bundle, BasisSetting("X", "Y"),
-                                   10e-6 * (k + 1), stage)
+                trial_distributions(bundle, (BasisSetting("X", "Y"),),
+                                    (10e-6 * (k + 1),), stage)
                 noise_distribution(bundle, None, stage)
         assert container_sizes() == before
 
@@ -781,14 +844,17 @@ class TestTrialTangents:
         base = calibrated_bundle()
         bundle = dataclasses.replace(base, coherence=dataclasses.replace(
             base.coherence, mains_synced=synced))
-        setting = BasisSetting("A1", "B0")
+        # the bare basis and every setting calibrate reads, in one call
+        settings = (None,) + tuple(BasisSetting(*pair) for pair
+                                   in CHSH_SETTINGS + CORR_SETTINGS)
         # long enough for a large mains swing, short of the T2* washout
         delay = 300e-6
-        tangents = detection.trial_tangents(bundle, setting, delay, stage)
-        assert tangents.shape == (4, 16)
-        for row, (path, step) in zip(tangents, self.paths(stage)):
-            up, down = (trial_distribution(
-                self.shifted(bundle, path, sign * step), setting, delay,
-                stage).mean_probabilities() for sign in (1.0, -1.0))
-            np.testing.assert_allclose(row, (up - down) / (2.0 * step),
+        tangents = detection.trial_tangents(bundle, settings, delay, stage)
+        assert tangents.shape == (len(settings), 4, 16)
+        for m, (path, step) in enumerate(self.paths(stage)):
+            up, down = (trial_distributions(
+                self.shifted(bundle, path, sign * step), settings, (delay,),
+                stage)[:, 0] for sign in (1.0, -1.0))
+            np.testing.assert_allclose(tangents[:, m],
+                                       (up - down) / (2.0 * step),
                                        rtol=1e-5, atol=1e-12)

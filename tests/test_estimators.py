@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from memlink.config import ExperimentBundle
-from memlink.detection import CountsTable, tally, trial_distribution
+from memlink.detection import CountsTable, tally, trial_distributions
 from memlink.estimators import (
     SNR_UNBOUNDED,
     EstimateWithError,
@@ -108,8 +108,9 @@ class TestG2:
     def test_noise_free_chain_is_strongly_nonclassical(self):
         # pair source at chi = 0.054: the write/read correlation sits
         # just below the uncorrelated-ladder value 1 + 1/chi
-        dist = trial_distribution(ExperimentBundle(), None, 0.0, "source")
-        t = tally(dist, 50_000_000)
+        ((probs,),) = trial_distributions(ExperimentBundle(), (None,),
+                                          (0.0,), "source")
+        t = tally(probs, 50_000_000)
         est = g2_wr(t)
         assert 17.0 < est.value < 20.0
 

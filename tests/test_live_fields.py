@@ -13,7 +13,7 @@ import numpy as np
 
 from memlink.calibrate import model_predictions
 from memlink.config import CampaignConfig, calibrated_bundle
-from memlink.detection import BasisSetting, tally, trial_distribution
+from memlink.detection import BasisSetting, tally, trial_distributions
 from memlink.scenarios import _DISPATCH, _Streams
 
 VALIDATION_ONLY = {
@@ -32,11 +32,10 @@ def fingerprint(bundle):
     blocks = [np.array(sorted(model_predictions(bundle).items()))[:, 1]
               .astype(float)]
     policy = bundle.detection.double_click_policy
-    for setting in SETTINGS:
-        for delay in DELAYS_S:
-            dist = trial_distribution(bundle, setting, delay)
-            blocks.append(dist.mean_probabilities())
-            blocks.append(tally(dist, 1, policy).outcome_counts)
+    for dists in trial_distributions(bundle, SETTINGS, DELAYS_S):
+        for probs in dists:
+            blocks.append(probs)
+            blocks.append(tally(probs, 1, policy).outcome_counts)
     for scenario in SUMMARY_SCENARIOS:
         out = _DISPATCH[scenario](CampaignConfig(scenario=scenario), bundle,
                                   _Streams(None))

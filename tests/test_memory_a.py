@@ -14,7 +14,7 @@ from memlink import dualrail
 from memlink.config import ExperimentBundle
 from memlink.constants import CODATA
 from memlink.detection import (BasisSetting, DetectorParams, tally,
-                               trial_distribution)
+                               trial_distributions)
 from memlink.memory_a import (
     CoherenceParams,
     FreezingGeometry,
@@ -80,8 +80,9 @@ def single_pair_bundle(eta_a=1.0, **coherence):
 
 
 def node_a_click_probability(bundle, delay_s=0.0, setting=None):
-    dist = trial_distribution(bundle, setting, delay_s, "source")
-    return tally(dist, 1).singles_a
+    ((probs,),) = trial_distributions(bundle, (setting,), (delay_s,),
+                                      "source")
+    return tally(probs, 1).singles_a
 
 
 class TestWavevectors:
@@ -359,10 +360,10 @@ class TestDecohere:
             t1_s=math.inf, t2_star_s=math.inf, bias_field_gauss=phi / (rate * t),
             mains_amplitude_gauss=0.0)
         assert abs(phi) > 0.1
-        for setting in (BasisSetting("X", "X"), BasisSetting("X", "Y")):
-            got = trial_distribution(mains, setting, t, "stored").base
-            want = trial_distribution(bias, setting, t, "stored").base
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        settings = (BasisSetting("X", "X"), BasisSetting("X", "Y"))
+        got = trial_distributions(mains, settings, (t,), "stored")
+        want = trial_distributions(bias, settings, (t,), "stored")
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
     def test_include_mains_false_skips_ripple(self):
         # a free-running ripple is left out of the pulled-back effects
@@ -421,9 +422,9 @@ class TestReadout:
 
     def test_transverse_outcomes_balanced(self):
         bundle = single_pair_bundle(eta_a=1.0)
-        dist = trial_distribution(bundle, BasisSetting("X", "Z"), 0.0,
-                                  "source")
-        plus, minus = dist.base.reshape(4, 4).sum(axis=1)[:2]
+        ((probs,),) = trial_distributions(bundle, (BasisSetting("X", "Z"),),
+                                          (0.0,), "source")
+        plus, minus = probs.reshape(4, 4).sum(axis=1)[:2]
         np.testing.assert_allclose(plus, minus, rtol=1e-12)
         np.testing.assert_allclose(plus + minus, bundle.source.chi,
                                    rtol=1e-12)

@@ -192,6 +192,26 @@ class TestFactorLocalMaps:
             np.testing.assert_allclose(apply_to_second(rho, ch), want,
                                        atol=1e-14)
 
+    def test_apply_to_second_maps_a_stack_row_by_row(self):
+        # complex Kraus operators, and operators that are not states: the
+        # map is linear, so a state's derivatives ride along in a stack
+        rng = np.random.default_rng(7)
+        unitary = np.linalg.qr(rng.normal(size=(3, 3))
+                               + 1j * rng.normal(size=(3, 3)))[0]
+        ch = KrausChannel([math.sqrt(0.3) * unitary,
+                           math.sqrt(0.7) * np.eye(3, dtype=complex)])
+        stack = (rng.normal(size=(3, 6, 6))
+                 + 1j * rng.normal(size=(3, 6, 6)))
+        ops = embedded(ch.operators, 2, 1)
+        want = [sum(k @ row @ k.conj().T for k in ops) for row in stack]
+        np.testing.assert_allclose(apply_to_second(stack, ch), want,
+                                   atol=1e-14)
+
+    def test_empty_stack_is_trace_preserving(self):
+        # no channel in it can leak probability
+        empty = KrausChannel(np.zeros((0, 2, 2, 2)))
+        assert adjoint_matrix(empty).shape == (0, 4, 4)
+
     def test_adjoint_matrix_is_the_heisenberg_dual(self):
         """Tr[E Phi(rho)] = Tr[Phi^dag(E) rho], Phi^dag from the matrix."""
         rng = np.random.default_rng(6)

@@ -422,11 +422,11 @@ class TestAnalyticModeIsTheCalibrateModel:
 SIGN = {"plus": 1.0, "minus": -1.0}
 
 
-def expected_correlator(dist, n):
+def expected_correlator(probs, n):
     """Exact correlator, sigma and coincidence count of n attempts,
     summed pattern by pattern with double clicks discarded."""
     total = signed = 0.0
-    for (a, b), p in zip(PATTERNS, dist.mean_probabilities()):
+    for (a, b), p in zip(PATTERNS, probs):
         if a in SIGN and b in SIGN:
             total += p * n
             signed += SIGN[a] * SIGN[b] * p * n
@@ -436,9 +436,9 @@ def expected_correlator(dist, n):
 
 def expected_lifetime_rows(bundle, sweep, n):
     rows = []
-    for dist in trial_distributions(bundle, None, sweep * 1e-6):
+    for probs in trial_distributions(bundle, (None,), sweep * 1e-6)[0]:
         n_b = k = 0.0
-        for (a, b), p in zip(PATTERNS, dist.mean_probabilities()):
+        for (a, b), p in zip(PATTERNS, probs):
             n_b += p * n if b != "none" else 0.0
             k += p * n if "none" not in (a, b) else 0.0
         p_t = (k + 1.0) / (n_b + 2.0)
@@ -449,9 +449,9 @@ def expected_lifetime_rows(bundle, sweep, n):
 
 def expected_correlator_rows(bundle, sweep, n, setting):
     rows = []
-    for dist in trial_distributions(bundle, BasisSetting(*setting),
-                                    sweep * 1e-6):
-        value, sigma, total = expected_correlator(dist, n)
+    for probs in trial_distributions(bundle, (BasisSetting(*setting),),
+                                     sweep * 1e-6)[0]:
+        value, sigma, total = expected_correlator(probs, n)
         rows.append((value, sigma, round(total)))
     return rows
 
