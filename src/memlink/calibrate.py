@@ -7,21 +7,19 @@ those five knobs so the analytic forward model reproduces the measured
 write/read correlation at the three checkpoints plus the CHSH and
 fidelity values, weighting each residual by the published uncertainty.
 
-The solver gets the exact Jacobian: every map of the chain before the
-detectors is linear in the state and every POVM element is a polynomial
-in the dark rate, so the derivatives ride through the same stages as
-the state (``detection.trial_tangents``).  One pass per point
-(``_model_pass``) asks the engine once per stage for the distributions
-of its settings (the bare basis at each checkpoint, and the seven CHSH
-and correlator settings at the stored one) and once for their
-tangents, and writes g2, the correlators, S and F each once, together
-with their derivatives.  The solver's residual and Jacobian share that
-pass through a memo of the last point, local to the fit.  The result
-reports each free constant's one-sigma uncertainty and their
-correlations from (J^T J)^-1 of the weighted residuals; a constant the
-fit leaves on one of its bounds is reported as such, with no sigma.
-A targets file whose entries are not finite numbers is refused as a
-``ConfigError``.
+Each knob enters one linear stage of the chain at low degree, so the
+pattern probabilities are an exact polynomial in the five.  Its
+coefficients (``detection.trial_polynomials``) are built once per fit,
+with the five set to 0, for the bare basis at each checkpoint and the
+seven CHSH and correlator settings at the stored one.  A pass at a
+point (``_model_pass``) is one product per stage of them with the
+features at the point and their derivatives, and writes g2, the
+correlators, S and F each once, with their exact derivatives; the
+solver's residual and Jacobian share it through a memo of the last
+point.  The result reports each free constant's one-sigma uncertainty
+and their correlations from (J^T J)^-1 of the weighted residuals; a
+constant the fit leaves on a bound is reported as such, with no sigma.
+Targets, from a file or a dict, are checked alike (``_checked``).
 
 The fitted values are frozen into config.py as the CAL_* constants and
 switched in by ``calibrated_bundle``.
@@ -31,13 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import yaml
 
+from . import source
 from .config import NOISE_PARAMS, ConfigError, ExperimentBundle, with_noise
-from .detection import (BINS, CLICKS, PATTERNS, TALLY, BasisSetting,
-                        trial_distributions, trial_tangents)
+from .detection import (BINS, CLICKS, PATTERNS, STAGES, TALLY, BasisSetting,
+                        trial_polynomials)
 from .scenarios import (CHSH_SETTINGS, CHSH_TARGET, CORR_SETTINGS,
                         FIDELITY_TARGET, G2_TARGETS, stage_delays)
 
@@ -97,43 +97,72 @@ def bundle_with(params: dict[str, float]) -> ExperimentBundle:
     return with_noise(ExperimentBundle(), params)
 
 
-def _directions(stage: str) -> list[int]:
-    """FREE_PARAMS index of each direction of ``trial_tangents``; node
-    B's detectors are the monitor's at the source checkpoint."""
-    dark_b = "dark_monitor" if stage == "source" else "dark_b"
-    return [FREE_PARAMS.index(name) for name in
-            ("double_amp_scale", "background_rate", dark_b, "dark_a")]
-
-
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den, each a value followed by its gradient."""
     value = num[0] / den[0]
     return np.concatenate(([value], (num[1:] - value * den[1:]) / den[0]))
 
 
+@lru_cache(maxsize=4)
+def _noise_polynomial(base: ExperimentBundle) -> tuple:
+    """Per stage, the read-only (K, S * 16) ``trial_polynomials`` of a
+    noise-free bundle over K features: the bare basis at each checkpoint,
+    then the CHSH and correlator settings at the stored one."""
+    settings = (None,) + tuple(BasisSetting(*pair)
+                               for pair in CHSH_SETTINGS + CORR_SETTINGS)
+    out = tuple(c.transpose(1, 2, 3, 0, 4).reshape(-1, c.shape[0] * 16)
+                for c in trial_polynomials(base, [
+                    (settings if stage == "stored" else settings[:1], t)
+                    for stage, t in stage_delays(base)]))
+    for matrix in out:
+        matrix.setflags(write=False)
+    return out
+
+
+def _powers(x: float) -> np.ndarray:
+    return np.array([[1.0, x, x * x], [0.0, 1.0, 2.0 * x]])
+
+
+def _features(bundle, stage: str, src: np.ndarray) -> np.ndarray:
+    """(1 + 5, K): the stage's features at the bundle's noise values (node
+    A's dark powers x link rows x source features src x node B's dark
+    powers), then their derivatives by each FREE_PARAMS constant."""
+    det = bundle.detection
+    factors = {"dark_a": _powers(det.det_a.dark_rate),
+               "background_rate": _powers(bundle.channel.background_rate
+                                          )[:, :2],
+               "double_amp_scale": src}
+    if stage == "source":  # no link before the source checkpoint
+        del factors["background_rate"]
+        factors["dark_monitor"] = _powers(det.det_monitor.dark_rate)
+    else:
+        factors["dark_b"] = _powers(det.dark_b)
+    out = np.ones((1 + len(FREE_PARAMS), 1))
+    for name, factor in factors.items():
+        pick = factor[[int(n == name) for n in (None,) + FREE_PARAMS]]
+        out = (out[:, :, None] * pick[:, None]).reshape(len(out), -1)
+    # a constant the stage never reads has no derivative there
+    out[1:][[n not in factors for n in FREE_PARAMS]] = 0.0
+    return out
+
+
 def _model_pass(bundle: ExperimentBundle
                 ) -> tuple[dict[str, float], dict[str, np.ndarray]]:
     """Every calibration target and its exact derivative by each
-    FREE_PARAMS constant, in FREE_PARAMS order, from one engine call
-    for the distributions and one for their tangents per stage."""
-    settings = (None,) + tuple(BasisSetting(*pair)
-                               for pair in CHSH_SETTINGS + CORR_SETTINGS)
-    # each row holds one point's mean pattern probabilities, then their
-    # derivatives: the bare basis at each stage, then the stored
-    # settings; every tally and estimate below keeps that layout
-    stages = stage_delays(bundle)
-    duals = []
-    for stage, t in stages:
-        chosen = settings if stage == "stored" else settings[:1]
-        dual = np.zeros((len(chosen), 1 + len(FREE_PARAMS), len(PATTERNS)))
-        dual[:, 0] = trial_distributions(bundle, chosen, (t,), stage)[:, 0]
-        dual[:, 1 + np.array(_directions(stage))] = trial_tangents(
-            bundle, chosen, t, stage)
-        duals.append(dual)
-    tallies = np.concatenate(duals) @ TALLY.T
+    FREE_PARAMS constant, in FREE_PARAMS order: per stage, one product
+    of the noise-free bundle's polynomial with its features."""
+    polys = _noise_polynomial(
+        with_noise(bundle, dict.fromkeys(FREE_PARAMS, 0.0)))
+    src = source.features(bundle.source)
+    # rows: the bare basis at each stage, then the stored settings, each
+    # its probabilities and then their derivatives, as every tally below
+    tallies = np.concatenate([
+        (_features(bundle, stage, src) @ poly).reshape(
+            1 + len(FREE_PARAMS), -1, len(PATTERNS)).swapaxes(0, 1)
+        for stage, poly in zip(STAGES, polys)]) @ TALLY.T
 
     out = {}
-    for (stage, _), tally in zip(stages, tallies):
+    for stage, tally in zip(STAGES, tallies):
         a, b, ab = tally[:, CLICKS].T
         out[f"g2_{stage}"] = _ratio(_ratio(ab, a), b)
     # E = (b0 - b1 - b2 + b3) / sum(b) over the signed outcome bins
@@ -164,35 +193,42 @@ def load_targets(path: str) -> dict[str, tuple[float, float]]:
         raise ConfigError(f"cannot read targets file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed targets file {path}: {exc}") from exc
-    if not isinstance(raw, dict) or not raw:
-        raise ConfigError("targets file must map names to value/sigma")
-    targets = {}
-    for name, entry in raw.items():
+    return _checked(raw)
+
+
+def _checked(targets) -> dict[str, tuple[float, float]]:
+    """Targets as {name: (value, sigma)} floats, each entry a (value,
+    sigma) tuple or a {value, sigma} mapping, or a ConfigError: at least
+    one target, each a known name with a finite value and sigma > 0."""
+    if not isinstance(targets, dict) or not targets:
+        raise ConfigError("targets must map names to value/sigma")
+    out = {}
+    for name, pair in targets.items():
         if name not in DEFAULT_TARGETS:
             raise ConfigError(
                 f"unknown target {name!r}; choose from "
                 f"{sorted(DEFAULT_TARGETS)}")
-        if (not isinstance(entry, dict) or "value" not in entry
-                or "sigma" not in entry):
+        if isinstance(pair, dict) and pair.keys() >= {"value", "sigma"}:
+            pair = (pair["value"], pair["sigma"])
+        if not isinstance(pair, tuple) or len(pair) != 2:
             raise ConfigError(f"target {name!r} needs value and sigma")
-        value, sigma = (_finite(name, entry, key)
-                        for key in ("value", "sigma"))
+        value, sigma = (_finite(name, key, raw)
+                        for key, raw in zip(("value", "sigma"), pair))
         if sigma <= 0:
             raise ConfigError(f"target {name!r} needs a positive sigma")
-        targets[name] = (value, sigma)
-    return targets
+        out[name] = (value, sigma)
+    return out
 
 
-def _finite(name: str, entry: dict, key: str) -> float:
-    """entry[key] as a finite float, or a ConfigError naming the target."""
+def _finite(name: str, key: str, raw) -> float:
+    """raw as a finite float, or a ConfigError naming the target."""
     try:
-        number = float(entry[key])
+        number = float(raw)
     except (TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number):
         raise ConfigError(
-            f"target {name!r} needs a finite number as {key}, "
-            f"got {entry[key]!r}")
+            f"target {name!r} needs a finite number as {key}, got {raw!r}")
     return number
 
 
@@ -250,38 +286,37 @@ def calibrate(targets: dict[str, tuple[float, float]] | None = None,
     that stops without formal convergence still reports its best-so-far
     bundle, flagged in ``converged`` and ``message``.
     """
-    targets = dict(targets or DEFAULT_TARGETS)
+    targets = _checked(DEFAULT_TARGETS if targets is None else targets)
     free = tuple(free_params if free_params is not None else FREE_PARAMS)
     unknown = set(free) - set(FREE_PARAMS)
     if unknown:
         raise ConfigError(f"unknown free parameters: {sorted(unknown)}")
+    if len(set(free)) < len(free):
+        raise ConfigError(f"repeated free parameters: {list(free)}")
 
     names = sorted(targets)
-    if not free:
-        bundle = bundle_with({})
-        preds = model_predictions(bundle)
-        res = {n: (preds[n] - targets[n][0]) / targets[n][1] for n in names}
-        return CalibrationResult(params={}, bundle=bundle, predictions=preds,
-                                 targets=targets, residuals=res,
-                                 cost=0.5 * sum(v * v for v in res.values()),
-                                 converged=True,
-                                 message="no free parameters")
+    fit = None
+    if free:
+        # imported here so that loading the package never loads the solver
+        from scipy.optimize import least_squares
 
-    # imported here so that loading the package never loads the solver
-    from scipy.optimize import least_squares
-
-    x0 = np.array([_X0[name] for name in free])
-    lo = np.array([_BOUNDS[name][0] for name in free])
-    hi = np.array([_BOUNDS[name][1] for name in free])
-    residual_vec, jacobian = _weighted_problem(targets, free)
-    fit = least_squares(residual_vec, x0, jac=jacobian, bounds=(lo, hi),
-                        method="trf", ftol=1e-12, xtol=1e-12, gtol=1e-12,
-                        max_nfev=400)
-    params = {name: float(v) for name, v in zip(free, fit.x)}
+        residual_vec, jacobian = _weighted_problem(targets, free)
+        fit = least_squares(
+            residual_vec, np.array([_X0[name] for name in free]),
+            jac=jacobian, bounds=([_BOUNDS[name][0] for name in free],
+                                  [_BOUNDS[name][1] for name in free]),
+            method="trf", ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=400)
+    params = {name: float(v) for name, v in zip(free, fit.x)} if fit else {}
     bundle = bundle_with(params)
     preds = model_predictions(bundle)
     residuals = {n: (preds[n] - targets[n][0]) / targets[n][1]
                  for n in names}
+    if fit is None:
+        return CalibrationResult(
+            params={}, bundle=bundle, predictions=preds, targets=targets,
+            residuals=residuals,
+            cost=0.5 * sum(v * v for v in residuals.values()),
+            message="no free parameters")
     at_bound = {name: "lower" if side < 0 else "upper"
                 for name, side in zip(free, fit.active_mask) if side}
     inside = [i for i, name in enumerate(free) if name not in at_bound]

@@ -134,8 +134,8 @@ def transmit(s: AtomPhotonState, p: ChannelParams) -> AtomPhotonState:
     Applies the exact photon-loss map (each excitation survives with
     probability ``channel_efficiency``) and mixes in the converter
     background as an uncorrelated unpolarized single photon.  The atomic
-    factor is untouched.  The map is linear in the state, so it carries
-    a derivative of the state, or a stack of them, as well.
+    factor is untouched.  The map is linear, so a stack of states goes
+    through it at once.
     """
     lossy = photon_loss_joint(s, channel_efficiency(p)).state
     if p.background_rate > 0.0:
@@ -144,11 +144,9 @@ def transmit(s: AtomPhotonState, p: ChannelParams) -> AtomPhotonState:
     return AtomPhotonState(state=lossy, cutoff=s.cutoff)
 
 
-def background_slope(t: AtomPhotonState, p: ChannelParams) -> np.ndarray:
-    """d transmit(s, p).state / d background_rate, from the transmitted
-    state t = transmit(s, p): the background state minus the lossy
-    signal it displaces.  A background keeps the atomic marginal, so
-    t's background is the lossy signal's, and the signal is
-    (t - rate * background) / (1 - rate)."""
-    bg = _background(t.state, t.cutoff)
-    return (bg - t.state) / (1.0 - p.background_rate)
+def background_rows(lossy: AtomPhotonState) -> np.ndarray:
+    """``transmit``'s state, rows[0] + background_rate * rows[1], from
+    the lossy signal L (``transmit`` at rate 0, or a stack of them): L
+    and the background minus L, stacked on a new first axis."""
+    return np.stack([lossy.state,
+                     _background(lossy.state, lossy.cutoff) - lossy.state])

@@ -1,7 +1,6 @@
 """Measurement settings, pattern distributions and coincidence counts.
 
-This module glues the physics stages into click statistics.  Both
-readout chains are POVMs, so one trial reduces to a draw from a
+Both readout chains are POVMs, so one trial is a draw from a
 16-outcome distribution over the click patterns (plus / minus / both /
 none at each node), and the probability of pattern (i, j) factors as
 
@@ -9,65 +8,46 @@ none at each node), and the probability of pattern (i, j) factors as
 
 ``trial_distributions`` builds it for a list of settings and a vector
 of delays at once, as a read-only (S, T, 16) array of phase-averaged
-probabilities, in stages, each behind its own cache:
+probabilities, cached per (bundle, settings, delays, stage):
 
-  * prefix (``_prefix_stack``): the delay-independent joint state rho
-    at the checkpoint -- source ket and collection loss ("source"),
-    then the converted link ("transferred"), then the receiving
-    memory's map-in and map-out ("stored") -- beside its derivatives
-    by the source's double-excitation scale and the link's background
-    rate.  Every map is linear, so each acts once on the (3, D, D)
-    stack, on its own factor of the joint state.  Keyed on the source,
-    channel and EIT parameters the checkpoint reads (None for the
-    others), so bundles that differ only in detectors or storage share
-    it, and each checkpoint extends the cached stack of the one before;
-  * node B (``_node_b_stack``): sigma_j for every node-B basis of the
-    settings, with its derivatives, from one product of the prefix
-    stack with node B's POVMs and their dark-rate slopes;
-  * node A (``_stored_readout``, ``_node_a_stack``): storage and
-    readout at the emitting node in the Heisenberg picture
-    (``memory_a.decohere``), keyed on the coherence, geometry, node-A
-    efficiency and delay vector, so every setting, dark rate and bundle
-    that reads it shares it.  Node A's POVMs of every basis and their
-    dark-rate slopes are pulled back through it in one call, as E^A(t)
-    split into the parts that meet the state's coherences with mode-2
-    occupation gap dn = 0, 1, 2;
-  * contraction: one batched product of the E^A(t) stacks with the
-    sigma stacks gives every setting's and delay's pattern
-    probabilities at once.
+  * prefix (``_prefix_stack``, cached): the delay-independent joint
+    state rho at the checkpoint -- source ket and collection loss
+    ("source"), the converted link ("transferred"), the receiving
+    memory's map-in and map-out ("stored") -- each map on its own
+    factor of rho (``_checkpoint``).  Keyed on the source, channel and
+    EIT parameters the checkpoint reads, each checkpoint extends the
+    cached state of the one before;
+  * ``_contract``: sigma_j for every node-B basis of the settings from
+    one product of rho with node B's POVMs; node A's POVMs of every
+    basis pulled back in one call through storage and readout in the
+    Heisenberg picture (``memory_a.decohere``, cached per coherence,
+    geometry, node-A efficiency and delay vector) as E^A(t), split into
+    the parts that meet the state's coherences with mode-2 occupation
+    gap dn = 0, 1, 2; and one batched product of the two.
 
-Each node's POVM is a polynomial of degree <= 2 in its dark rate
-(``dualrail.threshold_povm``).  Its rotated coefficients
-(``_povm_polynomial``) are keyed on cutoff, basis, Z sign and
-efficiency, around a basis rotation keyed on the first three, so a
-dark-rate step neither rebuilds nor re-rotates them: the POVM and its
-slope at a dark rate (``_povm_terms``) are evaluated from them.  The
-finished distributions are cached per (bundle, settings, delay vector,
-stage).  Every cache is a module-level lru_cache of finite size:
-bounded, so a long delay sweep cannot grow memory; private, so the
-public stage functions stay plain functions that a caller may wrap or
-patch without hiding a ``cache_clear``; and at module level, so
-clearing the lru_caches found in the module globals is a true cold
+Each node's POVM is a polynomial of degree <= 2 in its dark rate; its
+rotated coefficients (``_povm_polynomial``) are cached apart from the
+dark rate, at which ``_povm_terms`` evaluates them.  Every cache is a
+bounded module-level lru_cache, so a long sweep cannot grow memory,
+the public stage functions stay plain functions a caller may patch,
+and clearing the lru_caches in the module globals is a true cold
 start.  Cached arrays are read-only.
 
-``trial_tangents`` gives the exact derivatives of the distributions at
-one delay by the noise values ``calibrate`` fits, an (S, 4, 16) array
-from the same stacks and one product: the derivatives by the source's
-double-excitation scale, the link's background rate and node B's dark
-rate ride through node B's side with the state, and node A's POVM
-slope is pulled back beside the POVM.
+``trial_polynomials`` feeds the same stage functions other stacks: the
+source state as a polynomial in its double-excitation scale
+(``source.state_polynomial``), split after the link into its two rows
+in the background rate, and each node's three dark-rate rows in place
+of its POVM.  That gives the distributions at every value of the five
+noise constants ``calibrate`` fits, as one coefficient array per stage.
 
-Campaigns exploit the reduction: a batch of attempts is one
-multinomial draw over the 16 patterns, or its exact expectation, and
-``tally`` gives either from a 16-vector (an rng draws, no rng expects);
-``tally_noise`` adds the source-off windows the same way.  A sweep
-builds its distributions in one call and still draws delay by delay.
-An unsynced mains phase enters each pattern probability as a
-three-term Fourier series in the per-trial phase phi (the random
-phase enters as exp(-i*phi*dn)); the distributions hold its exact
-average over phi, which the draw then samples.  Pattern vectors,
-sampled or expected, become singles, coincidences and signed outcome
-bins through one fixed table, ``TALLY``.
+A batch of attempts is one multinomial draw over the 16 patterns, or
+its exact expectation: ``tally`` gives either from a 16-vector (an rng
+draws, no rng expects), and ``tally_noise`` adds the source-off
+windows.  An unsynced mains phase enters each pattern probability as a
+three-term Fourier series in the per-trial phase phi (as
+exp(-i*phi*dn)); the distributions hold its exact average over phi,
+which the draw samples.  Pattern vectors become singles, coincidences
+and signed outcome bins through one fixed table, ``TALLY``.
 """
 
 from __future__ import annotations
@@ -75,7 +55,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -223,7 +203,9 @@ class CountsTable:
 
 
 # ---------------------------------------------------------------------------
-# staged chain engine -> pattern distributions and their derivatives
+# staged chain engine -> pattern distributions and noise polynomials
+
+STAGES = ("source", "transferred", "stored")
 
 
 def _prefix_key(bundle, stage: str) -> tuple:
@@ -237,51 +219,29 @@ def _prefix_key(bundle, stage: str) -> tuple:
     raise DetectionConfigError(f"unknown stage {stage!r}")
 
 
+def _checkpoint(rows: np.ndarray, src, channel, eit,
+                stage: str) -> np.ndarray:
+    """The stage's maps on a state, or an (R, D, D) stack, at the
+    checkpoint before (see module doc)."""
+    carried = source.AtomPhotonState(state=rows, cutoff=src.fock_cutoff)
+    if stage == "source":
+        return link.photon_loss_joint(carried, src.collection).state
+    if stage == "transferred":
+        return link.transmit(carried, channel).state
+    return memory_b.map_out(memory_b.map_in(carried, eit), eit).state
+
+
 @lru_cache(maxsize=16)
 def _prefix_stack(src, channel, eit, stage: str) -> np.ndarray:
-    """Read-only (3, D, D) stack at the checkpoint: the delay-independent
-    joint state, then its derivatives by the source's double_amp_scale
-    and the link's background_rate (see module doc)."""
-    def carried(stack):
-        return source.AtomPhotonState(state=stack, cutoff=src.fock_cutoff)
-
+    """Read-only delay-independent joint state at the checkpoint, on the
+    cached state of the checkpoint before (see module doc)."""
     if stage == "source":
-        rho = source.atom_photon_state(src).state
-        out = link.photon_loss_joint(carried(np.stack(
-            [rho, source.state_slope(src), np.zeros_like(rho)])),
-            src.collection).state
+        prev = source.atom_photon_state(src).state
     elif stage == "transferred":
         prev = _prefix_stack(src, None, None, "source")
-        out = link.transmit(carried(prev), channel).state
-        # the background rate enters here: its row was zero before
-        out[2] = link.background_slope(carried(out[0]), channel)
     else:
-        prev = carried(_prefix_stack(src, channel, None, "transferred"))
-        out = memory_b.map_out(memory_b.map_in(prev, eit), eit).state
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=8)
-def _node_b_stack(prefix: tuple, bases: tuple, eta: float,
-                  dark: float) -> np.ndarray:
-    """Node A's unnormalized states per node-B outcome, sigma_j =
-    Tr_B[(1 x E_j) rho_prefix], for each (name, Z sign) basis, as the
-    row-flattened transposes sigma_j.T: a read-only (B, 4, 4, d*d)
-    stack by basis, then the states and their derivatives by
-    double_amp_scale, background_rate and node B's dark rate, then
-    outcome."""
-    cutoff = prefix[0].fock_cutoff
-    d = dualrail.sector_dim(cutoff)
-    # sigma_j[x, y] = sum_bc rho[x b, y c] E_j[c, b]: every POVM element
-    # and dark-rate slope, as a row (c, b), meets each row of the prefix
-    # stack, as a matrix from (c, b) to (y, x), in one product
-    povms = _povm_terms(cutoff, bases, eta, dark).reshape(-1, d * d)
-    out = (povms @ _prefix_stack(*prefix).reshape(3, d, d, d, d)
-           .transpose(0, 4, 2, 3, 1).reshape(3, d * d, d * d))
-    out = out.reshape(3, 2, len(bases), 4, d * d)
-    # the slopes of both the state and the POVM are not needed
-    out = np.stack([out[0, 0], out[1, 0], out[2, 0], out[0, 1]], axis=1)
+        prev = _prefix_stack(src, channel, None, "transferred")
+    out = _checkpoint(prev, src, channel, eit, stage)
     out.setflags(write=False)
     return out
 
@@ -295,25 +255,6 @@ def _stored_readout(cutoff: int, eta: float, coherence, geometry,
     for arr in (readout.pulled, readout.parts, readout.swing):
         arr.setflags(write=False)
     return readout
-
-
-# small: a calibrate pass reads one stage's stack twice in a row (its
-# distributions, then its tangents), and a sweep's stack holds every delay
-@lru_cache(maxsize=2)
-def _node_a_stack(readout: tuple, names: tuple, dark: float) -> np.ndarray:
-    """Node A's POVM in each named basis and its dark-rate slope, pulled
-    back through ``_stored_readout(*readout)`` in one call: a read-only
-    (A, T, 3, 2, 4, d*d) stack by basis, delay, part, POVM or slope and
-    outcome (see ``StoredReadout.effects``)."""
-    cutoff = readout[0]
-    d = dualrail.sector_dim(cutoff)
-    povms = _povm_terms(cutoff, tuple((name, 1.0) for name in names), 1.0,
-                        dark)
-    out = _stored_readout(*readout).effects(povms.reshape(-1, d, d))
-    out = np.ascontiguousarray(out.reshape(
-        out.shape[:2] + (2, len(names), 4, d * d)).transpose(3, 0, 1, 2, 4, 5))
-    out.setflags(write=False)
-    return out
 
 
 @lru_cache(maxsize=16)
@@ -345,13 +286,12 @@ def _povm_polynomial(cutoff: int, bases: tuple, eta: float) -> np.ndarray:
 
 def _povm_terms(cutoff: int, bases: tuple, eta: float,
                 dark: float) -> np.ndarray:
-    """(2, B, 4, d, d): the POVM of each (name, Z sign) basis at one dark
-    rate, then its slope by the dark rate."""
+    """(B, 4, d, d): the POVM of each (name, Z sign) basis at one dark
+    rate."""
     if not 0.0 <= dark < 1.0:
         raise ValueError(f"dark-count probability {dark} outside [0, 1)")
     poly = _povm_polynomial(cutoff, bases, eta)
-    return np.stack([poly[0] + poly[1] * dark + poly[2] * (dark * dark),
-                     poly[1] + 2.0 * dark * poly[2]])
+    return poly[0] + poly[1] * dark + poly[2] * (dark * dark)
 
 
 def _part_weights(swing: np.ndarray) -> np.ndarray:
@@ -367,27 +307,42 @@ def _part_weights(swing: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _stage_stacks(bundle, keys: tuple, delays: tuple, stage: str) -> tuple:
-    """Node A's stack (``_node_a_stack``) and node B's stack
-    (``_node_b_stack``) of the settings' bases, each distinct basis
-    once; each setting's row in either; and the mains swing per delay."""
+def _contract(bundle, keys: tuple, delays: tuple, stage: str,
+              prefix: np.ndarray, povms) -> tuple:
+    """Each setting's Tr(E^A(t) sigma), (S, T, 3, Ma, Mb) by delay, part
+    and node A's and node B's rows, and the mains swing per delay, from
+    ``povms(bases, eta, dark)``, a (B, M, d, d) stack of rows per basis:
+    node B's meet each row of the (R, D, D) prefix, rows (prefix, POVM)."""
     det = bundle.detection
-    names_a = [_SAME_AS.get(a, a) for a, _ in keys]
+    bases_a = [(_SAME_AS.get(a, a), 1.0) for a, _ in keys]
     bases_b = [(b, _z_sign_b(b, det)) for _, b in keys]
-    unique_a = tuple(dict.fromkeys(names_a))
-    unique_b = tuple(dict.fromkeys(bases_b))
-    if stage == "source":
-        eta_b, dark_b = det.det_monitor.eta_det, det.det_monitor.dark_rate
-    else:
-        eta_b, dark_b = bundle.eit.detection_residual(), det.dark_b
-    states = _node_b_stack(_prefix_key(bundle, stage), unique_b, eta_b,
-                           dark_b)
-    readout = (bundle.source.fock_cutoff, det.det_a.eta_det,
-               bundle.coherence, bundle.geometry, delays)
-    return (_node_a_stack(readout, unique_a, det.det_a.dark_rate), states,
-            [unique_a.index(n) for n in names_a],
-            [unique_b.index(b) for b in bases_b],
-            _stored_readout(*readout).swing)
+    unique_a, unique_b = (tuple(dict.fromkeys(bases))
+                          for bases in (bases_a, bases_b))
+    eta_b, dark_b = ((det.det_monitor.eta_det, det.det_monitor.dark_rate)
+                     if stage == "source"
+                     else (bundle.eit.detection_residual(), det.dark_b))
+    readout = _stored_readout(bundle.source.fock_cutoff, det.det_a.eta_det,
+                              bundle.coherence, bundle.geometry, delays)
+    povm_a, povm_b = (rows.reshape((len(rows), -1) + rows.shape[-2:])
+                      for rows in (povms(unique_a, 1.0, det.det_a.dark_rate),
+                                   povms(unique_b, eta_b, dark_b)))
+    d = povm_a.shape[-1]
+    # node A's rows pulled back in one call: (A, T, 3, Ma, d*d)
+    effects = readout.effects(povm_a.reshape(-1, d, d))
+    effects = effects.reshape(effects.shape[:2] + povm_a.shape[:2]
+                              + (d * d,)).transpose(2, 0, 1, 3, 4)
+    # node B: sigma[x, y] = sum_bc rho[x b, y c] E[c, b] as row-flattened
+    # sigma.T, from one product: (B, R * Mb, d*d)
+    states = (povm_b.reshape(-1, d * d) @ prefix.reshape(-1, d, d, d, d)
+              .transpose(0, 4, 2, 3, 1).reshape(-1, d * d, d * d))
+    states = states.reshape((len(prefix),) + povm_b.shape[:2] + (d * d,)
+                            ).swapaxes(0, 1).reshape(len(povm_b), -1, d * d)
+    rows_a = [unique_a.index(a) for a in bases_a]
+    rows_b = [unique_b.index(b) for b in bases_b]
+    return ((effects[rows_a].reshape(len(keys), -1, d * d)
+             @ states[rows_b].transpose(0, 2, 1)).reshape(
+                 (len(keys),) + effects.shape[1:4] + states.shape[1:2]),
+            readout.swing)
 
 
 def _setting_keys(settings) -> tuple:
@@ -410,14 +365,12 @@ def trial_distributions(bundle, settings, delays,
 @lru_cache(maxsize=256)
 def _distributions_cached(bundle, keys: tuple, delays: tuple,
                           stage: str) -> np.ndarray:
-    effects, states, rows_a, rows_b, swing = _stage_stacks(
-        bundle, keys, delays, stage)
-    n, dim = len(keys), states.shape[-1]
-    # coeffs[s, t, k, 4a + b] = Tr(E_a(t, k) sigma_b) of setting s: one
-    # product over every setting, delay, part and node-A effect
-    coeffs = (effects[rows_a, :, :, 0].reshape(n, len(delays) * 12, dim)
-              @ states[rows_b, 0].transpose(0, 2, 1))
-    coeffs = coeffs.reshape(n, len(delays), 3, 16)
+    # coeffs[s, t, k, 4a + b] = Tr(E_a(t, k) sigma_b) of setting s
+    coeffs, swing = _contract(
+        bundle, keys, delays, stage,
+        _prefix_stack(*_prefix_key(bundle, stage))[None],
+        partial(_povm_terms, bundle.source.fock_cutoff))
+    coeffs = coeffs.reshape(len(keys), len(delays), 3, 16)
     weights = _part_weights(swing)[:, :, None]
     base = np.real(coeffs[:, :, 0])
     # a synced phase (swing 0, weights 2) folds the parts as they are; a
@@ -430,32 +383,36 @@ def _distributions_cached(bundle, keys: tuple, delays: tuple,
     return out
 
 
-def trial_tangents(bundle, settings, delay_s: float,
-                   stage: str = "stored") -> np.ndarray:
-    """Exact derivatives of one attempt's phase-averaged pattern
-    probabilities at one delay.
+def trial_polynomials(bundle, checkpoints) -> list:
+    """One attempt's pattern probabilities as exact polynomials in the
+    five noise values, from a bundle whose noise values are all 0.
 
-    Returns an (S, 4, 16) array: for each setting, the derivatives of
-    ``trial_distributions(bundle, settings, [delay_s], stage)`` by, in
-    order, the source's double_amp_scale, the link's background_rate,
-    node B's dark rate (the monitor's at the source checkpoint) and node
-    A's dark rate.  The first three ride through node B's side with the
-    state (``_node_b_stack``); node A's POVM slope is pulled back beside
-    its POVM (``_node_a_stack``).  One product gives them all.
+    ``checkpoints`` holds (settings, delay) for each of STAGES.  Each
+    stage gives an (S, 3, R, 3, 16) C: ``trial_distributions``, unclipped,
+    is sum C[s, i, r, k] a^i f_r b^k at dark rates a of node A and b of
+    node B (the monitor's at the source checkpoint) and prefix features
+    f, ``source.features`` times [1, background_rate] after the link.
     """
-    keys = _setting_keys(settings)
-    effects, states, rows_a, rows_b, swing = _stage_stacks(
-        bundle, keys, (float(delay_s),), stage)
-    n, dim = len(keys), states.shape[-1]
-    # c[s, k, e, a, m, b]: setting, part, node A's POVM or its slope,
-    # node-A outcome, node B's state or its derivative m, node-B outcome
-    c = (effects[rows_a, 0].reshape(n, 24, dim)
-         @ states[rows_b].transpose(0, 3, 1, 2).reshape(n, dim, 16)
-         ).reshape(n, 3, 2, 4, 4, 4)
-    coeffs = np.stack([c[:, :, 0, :, 1], c[:, :, 0, :, 2],
-                       c[:, :, 0, :, 3], c[:, :, 1, :, 0]], axis=1)
-    return np.einsum("k,smkp->smp", _part_weights(swing)[0],
-                     np.real(coeffs).reshape(n, 4, 3, -1))
+    src, out = bundle.source, []
+    rows = source.state_polynomial(src)
+    for stage, (settings, delay) in zip(STAGES, checkpoints):
+        rows = _checkpoint(rows, src, bundle.channel, bundle.eit, stage)
+        if stage == "transferred":
+            rows = link.background_rows(source.AtomPhotonState(
+                rows, src.fock_cutoff)).reshape((-1,) + rows.shape[1:])
+        # each basis's POVM rows by dark-rate power and outcome
+        c, swing = _contract(
+            bundle, _setting_keys(settings), (float(delay),), stage, rows,
+            lambda bases, eta, _: _povm_polynomial(
+                src.fock_cutoff, bases, eta).swapaxes(0, 1))
+        # the phase average of the parts, then the axes (setting, i, r, k,
+        # pattern), the pattern being 4 x node A's outcome + node B's
+        c = np.einsum("k,sk...->s...", _part_weights(swing)[0],
+                      np.real(c[:, 0]))
+        out.append(c.reshape(len(settings), 3, 4, len(rows), 3, 4)
+                   .transpose(0, 1, 3, 4, 2, 5)
+                   .reshape(len(settings), 3, len(rows), 3, 16))
+    return out
 
 
 def noise_distribution(bundle, setting: BasisSetting | None,

@@ -18,7 +18,7 @@ All constructions are exact on the truncated space.
 The detector POVM has one formula, ``threshold_povm``: each element's
 coefficients as a polynomial of degree 2 in the dark-count probability.
 No dark rate changes the coefficients, so one rotated set serves every
-dark rate, and the slope in the dark rate comes from the same set.
+dark rate, and calibration's noise polynomial contracts the set itself.
 
 Loss and transfer channels are real Kraus stacks built from their
 closed-form amplitudes.  Given vectors of survival or transfer

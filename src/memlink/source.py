@@ -17,7 +17,9 @@ dominant intrinsic noise of the protocol.
 Branch probabilities use the convention that the single-pair
 probability is exactly ``chi``; the vacuum amplitude absorbs whatever
 is left after the retained ladder, and anything beyond the cutoff is
-counted as unretrievable (a negligible O(chi^3) correction).
+counted as unretrievable (a negligible O(chi^3) correction).  The
+state is also an exact polynomial in the double-excitation scale and
+the vacuum amplitude (``state_polynomial``), which ``calibrate`` fits.
 """
 
 from __future__ import annotations
@@ -90,83 +92,91 @@ class AtomPhotonState:
 
     ``state`` is the density matrix on (atomic sector) x (photonic
     sector), the atomic factor first.  Every map of the link is linear,
-    so ``state`` may also be a (..., D, D) stack: a state beside its
-    derivatives, carried through each map in one product.
+    so ``state`` may also be a (..., D, D) stack, carried through each
+    map in one product.
     """
 
     state: np.ndarray
     cutoff: int
 
 
-def _bin_amplitudes(chi_bin: float, cutoff: int) -> list[float]:
-    """Amplitude ladder within one time bin: a_k for k = 0..cutoff.
-
-    a_0 is left at 1 here; the joint vacuum amplitude is fixed at the
-    end so the retained branches keep their exact probabilities.  The
-    double-excitation scale is applied per total excitation number when
-    the bins are combined, so that it damps every multi-pair event,
-    within-bin and across-bin alike.
-    """
-    return [chi_bin ** (k / 2.0) for k in range(cutoff + 1)]
-
-
-def _kets(p: SourceParams) -> tuple[np.ndarray, np.ndarray]:
-    """The joint ket of one write attempt and its derivative by
-    ``double_amp_scale``, from one pass over the excitation ladder.
+def _ladder(p: SourceParams):
+    """(sector index, power of double_amp_scale, bare amplitude, phase)
+    of every retained branch but the vacuum.
 
     The two bins are independent ladders with single-pair probability
     chi/2 each (modulo write imbalance), correlated excitation-by-
     excitation between the photonic bin and its spin-wave mode.  The
-    relative phase of the late branch is phi0 per late excitation.
+    relative phase of the late branch is phi0 per late excitation, and
+    the double-excitation scale enters once per excitation beyond the
+    first, so it damps every multi-pair event, within-bin and across-bin
+    alike.
     """
     cutoff = p.fock_cutoff
-    dim = dualrail.sector_dim(cutoff)
     idx = dualrail.index_of(cutoff)
     chi_e = p.chi * (1.0 + p.write_imbalance) / 2.0
     chi_l = p.chi * (1.0 - p.write_imbalance) / 2.0
-    amps_e = _bin_amplitudes(chi_e, cutoff)
-    amps_l = _bin_amplitudes(chi_l, cutoff)
-
-    ket = np.zeros(dim * dim, dtype=complex)
-    dket = np.zeros(dim * dim, dtype=complex)
-    ladder_weight = 0.0
-    dweight = 0.0
     for ke in range(cutoff + 1):
         for kl in range(cutoff + 1 - ke):
-            if ke == 0 and kl == 0:
-                continue
-            bare = amps_e[ke] * amps_l[kl]
-            phase = np.exp(-1j * p.phi0 * kl)
-            power = max(ke + kl - 1, 0)
-            amp = bare * p.double_amp_scale ** power * phase
-            damp = (bare * power * p.double_amp_scale ** (power - 1) * phase
-                    if power else 0.0)
-            j = idx[(ke, kl)]
-            ket[j * dim + j] = amp
-            dket[j * dim + j] = damp
-            ladder_weight += abs(amp) ** 2
-            dweight += 2.0 * (amp.conjugate() * damp).real
+            if ke or kl:
+                yield (idx[(ke, kl)], ke + kl - 1,
+                       chi_e ** (ke / 2.0) * chi_l ** (kl / 2.0),
+                       np.exp(-1j * p.phi0 * kl))
+
+
+def atom_photon_state(p: SourceParams) -> AtomPhotonState:
+    """Build the joint density matrix of one write attempt at t = 0."""
+    dim = dualrail.sector_dim(p.fock_cutoff)
+    ket = np.zeros(dim * dim, dtype=complex)
+    ladder_weight = 0.0
+    for j, power, bare, phase in _ladder(p):
+        amp = bare * p.double_amp_scale ** power * phase
+        ket[j * dim + j] = amp
+        ladder_weight += abs(amp) ** 2
     if ladder_weight >= 1.0:
         raise SourceConfigError(
             f"excitation ladder weight {ladder_weight:.4f} reaches 1; "
             "lower chi or double_amp_scale"
         )
-    # the vacuum amplitude sqrt(1 - weight) absorbs the ladder's change
     ket[0] = math.sqrt(1.0 - ladder_weight)
-    dket[0] = -dweight / (2.0 * ket[0].real)
-    return ket, dket
+    return AtomPhotonState(state=np.outer(ket, ket.conj()),
+                           cutoff=p.fock_cutoff)
 
 
-def atom_photon_state(p: SourceParams) -> AtomPhotonState:
-    """Build the joint density matrix of one write attempt at t = 0."""
-    ket, _ = _kets(p)
-    mat = np.outer(ket, ket.conj())
-    return AtomPhotonState(state=mat, cutoff=p.fock_cutoff)
+def state_polynomial(p: SourceParams) -> np.ndarray:
+    """``atom_photon_state(p).state`` at any double_amp_scale s as an
+    (F, D, D) stack, F = 3c - 1 at cutoff c: the state is the sum of its
+    rows times the ``features`` of s.  The ket is v|0> + sum_k s^k K_k,
+    with v the vacuum amplitude, so its outer product has terms in s^k
+    (k <= 2c - 2) and v s^k (k < c)."""
+    c, dim = p.fock_cutoff, dualrail.sector_dim(p.fock_cutoff)
+    ket = np.zeros((c, dim * dim), dtype=complex)
+    for j, power, bare, phase in _ladder(p):
+        ket[power, j * dim + j] = bare * phase
+    rows = np.zeros((3 * c - 1, dim * dim, dim * dim), dtype=complex)
+    rows[0, 0, 0] = 1.0
+    for a in range(c):
+        # v^2 = 1 - sum_k |K_k|^2 s^(2k), and v is real
+        rows[2 * a, 0, 0] -= np.vdot(ket[a], ket[a]).real
+        rows[2 * c - 1 + a, :, 0] += ket[a]
+        rows[2 * c - 1 + a, 0, :] += ket[a].conj()
+        for b in range(c):
+            rows[a + b] += np.outer(ket[a], ket[b].conj())
+    return rows
 
 
-def state_slope(p: SourceParams) -> np.ndarray:
-    """d rho / d double_amp_scale of ``atom_photon_state(p).state``:
-    d(psi psi^dag) = dpsi psi^dag + psi dpsi^dag."""
-    ket, dket = _kets(p)
-    half = np.outer(dket, ket.conj())
-    return half + half.conj().T
+def features(p: SourceParams) -> np.ndarray:
+    """(2, F): [s^k for k <= 2c - 2] + [v s^k for k < c] at p's
+    double_amp_scale s (see ``state_polynomial``), then their
+    derivatives by s."""
+    c, s = p.fock_cutoff, p.double_amp_scale
+    k = np.arange(2 * c - 1)
+    mono = np.array([s ** k, np.concatenate(([0.0], k[1:] * s ** k[:-1]))])
+    weights = np.zeros(c)
+    for _, power, bare, _ in _ladder(p):
+        weights[power] += bare * bare
+    v2, dv2 = np.array([1.0, 0.0]) - mono[:, ::2] @ weights
+    v = math.sqrt(v2)
+    return np.concatenate(
+        (mono, v * mono[:, :c] + [[0.0], [dv2 / (2.0 * v)]] * mono[0, :c]),
+        axis=1)

@@ -151,12 +151,13 @@ class TestJacobian:
 
 
     def test_model_pass_batches_settings_per_stage(self, monkeypatch):
-        # counts, not timings: node A's POVMs of every setting are pulled
-        # back together, at most twice per stage, and the source state of
-        # a fresh bundle is built once for all three stages
-        for value in vars(detection).values():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
+        # counts, not timings: one fit builds the noise polynomial once,
+        # pulling node A's POVM rows of every setting back once per stage,
+        # and a pass at other noise values builds nothing
+        for module in (detection, cal):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
         calls = []
 
         def counted(owner, name):
@@ -169,11 +170,15 @@ class TestJacobian:
 
         counted(memory_a.StoredReadout, "effects")
         counted(source, "atom_photon_state")
+        counted(cal, "trial_polynomials")
+        assert cal.calibrate().converged
+        assert calls.count("trial_polynomials") == 1
+        # three stages: source, transferred, stored
+        assert calls.count("effects") <= 3
+        calls.clear()
         cal._model_pass(cal.bundle_with({"double_amp_scale": 0.77,
                                          "dark_a": 1.3e-4}))
-        # three stages: source, transferred, stored
-        assert calls.count("effects") <= 2 * 3
-        assert calls.count("atom_photon_state") == 1
+        assert calls == []
 
 
 class TestJointFit:
@@ -288,6 +293,22 @@ class TestValidation:
     def test_unknown_free_parameter_rejected(self):
         with pytest.raises(ConfigError, match="unknown free parameters"):
             cal.calibrate(free_params=("dark_c",))
+
+    @pytest.mark.parametrize("targets, match", [
+        ({}, "must map names to value/sigma"),
+        ({"foo": (1.0, 1.0)}, "unknown target 'foo'"),
+        ({"chsh": (2.73, 0.0)}, "target 'chsh' needs a positive sigma"),
+        ({"chsh": (math.nan, 0.2)}, "finite number as value, got nan"),
+        ({"chsh": 2.73}, "target 'chsh' needs value and sigma"),
+    ], ids=["empty", "unknown-name", "zero-sigma", "nan-value", "scalar"])
+    def test_bad_targets_rejected(self, targets, match):
+        # the check load_targets runs on a file, on a dict argument
+        with pytest.raises(ConfigError, match=match):
+            cal.calibrate(targets)
+
+    def test_repeated_free_parameter_rejected(self):
+        with pytest.raises(ConfigError, match="repeated free parameters"):
+            cal.calibrate(free_params=("dark_a", "dark_a"))
 
     def test_free_parameter_catalog(self):
         assert cal.FREE_PARAMS == ("double_amp_scale", "dark_monitor",

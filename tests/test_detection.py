@@ -10,7 +10,9 @@ from scipy.special import j0
 
 from memlink import channel as link
 from memlink import detection, dualrail, memory_a, memory_b, source
-from memlink.config import ExperimentBundle, calibrated_bundle
+from memlink import calibrate as cal
+from memlink.config import (NOISE_PARAMS, ExperimentBundle, calibrated_bundle,
+                            with_noise)
 from memlink.detection import (
     PATTERN_NAMES,
     PATTERNS,
@@ -26,7 +28,8 @@ from memlink.detection import (
 )
 from memlink.estimators import correlator
 from memlink.memory_b import EITParams
-from memlink.scenarios import CHSH_SETTINGS, CORR_SETTINGS, bell_delay_s
+from memlink.scenarios import (CHSH_SETTINGS, CORR_SETTINGS, bell_delay_s,
+                               stage_delays)
 from oracles import (apply_channel, decohere_state, detection_povm, embedded,
                      expectation, partial_trace, project_basis, pure_state)
 
@@ -187,20 +190,16 @@ class TestCountsTable:
 
 def phase_resolved(bundle, setting, delay_s, stage="stored"):
     """(c, swing): the coefficients c[k] of the parts dn = k = 0, 1, 2 of
-    one setting's 16 pattern probabilities at one delay, node A's POVM
-    pulled back through a fresh StoredReadout and met with the engine's
-    node-B states, and that readout's mains swing."""
-    det = bundle.detection
+    one setting's 16 pattern probabilities at one delay, from the
+    engine's contraction before its phase average, and the mains
+    swing."""
     cutoff = bundle.source.fock_cutoff
-    readout = memory_a.decohere(cutoff, [delay_s], det.det_a.eta_det,
-                                bundle.coherence, bundle.geometry)
-    name_a = None if setting is None else setting.node_a
-    povm_a = detection._povm_terms(cutoff, ((name_a, 1.0),), 1.0,
-                                   det.det_a.dark_rate)[0, 0]
-    _, states, _, (row_b,), _ = detection._stage_stacks(
-        bundle, detection._setting_keys((setting,)), (delay_s,), stage)
-    coeffs = readout.effects(povm_a)[0] @ states[row_b, 0].T
-    return coeffs.reshape(3, -1), float(readout.swing[0])
+    coeffs, swing = detection._contract(
+        bundle, detection._setting_keys((setting,)), (delay_s,), stage,
+        detection._prefix_stack(*detection._prefix_key(bundle, stage))[None],
+        lambda bases, eta, dark: detection._povm_terms(cutoff, bases, eta,
+                                                       dark))
+    return coeffs[0, 0].reshape(3, -1), float(swing[0])
 
 
 def folded(coeffs):
@@ -787,6 +786,25 @@ class TestCacheDiscipline:
             trial_distributions(bundle, (BasisSetting("X", "Y"),), (0.0,))
         assert len(calls) == 2  # one per node
 
+    def test_distributions_pull_back_only_node_a_povms(self, monkeypatch):
+        # a sweep pulls back node A's four POVM elements per distinct
+        # basis (A0 and A1 are Z and X), and no dark-rate slopes beside
+        for fn in memlink_caches():
+            fn.cache_clear()
+        rows = []
+        original = memory_a.StoredReadout.effects
+
+        def counting(readout, povm):
+            rows.append(len(povm))
+            return original(readout, povm)
+
+        monkeypatch.setattr(memory_a.StoredReadout, "effects", counting)
+        settings = tuple(BasisSetting(a, "Z")
+                         for a in ("Z", "X", "Y", "A0", "A1"))
+        trial_distributions(calibrated_bundle(), settings,
+                            np.linspace(0.0, 400e-6, 49))
+        assert rows == [4 * 3]
+
     def test_every_cache_is_bounded(self):
         caches = memlink_caches()
         assert caches
@@ -813,48 +831,81 @@ class TestCacheDiscipline:
             assert not hasattr(fn, "__wrapped__"), f"{mod.__name__}.{name}"
 
 
+# every setting calibrate reads: the bare basis, then CHSH and correlators
+CAL_SETTINGS = (None,) + tuple(BasisSetting(*pair)
+                               for pair in CHSH_SETTINGS + CORR_SETTINGS)
+
+
+def from_polynomial(bundle, settings, delays):
+    """{stage: (S, 6, 16)}: the pattern probabilities of the settings at
+    each stage's delay from ``trial_polynomials`` of the bundle with its
+    noise values zeroed, evaluated at the bundle's noise values, then
+    their derivatives by each FREE_PARAMS constant."""
+    base = with_noise(bundle, dict.fromkeys(cal.FREE_PARAMS, 0.0))
+    coeffs = detection.trial_polynomials(
+        base, [(settings, delay) for delay in delays])
+    src = source.features(bundle.source)
+    return {stage: np.einsum("mk,ksp->smp",
+                             cal._features(bundle, stage, src),
+                             c.transpose(1, 2, 3, 0, 4).reshape(
+                                 -1, len(settings), 16))
+            for stage, c in zip(STAGES, coeffs)}
+
+
+def with_mains(bundle, synced):
+    return dataclasses.replace(bundle, coherence=dataclasses.replace(
+        bundle.coherence, mains_synced=synced))
+
+
+class TestTrialPolynomials:
+    """The noise polynomial against the engine it stands in for."""
+
+    @pytest.mark.parametrize("cutoff", [2, 3])
+    @pytest.mark.parametrize("synced", [True, False],
+                             ids=["synced", "free-running-mains"])
+    def test_values_match_engine_inside_bounds(self, synced, cutoff):
+        rng = np.random.default_rng(20 + cutoff)
+        base = ExperimentBundle()
+        base = with_mains(dataclasses.replace(base, source=dataclasses.replace(
+            base.source, fock_cutoff=cutoff)), synced)
+        delays = [t for _, t in stage_delays(base)]
+        worst = 0.0
+        for _ in range(20):
+            bundle = with_noise(base, {
+                name: rng.uniform(*cal._BOUNDS[name])
+                for name in cal.FREE_PARAMS})
+            poly = from_polynomial(bundle, CAL_SETTINGS, delays)
+            for stage, delay in zip(STAGES, delays):
+                engine = trial_distributions(bundle, CAL_SETTINGS, (delay,),
+                                             stage)[:, 0]
+                worst = max(worst, np.abs(poly[stage][:, 0] - engine).max())
+        assert worst <= 1e-12
+
+
 class TestTrialTangents:
-    """Exact derivatives of the pattern distribution (the calibration
-    Jacobian's engine) against central differences."""
+    """Exact derivatives of the pattern distributions by each calibrated
+    constant, from the noise polynomial (the calibration Jacobian's
+    engine), against central differences of ``trial_distributions``."""
 
-    @staticmethod
-    def paths(stage):
-        """(bundle path, step) of each tangent direction; node B's
-        detectors are the monitor's at the source checkpoint."""
-        dark_b = (("detection", "det_monitor", "dark_rate")
-                  if stage == "source" else ("detection", "dark_b"))
-        return ((("source", "double_amp_scale"), 1e-4),
-                (("channel", "background_rate"), 1e-7),
-                (dark_b, 1e-8),
-                (("detection", "det_a", "dark_rate"), 1e-7))
-
-    @staticmethod
-    def shifted(bundle, path, step):
-        """bundle with the value at path moved by step."""
-        head, *rest = path
-        inner = getattr(bundle, head)
-        value = (TestTrialTangents.shifted(inner, tuple(rest), step)
-                 if rest else inner + step)
-        return dataclasses.replace(bundle, **{head: value})
+    STEPS = {"double_amp_scale": 1e-4, "dark_monitor": 1e-8,
+             "background_rate": 1e-7, "dark_a": 1e-7, "dark_b": 1e-8}
 
     @pytest.mark.parametrize("synced", [True, False],
                              ids=["synced", "free-running-mains"])
     @pytest.mark.parametrize("stage", STAGES)
     def test_match_central_differences(self, stage, synced):
-        base = calibrated_bundle()
-        bundle = dataclasses.replace(base, coherence=dataclasses.replace(
-            base.coherence, mains_synced=synced))
-        # the bare basis and every setting calibrate reads, in one call
-        settings = (None,) + tuple(BasisSetting(*pair) for pair
-                                   in CHSH_SETTINGS + CORR_SETTINGS)
+        bundle = with_mains(calibrated_bundle(), synced)
         # long enough for a large mains swing, short of the T2* washout
         delay = 300e-6
-        tangents = detection.trial_tangents(bundle, settings, delay, stage)
-        assert tangents.shape == (len(settings), 4, 16)
-        for m, (path, step) in enumerate(self.paths(stage)):
+        tangents = from_polynomial(bundle, CAL_SETTINGS,
+                                   [delay] * 3)[stage][:, 1:]
+        assert tangents.shape == (len(CAL_SETTINGS), 5, 16)
+        frozen = {name: value for name, _, value, _ in NOISE_PARAMS}
+        for m, name in enumerate(cal.FREE_PARAMS):
+            step = self.STEPS[name]
             up, down = (trial_distributions(
-                self.shifted(bundle, path, sign * step), settings, (delay,),
-                stage)[:, 0] for sign in (1.0, -1.0))
+                with_noise(bundle, {name: frozen[name] + sign * step}),
+                CAL_SETTINGS, (delay,), stage)[:, 0] for sign in (1.0, -1.0))
             np.testing.assert_allclose(tangents[:, m],
                                        (up - down) / (2.0 * step),
                                        rtol=1e-5, atol=1e-12)

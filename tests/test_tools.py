@@ -1,10 +1,14 @@
 """The repository's tools keep working on the package as it stands."""
 
+import contextlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from memlink import qcore, scenarios, source
 from memlink.config import SCENARIOS, CampaignConfig
@@ -60,10 +64,24 @@ def test_every_function_is_reached_by_a_campaign():
     assert proc.stdout == "", proc.stdout
 
 
-def test_snapshot_ends_with_a_tally_per_sampled_scenario(tmp_path, capsys):
-    snapshot = load_by_path(ROOT / "tools" / "snapshot_campaigns.py")
-    assert snapshot.main([str(tmp_path / "out"), "1-2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+SNAPSHOT_SEEDS = range(1, 21)
+
+
+@pytest.fixture(scope="module")
+def snapshot(tmp_path_factory):
+    """The snapshot tool's log lines and manifest lines for the default
+    seed, calibrate and seeds 1-20, and the tool's module."""
+    tool = load_by_path(ROOT / "tools" / "snapshot_campaigns.py")
+    out = tmp_path_factory.mktemp("snapshot") / "out"
+    log = io.StringIO()
+    with contextlib.redirect_stdout(log):
+        assert tool.main([str(out), "1-20", "--manifest"]) == 0
+    manifest = (out / "seeds.manifest").read_text(encoding="utf-8")
+    return tool, log.getvalue().splitlines(), manifest.splitlines()
+
+
+def test_snapshot_ends_with_a_tally_per_sampled_scenario(snapshot):
+    tool, lines, _ = snapshot
     status = dict(line.split(": ", 1) for line in lines)
 
     def tally_line(label, runs):
@@ -74,11 +92,26 @@ def test_snapshot_ends_with_a_tally_per_sampled_scenario(tmp_path, capsys):
         return (f"{label}: PASS {counts['PASS']} "
                 f"FAIL {counts['FAIL']} ERROR {counts['ERROR']}")
 
-    for scenario, tally in zip(snapshot.SEEDED_SCENARIOS, lines[-4:-1]):
+    for scenario, tally in zip(tool.SEEDED_SCENARIOS, lines[-4:-1]):
         assert tally == tally_line(
-            scenario, [f"seed-{seed}/{scenario}" for seed in (1, 2)])
+            scenario, [f"seed-{seed}/{scenario}" for seed in SNAPSHOT_SEEDS])
     # the log ends with the tally of the 24 default-seed runs
     defaults = [f"{scenario}-{mode}" for scenario in SCENARIOS
-                for mode in snapshot.MODES]
+                for mode in tool.MODES]
     assert len(defaults) == 24
     assert lines[-1] == tally_line("default", defaults)
+
+
+def test_manifest_matches_golden_seeds(snapshot):
+    # every run's status and output bytes, against the committed
+    # manifest of seeds 1-400: a moved mc draw or status moves a line
+    _, _, manifest = snapshot
+    golden = (ROOT / "tests" / "seeds.manifest").read_text(
+        encoding="utf-8").splitlines()
+    runs = [line for line in manifest if not line.split()[0].endswith(":")]
+    assert len(runs) == 24 + 1 + 3 * len(SNAPSHOT_SEEDS)
+    want = {line.split()[0]: line for line in golden}
+    assert [want.get(line.split()[0]) for line in runs] == runs
+    # the default-seed tally does not depend on the seeds run
+    assert manifest[-1] == golden[-1]
+    assert manifest[-1].startswith("default: ")

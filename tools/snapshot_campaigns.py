@@ -2,6 +2,7 @@
 """Write every scenario's outputs in every mode, for a byte-level diff.
 
     PYTHONPATH=<tree>/src python3 tools/snapshot_campaigns.py OUT [SEED ...]
+                                                          [--manifest]
 
 Runs the 8 scenarios in ``auto``, ``analytic`` and ``mc`` mode at the
 default seed and default trial counts through ``run_experiment`` into
@@ -24,9 +25,19 @@ of the benchmark's ``sweep`` workload.
 Snapshot two source trees into two directories and compare them with
 ``diff -r``: a refactor that claims unchanged numbers leaves it empty.
 The golden files under ``tests/golden/`` pin only the ``auto`` runs.
+
+``--manifest`` also writes ``OUT/seeds.manifest``: one line per run
+directory in the order they ran, ``<run> <status> <sha256>`` (the
+status of ``calibrate`` is ``exit-<code>``, the hash is over the
+directory's file names and bytes in name order), then the tally lines.
+``tests/seeds.manifest`` is that file for seeds 1-400 (kept beside
+``tests/golden/``, which holds one directory per scenario); a tier-1
+test recomputes its default-seed lines, its ``calibrate`` line and
+seeds 1-20, so a moved draw or status shows as a moved line.
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import sys
@@ -62,6 +73,16 @@ def run(label: str, cfg: CampaignConfig) -> str:
     return status
 
 
+def digest(path: str) -> str:
+    """sha256 over a directory's file names and bytes, in name order."""
+    sha = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as fh:
+            data = fh.read()
+        sha.update(f"{name}\0{len(data)}\0".encode() + data)
+    return sha.hexdigest()
+
+
 def calibrate(out: str) -> int:
     """``memlink calibrate --out calibrate`` run inside OUT, so that the
     ``out_dir`` it records is the same for every OUT."""
@@ -76,26 +97,39 @@ def calibrate(out: str) -> int:
 
 
 def main(argv: list[str]) -> int:
+    manifest = "--manifest" in argv
+    argv = [arg for arg in argv if arg != "--manifest"]
     if not argv:
         print(__doc__, file=sys.stderr)
         return 2
     out, seeds = argv[0], parse_seeds(argv[1:])
+    runs = []
     defaults = Counter()
     for scenario in SCENARIOS:
         for mode in MODES:
-            defaults[run(f"{scenario}-{mode}", CampaignConfig(
-                scenario=scenario, mode=mode,
-                out_dir=f"{out}/{scenario}-{mode}"))] += 1
-    print(f"calibrate: exit {calibrate(out)}")
+            label = f"{scenario}-{mode}"
+            runs.append((label, run(label, CampaignConfig(
+                scenario=scenario, mode=mode, out_dir=f"{out}/{label}"))))
+            defaults[runs[-1][1]] += 1
+    code = calibrate(out)
+    print(f"calibrate: exit {code}")
+    runs.append(("calibrate", f"exit-{code}"))
     tally = {scenario: Counter() for scenario in SEEDED_SCENARIOS if seeds}
     for seed in seeds:
         for scenario in SEEDED_SCENARIOS:
-            tally[scenario][run(f"seed-{seed}/{scenario}", CampaignConfig(
-                scenario=scenario, seed=seed,
-                out_dir=f"{out}/seed-{seed}/{scenario}"))] += 1
+            label = f"seed-{seed}/{scenario}"
+            runs.append((label, run(label, CampaignConfig(
+                scenario=scenario, seed=seed, out_dir=f"{out}/{label}"))))
+            tally[scenario][runs[-1][1]] += 1
     tally["default"] = defaults
-    for label, counts in tally.items():
-        print(f"{label}: " + " ".join(f"{s} {counts[s]}" for s in STATUSES))
+    tallies = [f"{label}: " + " ".join(f"{s} {counts[s]}" for s in STATUSES)
+               for label, counts in tally.items()]
+    print("\n".join(tallies))
+    if manifest:
+        with open(f"{out}/seeds.manifest", "w", encoding="utf-8") as fh:
+            fh.writelines(f"{label} {status} {digest(f'{out}/{label}')}\n"
+                          for label, status in runs)
+            fh.writelines(line + "\n" for line in tallies)
     return 0
 
 
