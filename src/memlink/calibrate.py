@@ -13,7 +13,8 @@ coefficients (``detection.trial_polynomials``) are built once per fit,
 with the five set to 0, for the bare basis at each checkpoint and the
 seven CHSH and correlator settings at the stored one.  A pass at a
 point (``_model_pass``) is one product per stage of them with the
-features at the point and their derivatives, and writes g2, the
+features at the point and their derivatives (``trial_features``), and
+writes g2, the
 correlators, S and F each once, with their exact derivatives; the
 solver's residual and Jacobian share it through a memo of the last
 point.  The result reports each free constant's one-sigma uncertainty
@@ -34,10 +35,9 @@ from functools import lru_cache
 import numpy as np
 import yaml
 
-from . import source
 from .config import NOISE_PARAMS, ConfigError, ExperimentBundle, with_noise
 from .detection import (BINS, CLICKS, PATTERNS, STAGES, TALLY, BasisSetting,
-                        trial_polynomials)
+                        trial_features, trial_polynomials)
 from .scenarios import (CHSH_SETTINGS, CHSH_TARGET, CORR_SETTINGS,
                         FIDELITY_TARGET, G2_TARGETS, stage_delays)
 
@@ -106,44 +106,13 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _noise_polynomial(base: ExperimentBundle) -> tuple:
     """Per stage, the read-only (K, S * 16) ``trial_polynomials`` of a
-    noise-free bundle over K features: the bare basis at each checkpoint,
-    then the CHSH and correlator settings at the stored one."""
+    noise-free bundle: the bare basis at each checkpoint, then the CHSH
+    and correlator settings at the stored one."""
     settings = (None,) + tuple(BasisSetting(*pair)
                                for pair in CHSH_SETTINGS + CORR_SETTINGS)
-    out = tuple(c.transpose(1, 2, 3, 0, 4).reshape(-1, c.shape[0] * 16)
-                for c in trial_polynomials(base, [
-                    (settings if stage == "stored" else settings[:1], t)
-                    for stage, t in stage_delays(base)]))
-    for matrix in out:
-        matrix.setflags(write=False)
-    return out
-
-
-def _powers(x: float) -> np.ndarray:
-    return np.array([[1.0, x, x * x], [0.0, 1.0, 2.0 * x]])
-
-
-def _features(bundle, stage: str, src: np.ndarray) -> np.ndarray:
-    """(1 + 5, K): the stage's features at the bundle's noise values (node
-    A's dark powers x link rows x source features src x node B's dark
-    powers), then their derivatives by each FREE_PARAMS constant."""
-    det = bundle.detection
-    factors = {"dark_a": _powers(det.det_a.dark_rate),
-               "background_rate": _powers(bundle.channel.background_rate
-                                          )[:, :2],
-               "double_amp_scale": src}
-    if stage == "source":  # no link before the source checkpoint
-        del factors["background_rate"]
-        factors["dark_monitor"] = _powers(det.det_monitor.dark_rate)
-    else:
-        factors["dark_b"] = _powers(det.dark_b)
-    out = np.ones((1 + len(FREE_PARAMS), 1))
-    for name, factor in factors.items():
-        pick = factor[[int(n == name) for n in (None,) + FREE_PARAMS]]
-        out = (out[:, :, None] * pick[:, None]).reshape(len(out), -1)
-    # a constant the stage never reads has no derivative there
-    out[1:][[n not in factors for n in FREE_PARAMS]] = 0.0
-    return out
+    return tuple(c.reshape(len(c), -1) for c in trial_polynomials(base, [
+        (settings if stage == "stored" else settings[:1], t)
+        for stage, t in stage_delays(base)]))
 
 
 def _model_pass(bundle: ExperimentBundle
@@ -153,13 +122,13 @@ def _model_pass(bundle: ExperimentBundle
     of the noise-free bundle's polynomial with its features."""
     polys = _noise_polynomial(
         with_noise(bundle, dict.fromkeys(FREE_PARAMS, 0.0)))
-    src = source.features(bundle.source)
     # rows: the bare basis at each stage, then the stored settings, each
     # its probabilities and then their derivatives, as every tally below
     tallies = np.concatenate([
-        (_features(bundle, stage, src) @ poly).reshape(
-            1 + len(FREE_PARAMS), -1, len(PATTERNS)).swapaxes(0, 1)
-        for stage, poly in zip(STAGES, polys)]) @ TALLY.T
+        (feats @ poly).reshape(1 + len(FREE_PARAMS), -1,
+                               len(PATTERNS)).swapaxes(0, 1)
+        for feats, poly in zip(trial_features(bundle), polys)
+    ]) @ TALLY.T
 
     out = {}
     for stage, tally in zip(STAGES, tallies):

@@ -38,7 +38,8 @@ source state as a polynomial in its double-excitation scale
 (``source.state_polynomial``), split after the link into its two rows
 in the background rate, and each node's three dark-rate rows in place
 of its POVM.  That gives the distributions at every value of the five
-noise constants ``calibrate`` fits, as one coefficient array per stage.
+noise constants ``calibrate`` fits, as one coefficient array per stage
+to multiply by its ``trial_features`` at those values.
 
 A batch of attempts is one multinomial draw over the 16 patterns, or
 its exact expectation: ``tally`` gives either from a 16-vector (an rng
@@ -385,18 +386,19 @@ def _distributions_cached(bundle, keys: tuple, delays: tuple,
 
 def trial_polynomials(bundle, checkpoints) -> list:
     """One attempt's pattern probabilities as exact polynomials in the
-    five noise values, from a bundle whose noise values are all 0.
+    five noise values, whatever the bundle's own noise values are.
 
     ``checkpoints`` holds (settings, delay) for each of STAGES.  Each
-    stage gives an (S, 3, R, 3, 16) C: ``trial_distributions``, unclipped,
-    is sum C[s, i, r, k] a^i f_r b^k at dark rates a of node A and b of
-    node B (the monitor's at the source checkpoint) and prefix features
-    f, ``source.features`` times [1, background_rate] after the link.
+    stage gives a read-only (K, S, 16) C over the K ``trial_features``:
+    ``trial_distributions``, unclipped, of a bundle that differs from
+    this one at most in its noise values is its features[0] @ C.
     """
     src, out = bundle.source, []
+    # the link's background enters as its own row, not mixed in
+    channel = dataclasses.replace(bundle.channel, background_rate=0.0)
     rows = source.state_polynomial(src)
     for stage, (settings, delay) in zip(STAGES, checkpoints):
-        rows = _checkpoint(rows, src, bundle.channel, bundle.eit, stage)
+        rows = _checkpoint(rows, src, channel, bundle.eit, stage)
         if stage == "transferred":
             rows = link.background_rows(source.AtomPhotonState(
                 rows, src.fock_cutoff)).reshape((-1,) + rows.shape[1:])
@@ -405,13 +407,48 @@ def trial_polynomials(bundle, checkpoints) -> list:
             bundle, _setting_keys(settings), (float(delay),), stage, rows,
             lambda bases, eta, _: _povm_polynomial(
                 src.fock_cutoff, bases, eta).swapaxes(0, 1))
-        # the phase average of the parts, then the axes (setting, i, r, k,
-        # pattern), the pattern being 4 x node A's outcome + node B's
+        # the phase average of the parts, then the axes (i, r, k, setting,
+        # pattern) of the features' order, the pattern being 4 x node A's
+        # outcome + node B's
         c = np.einsum("k,sk...->s...", _part_weights(swing)[0],
                       np.real(c[:, 0]))
-        out.append(c.reshape(len(settings), 3, 4, len(rows), 3, 4)
-                   .transpose(0, 1, 3, 4, 2, 5)
-                   .reshape(len(settings), 3, len(rows), 3, 16))
+        c = (c.reshape(len(settings), 3, 4, len(rows), 3, 4)
+             .transpose(1, 3, 4, 0, 2, 5).reshape(-1, len(settings), 16))
+        c.setflags(write=False)
+        out.append(c)
+    return out
+
+
+def _powers(x: float) -> np.ndarray:
+    """[1, x, x^2], then its derivative by x."""
+    return np.array([[1.0, x, x * x], [0.0, 1.0, 2.0 * x]])
+
+
+def trial_features(bundle) -> list:
+    """Per stage, the (1 + 5, K) features of ``trial_polynomials`` at the
+    bundle's noise values, then their derivatives by each noise value in
+    ``config.NOISE_PARAMS`` order: node A's dark-rate powers x the link's
+    rows [1, background_rate] x ``source.features`` x node B's dark-rate
+    powers (the monitor's at the source checkpoint, before the link)."""
+    # imported here: config imports this module
+    from .config import NOISE_PARAMS
+    names = [name for name, *_ in NOISE_PARAMS]
+    det = bundle.detection
+    dark_a = ("dark_a", _powers(det.det_a.dark_rate))
+    src = ("double_amp_scale", source.features(bundle.source))
+    linked = (dark_a, ("background_rate", _powers(
+        bundle.channel.background_rate)[:, :2]), src,
+        ("dark_b", _powers(det.dark_b)))
+    out = []
+    for factors in ((dark_a, src, ("dark_monitor", _powers(
+            det.det_monitor.dark_rate))), linked, linked):
+        # a value the stage never reads has no derivative there
+        rows = np.array([[1.0]] + [[float(n in dict(factors))]
+                                   for n in names])
+        for name, factor in factors:
+            pick = factor[[int(n == name) for n in [None] + names]]
+            rows = (rows[:, :, None] * pick[:, None]).reshape(len(rows), -1)
+        out.append(rows)
     return out
 
 

@@ -124,6 +124,15 @@ def _ladder(p: SourceParams):
                        np.exp(-1j * p.phi0 * kl))
 
 
+def _vacuum_amplitude(ladder_weight: float) -> float:
+    """sqrt(1 - ladder_weight), or a SourceConfigError from 1 on."""
+    if ladder_weight >= 1.0:
+        raise SourceConfigError(
+            f"excitation ladder weight {ladder_weight:.4f} reaches 1; "
+            "lower chi or double_amp_scale")
+    return math.sqrt(1.0 - ladder_weight)
+
+
 def atom_photon_state(p: SourceParams) -> AtomPhotonState:
     """Build the joint density matrix of one write attempt at t = 0."""
     dim = dualrail.sector_dim(p.fock_cutoff)
@@ -133,12 +142,7 @@ def atom_photon_state(p: SourceParams) -> AtomPhotonState:
         amp = bare * p.double_amp_scale ** power * phase
         ket[j * dim + j] = amp
         ladder_weight += abs(amp) ** 2
-    if ladder_weight >= 1.0:
-        raise SourceConfigError(
-            f"excitation ladder weight {ladder_weight:.4f} reaches 1; "
-            "lower chi or double_amp_scale"
-        )
-    ket[0] = math.sqrt(1.0 - ladder_weight)
+    ket[0] = _vacuum_amplitude(ladder_weight)
     return AtomPhotonState(state=np.outer(ket, ket.conj()),
                            cutoff=p.fock_cutoff)
 
@@ -175,8 +179,8 @@ def features(p: SourceParams) -> np.ndarray:
     weights = np.zeros(c)
     for _, power, bare, _ in _ladder(p):
         weights[power] += bare * bare
-    v2, dv2 = np.array([1.0, 0.0]) - mono[:, ::2] @ weights
-    v = math.sqrt(v2)
+    w, dw = mono[:, ::2] @ weights
+    v = _vacuum_amplitude(w)
     return np.concatenate(
-        (mono, v * mono[:, :c] + [[0.0], [dv2 / (2.0 * v)]] * mono[0, :c]),
+        (mono, v * mono[:, :c] + [[0.0], [-dw / (2.0 * v)]] * mono[0, :c]),
         axis=1)

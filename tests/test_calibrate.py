@@ -310,6 +310,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="repeated free parameters"):
             cal.calibrate(free_params=("dark_a", "dark_a"))
 
+    def test_ladder_outweighing_one_named_by_the_model(self):
+        # 0.054 + 0.002187 s^2 of ladder weight at the default chi
+        with pytest.raises(source.SourceConfigError, match="ladder weight"):
+            cal.model_predictions(cal.bundle_with({"double_amp_scale": 25.0}))
+
     def test_free_parameter_catalog(self):
         assert cal.FREE_PARAMS == ("double_amp_scale", "dark_monitor",
                                    "background_rate", "dark_a", "dark_b")

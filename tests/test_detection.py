@@ -844,12 +844,9 @@ def from_polynomial(bundle, settings, delays):
     base = with_noise(bundle, dict.fromkeys(cal.FREE_PARAMS, 0.0))
     coeffs = detection.trial_polynomials(
         base, [(settings, delay) for delay in delays])
-    src = source.features(bundle.source)
-    return {stage: np.einsum("mk,ksp->smp",
-                             cal._features(bundle, stage, src),
-                             c.transpose(1, 2, 3, 0, 4).reshape(
-                                 -1, len(settings), 16))
-            for stage, c in zip(STAGES, coeffs)}
+    feats = detection.trial_features(bundle)
+    return {stage: np.einsum("mk,ksp->smp", f, c)
+            for stage, f, c in zip(STAGES, feats, coeffs)}
 
 
 def with_mains(bundle, synced):
@@ -880,6 +877,15 @@ class TestTrialPolynomials:
                                              stage)[:, 0]
                 worst = max(worst, np.abs(poly[stage][:, 0] - engine).max())
         assert worst <= 1e-12
+
+    def test_ignore_the_bundles_noise_values(self):
+        noisy = calibrated_bundle()
+        clean = with_noise(noisy, dict.fromkeys(cal.FREE_PARAMS, 0.0))
+        checkpoints = [(CAL_SETTINGS, t) for _, t in stage_delays(noisy)]
+        for got, want in zip(
+                detection.trial_polynomials(noisy, checkpoints),
+                detection.trial_polynomials(clean, checkpoints)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestTrialTangents:

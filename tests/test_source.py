@@ -14,6 +14,7 @@ from memlink.source import (
     SourceConfigError,
     SourceParams,
     atom_photon_state,
+    features,
 )
 from oracles import (decohere_state, excitation_probabilities,
                      single_excitation_block, validate)
@@ -235,4 +236,11 @@ class TestConfigValidation:
     def test_collection_bounds(self):
         with pytest.raises(SourceConfigError):
             SourceParams(collection=1.2)
+
+    def test_ladder_outweighing_one_rejected_by_state_and_features(self):
+        # the retained ladder weighs 0.5 + 0.1875 s^2 at chi = 0.5
+        p = SourceParams(chi=0.5, double_amp_scale=10.0)
+        for build in (atom_photon_state, features):
+            with pytest.raises(SourceConfigError, match="ladder weight"):
+                build(p)
 

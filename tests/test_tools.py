@@ -75,7 +75,7 @@ def snapshot(tmp_path_factory):
     out = tmp_path_factory.mktemp("snapshot") / "out"
     log = io.StringIO()
     with contextlib.redirect_stdout(log):
-        assert tool.main([str(out), "1-20", "--manifest"]) == 0
+        assert tool.main([str(out), "1-20"]) == 0
     manifest = (out / "seeds.manifest").read_text(encoding="utf-8")
     return tool, log.getvalue().splitlines(), manifest.splitlines()
 
@@ -110,8 +110,17 @@ def test_manifest_matches_golden_seeds(snapshot):
         encoding="utf-8").splitlines()
     runs = [line for line in manifest if not line.split()[0].endswith(":")]
     assert len(runs) == 24 + 1 + 3 * len(SNAPSHOT_SEEDS)
-    want = {line.split()[0]: line for line in golden}
-    assert [want.get(line.split()[0]) for line in runs] == runs
+
+    def checked(line):
+        # calibrate prints its floats to all 17 digits, which another
+        # BLAS build may move: of its line only the status is checked
+        if line.startswith("calibrate "):
+            return line.rsplit(" ", 1)[0]
+        return line
+
+    want = {line.split()[0]: checked(line) for line in golden}
+    assert ([want.get(line.split()[0]) for line in runs]
+            == [checked(line) for line in runs])
     # the default-seed tally does not depend on the seeds run
     assert manifest[-1] == golden[-1]
     assert manifest[-1].startswith("default: ")

@@ -2,7 +2,6 @@
 """Write every scenario's outputs in every mode, for a byte-level diff.
 
     PYTHONPATH=<tree>/src python3 tools/snapshot_campaigns.py OUT [SEED ...]
-                                                          [--manifest]
 
 Runs the 8 scenarios in ``auto``, ``analytic`` and ``mc`` mode at the
 default seed and default trial counts through ``run_experiment`` into
@@ -26,14 +25,15 @@ Snapshot two source trees into two directories and compare them with
 ``diff -r``: a refactor that claims unchanged numbers leaves it empty.
 The golden files under ``tests/golden/`` pin only the ``auto`` runs.
 
-``--manifest`` also writes ``OUT/seeds.manifest``: one line per run
+The tool also writes ``OUT/seeds.manifest``: one line per run
 directory in the order they ran, ``<run> <status> <sha256>`` (the
 status of ``calibrate`` is ``exit-<code>``, the hash is over the
 directory's file names and bytes in name order), then the tally lines.
 ``tests/seeds.manifest`` is that file for seeds 1-400 (kept beside
 ``tests/golden/``, which holds one directory per scenario); a tier-1
-test recomputes its default-seed lines, its ``calibrate`` line and
-seeds 1-20, so a moved draw or status shows as a moved line.
+test recomputes its default-seed lines, the status of its
+``calibrate`` line and seeds 1-20, so a moved draw or status shows as
+a moved line.
 """
 
 import contextlib
@@ -97,8 +97,6 @@ def calibrate(out: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    manifest = "--manifest" in argv
-    argv = [arg for arg in argv if arg != "--manifest"]
     if not argv:
         print(__doc__, file=sys.stderr)
         return 2
@@ -125,11 +123,10 @@ def main(argv: list[str]) -> int:
     tallies = [f"{label}: " + " ".join(f"{s} {counts[s]}" for s in STATUSES)
                for label, counts in tally.items()]
     print("\n".join(tallies))
-    if manifest:
-        with open(f"{out}/seeds.manifest", "w", encoding="utf-8") as fh:
-            fh.writelines(f"{label} {status} {digest(f'{out}/{label}')}\n"
-                          for label, status in runs)
-            fh.writelines(line + "\n" for line in tallies)
+    with open(f"{out}/seeds.manifest", "w", encoding="utf-8") as fh:
+        fh.writelines(f"{label} {status} {digest(f'{out}/{label}')}\n"
+                      for label, status in runs)
+        fh.writelines(line + "\n" for line in tallies)
     return 0
 
 
