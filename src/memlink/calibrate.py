@@ -115,13 +115,15 @@ def _noise_polynomial(base: ExperimentBundle) -> tuple:
         for stage, t in stage_delays(base)]))
 
 
-def _model_pass(bundle: ExperimentBundle
+def _model_pass(bundle: ExperimentBundle, polys: tuple | None = None
                 ) -> tuple[dict[str, float], dict[str, np.ndarray]]:
     """Every calibration target and its exact derivative by each
     FREE_PARAMS constant, in FREE_PARAMS order: per stage, one product
-    of the noise-free bundle's polynomial with its features."""
-    polys = _noise_polynomial(
-        with_noise(bundle, dict.fromkeys(FREE_PARAMS, 0.0)))
+    of the noise-free bundle's polynomial ``polys`` (looked up when not
+    given) with its features."""
+    if polys is None:
+        polys = _noise_polynomial(
+            with_noise(bundle, dict.fromkeys(FREE_PARAMS, 0.0)))
     # rows: the bare basis at each stage, then the stored settings, each
     # its probabilities and then their derivatives, as every tally below
     tallies = np.concatenate([
@@ -209,6 +211,9 @@ def _weighted_problem(targets: dict[str, tuple[float, float]],
     centre = np.array([targets[n][0] for n in names])
     sigma = np.array([targets[n][1] for n in names])
     columns = [FREE_PARAMS.index(name) for name in free]
+    # every point is the default bundle at other noise values, so all
+    # of them share this noise-free key
+    polys = _noise_polynomial(bundle_with(dict.fromkeys(FREE_PARAMS, 0.0)))
     # the solver asks for each Jacobian at the x of its last residual,
     # so one model pass serves both
     last: dict = {}
@@ -217,7 +222,7 @@ def _weighted_problem(targets: dict[str, tuple[float, float]],
         key = x.tobytes()
         if key not in last:
             last.clear()
-            last[key] = _model_pass(bundle_with(dict(zip(free, x))))
+            last[key] = _model_pass(bundle_with(dict(zip(free, x))), polys)
         return last[key]
 
     def residuals(x: np.ndarray) -> np.ndarray:

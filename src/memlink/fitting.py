@@ -10,20 +10,24 @@ Every model is linear in its amplitude, phase and offset, written as
 quadratures: a*e*cos(2*pi*f*t + phi) + c = e*(alpha*cos(2*pi*f*t) +
 beta*sin(2*pi*f*t)) + c with envelope e, a = hypot(alpha, beta) and
 phi = atan2(-beta, alpha).  So the fits use variable projection (Golub
-& Pereyra, SIAM J. Numer. Anal. 10:413, 1973): scipy's trust-region
-reflective solver runs over the nonlinear parameters only (tau for a
-decay, tau and f for a damped cosine), and every
+& Pereyra, SIAM J. Numer. Anal. 10:413, 1973): MINPACK's
+Levenberg-Marquardt solver runs over the nonlinear parameters only
+(u = log tau for a decay, u and f for a damped cosine), and every
 residual evaluation solves the linear coefficients exactly by weighted
 linear least squares on the columns [e cos, e sin, 1] or [e].  The
-objective is that of the full model with every parameter free.
+solver gets that residual's exact Jacobian, so it takes no
+finite-difference steps.  tau = exp(u) needs no bound, and f comes back
+as |f|: cos is even and sin odd, so the coefficients at |f| fit as
+well.  The objective is that of the full model with every parameter
+free.
 
 Decays start from three tau seeds, oscillations from five seeds spread
 around the FFT frequency estimate (this model family has local minima).
 A start may spend 200 residual evaluations per nonlinear parameter; one
-that runs out counts as not converged, and the best converged start
-wins.  One-sigma errors come from the full model's Jacobian at the
-optimum.  Time units are whatever the caller passes in; the derived 1/e
-time comes back in the same units.
+that runs out, or whose tau overflows, counts as not converged, and the
+best converged start wins.  One-sigma errors come from the full model's
+Jacobian at the optimum.  Time units are whatever the caller passes
+in; the derived 1/e time comes back in the same units.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ class FitResult:
     to 1/e (infinite for constant data); it is
     derived directly from the tau parameter, so the two always agree.
     ``nfev`` counts the outer solver's residual evaluations, summed over
-    starts (scipy's count, without finite-difference Jacobian steps).
+    starts; the Jacobian is exact, so none of them is a
+    finite-difference step.
     """
 
     model: str
@@ -81,22 +86,29 @@ _NONLINEAR = {
 
 
 def _envelope(model: str, t: np.ndarray, tau: float):
-    """Envelope e(t; tau) and its derivative de/dtau."""
+    """Envelope e(t; tau) and its derivative by log tau, tau de/dtau."""
+    x = t / tau
     if model == "exponential-decay":
-        e = np.exp(-t / tau)
-        return e, e * t / tau ** 2
-    e = np.exp(-((t / tau) ** 2))
-    return e, e * 2.0 * t ** 2 / tau ** 3
+        e = np.exp(-x)
+        return e, e * x
+    e = np.exp(-(x ** 2))
+    return e, e * 2.0 * x ** 2
 
 
-def _columns(model: str, t: np.ndarray, theta) -> np.ndarray:
-    """Design matrix of the linear coefficients at nonlinear ``theta``."""
+def _columns(model: str, t: np.ndarray, theta):
+    """Design matrix of the linear coefficients at nonlinear ``theta``,
+    and its derivatives by log tau and f, stacked (len(theta), n, m)."""
     p = dict(zip(_NONLINEAR[model], theta))
-    e, _ = _envelope(model, t, p["tau"])
+    e, de = _envelope(model, t, p["tau"])
     if "frequency" not in p:
-        return e[:, None]
+        return e[:, None], de[None, :, None]
     arg = 2.0 * math.pi * p["frequency"] * t
-    return np.column_stack((e * np.cos(arg), e * np.sin(arg), np.ones_like(t)))
+    cos, sin, zero = np.cos(arg), np.sin(arg), np.zeros_like(t)
+    dfreq = 2.0 * math.pi * t * e
+    stack = np.array([[e * cos, e * sin, np.ones_like(t)],
+                      [de * cos, de * sin, zero],
+                      [-dfreq * sin, dfreq * cos, zero]]).transpose(0, 2, 1)
+    return stack[0], stack[1:]
 
 
 def _full_jacobian(model: str, t: np.ndarray, p: dict) -> np.ndarray:
@@ -105,7 +117,7 @@ def _full_jacobian(model: str, t: np.ndarray, p: dict) -> np.ndarray:
     a = p["amplitude"]
     arg = 2.0 * math.pi * p.get("frequency", 0.0) * t + p.get("phase", 0.0)
     cos, sin = np.cos(arg), np.sin(arg)
-    cols = {"amplitude": e * cos, "tau": a * de * cos,
+    cols = {"amplitude": e * cos, "tau": a * de / p["tau"] * cos,
             "frequency": -2.0 * math.pi * t * a * e * sin,
             "phase": -a * e * sin, "offset": np.ones_like(t)}
     return np.column_stack([cols[name] for name in _PARAM_NAMES[model]])
@@ -127,32 +139,54 @@ def _prepare(t, y, sigma):
     return t[order], y[order], w[order]
 
 
-def _run_starts(model, t, y, w, starts, bounds):
+def _run_starts(model, t, y, w, starts):
     # imported here so that campaigns without a fit never load the solver
     from scipy.optimize import least_squares
 
     names = _PARAM_NAMES[model]
     yw = y / w
+    last: dict = {}
 
-    def weighted_columns(theta):
-        return _columns(model, t, theta) / w[:, None]
-
-    def residuals(theta):
-        cols = weighted_columns(theta)
-        return cols @ np.linalg.lstsq(cols, yw, rcond=None)[0] - yw
+    def projected(x):
+        """Residual A c - y at x = (log tau[, f]), c = A+ y, weighted, and
+        its exact Jacobian: P(dA c) - (A+)^T dA^T r per variable, with P
+        the projector off range(A)."""
+        key = x.tobytes()
+        if key not in last:
+            if not np.all(np.isfinite(x)):  # MINPACK's own overflow
+                raise FloatingPointError(f"solver stepped to {x}")
+            last.clear()
+            cols, dcols = _columns(model, t, (math.exp(x[0]), *x[1:]))
+            cols, dcols = cols / w[:, None], dcols / w[:, None]
+            u, s, vt = np.linalg.svd(cols, full_matrices=False)
+            # lstsq's default cutoff
+            keep = s > s[0] * np.finfo(float).eps * max(cols.shape)
+            u, s, vt = u[:, keep], s[keep], vt[keep]
+            uy = u.T @ yw
+            r = u @ uy - yw
+            dc = dcols @ (vt.T @ (uy / s))
+            jac = dc - (dc @ u + ((r @ dcols) @ vt.T) / s) @ u.T
+            last[key] = r, jac.T
+        return last[key]
 
     best, nfev, diagnostics = None, 0, []
-    for x0 in starts:
+    for start in starts:
+        x0 = np.array([math.log(start[0]), *start[1:]])
         try:
-            res = least_squares(residuals, x0, bounds=bounds,
-                                ftol=_COST_TOL, xtol=1e-14, gtol=1e-14,
-                                max_nfev=_NFEV_PER_PARAM * len(x0))
-        except ValueError as exc:  # includes numpy's LinAlgError
-            diagnostics.append(f"start {x0}: {exc}")
+            # a start whose tau overflows fails here, not in the caller
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                res = least_squares(lambda x: projected(x)[0], x0,
+                                    jac=lambda x: projected(x)[1],
+                                    method="lm", ftol=_COST_TOL, xtol=1e-14,
+                                    gtol=1e-14,
+                                    max_nfev=_NFEV_PER_PARAM * len(x0))
+        except (ValueError, ArithmeticError) as exc:
+            # ValueError includes numpy's LinAlgError
+            diagnostics.append(f"start {start}: {exc}")
             continue
         nfev += res.nfev
         if not res.success:
-            diagnostics.append(f"start {x0}: {res.message}")
+            diagnostics.append(f"start {start}: {res.message}")
             continue
         if best is None or res.cost < best.cost * (1.0 - _COST_TOL):
             best = res
@@ -161,8 +195,11 @@ def _run_starts(model, t, y, w, starts, bounds):
             f"{model} fit did not converge from any start; "
             + "; ".join(diagnostics)
         )
-    p = dict(zip(_NONLINEAR[model], (float(v) for v in best.x)))
-    coef = np.linalg.lstsq(weighted_columns(best.x), yw, rcond=None)[0]
+    # cos is even and sin odd, so the coefficients at |f| fit as well
+    theta = (math.exp(best.x[0]), *np.abs(best.x[1:]))
+    p = dict(zip(_NONLINEAR[model], (float(v) for v in theta)))
+    coef = np.linalg.lstsq(_columns(model, t, theta)[0] / w[:, None], yw,
+                           rcond=None)[0]
     if len(coef) == 1:
         p["amplitude"] = float(coef[0])
     else:
@@ -209,8 +246,7 @@ def fit_decay(t, y, model: str = "gaussian-decay", sigma=None) -> FitResult:
     span = float(t[-1] - t[0]) or 1.0
     tau0 = float(t[below[0]]) if below.size and t[below[0]] > 0 else span / 2.0
     starts = [np.array([x]) for x in (tau0, tau0 * 3.0, tau0 / 3.0)]
-    bounds = (np.array([1e-300]), np.array([np.inf]))
-    params, sigmas, rnorm, nfev = _run_starts(model, t, y, w, starts, bounds)
+    params, sigmas, rnorm, nfev = _run_starts(model, t, y, w, starts)
     return FitResult(model=model, params=params, sigmas=sigmas,
                      one_over_e_time=params["tau"],
                      residual_norm=rnorm, n_points=len(t), nfev=nfev)
@@ -252,8 +288,7 @@ def fit_oscillation(t, y, sigma=None) -> FitResult:
         )
     starts = [np.array([span, f0 * fac])
               for fac in (1.0, 0.8, 1.25, 0.5, 2.0)]
-    bounds = (np.array([1e-300, 0.0]), np.array([np.inf, np.inf]))
-    params, sigmas, rnorm, nfev = _run_starts(model, t, y, w, starts, bounds)
+    params, sigmas, rnorm, nfev = _run_starts(model, t, y, w, starts)
     return FitResult(model=model, params=params, sigmas=sigmas,
                      one_over_e_time=params["tau"],
                      residual_norm=rnorm, n_points=len(t), nfev=nfev)

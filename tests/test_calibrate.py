@@ -133,9 +133,9 @@ class TestJacobian:
         calls = []
 
         def counted(fn):
-            def wrapper(bundle):
+            def wrapper(bundle, *polys):
                 calls.append(fn.__name__)
-                return fn(bundle)
+                return fn(bundle, *polys)
             return wrapper
 
         for name in ("_model_pass", "model_predictions"):
