@@ -88,10 +88,9 @@ def channel_efficiency(p: ChannelParams) -> float:
     return p.eta_dfg * fiber_transmission(p.fiber_loss_db) * p.eta_sfg
 
 
-def direct_transmission(length_km: float,
-                        db_per_km: float = VISIBLE_BAND_DB_PER_KM) -> float:
+def direct_transmission(length_km: float) -> float:
     """Survival if the photon were sent at its native wavelength."""
-    return fiber_transmission(db_per_km * length_km)
+    return fiber_transmission(VISIBLE_BAND_DB_PER_KM * length_km)
 
 
 def latency(p: ChannelParams) -> float:

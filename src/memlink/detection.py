@@ -7,31 +7,30 @@ none at each node), and the probability of pattern (i, j) factors as
     p_ij(t) = Tr[E_i^A(t) sigma_j],   sigma_j = Tr_B[(1 x E_j^B) rho]
 
 ``trial_distributions`` builds it for a list of settings and a vector
-of delays at once, as a read-only (S, T, 16) array of phase-averaged
-probabilities, cached per (bundle, settings, delays, stage):
+of delays at once, as an (S, T, 16) array of phase-averaged
+probabilities:
 
-  * prefix (``_prefix_stack``, cached): the delay-independent joint
-    state rho at the checkpoint -- source ket and collection loss
-    ("source"), the converted link ("transferred"), the receiving
-    memory's map-in and map-out ("stored") -- each map on its own
-    factor of rho (``_checkpoint``).  Keyed on the source, channel and
-    EIT parameters the checkpoint reads, each checkpoint extends the
-    cached state of the one before;
+  * prefix (``_prefix``): the delay-independent joint state rho at the
+    checkpoint -- source ket and collection loss ("source"), the
+    converted link ("transferred"), the receiving memory's map-in and
+    map-out ("stored") -- each map on its own factor of rho
+    (``_checkpoint``), each checkpoint on the state of the one before;
   * ``_contract``: sigma_j for every node-B basis of the settings from
     one product of rho with node B's POVMs; node A's POVMs of every
     basis pulled back in one call through storage and readout in the
-    Heisenberg picture (``memory_a.decohere``, cached per coherence,
-    geometry, node-A efficiency and delay vector) as E^A(t), split into
-    the parts that meet the state's coherences with mode-2 occupation
-    gap dn = 0, 1, 2; and one batched product of the two.
+    Heisenberg picture (``memory_a.decohere``, once per call for its
+    delay vector) as E^A(t), split into the parts that meet the state's
+    coherences with mode-2 occupation gap dn = 0, 1, 2; and one batched
+    product of the two.
 
 Each node's POVM is a polynomial of degree <= 2 in its dark rate; its
 rotated coefficients (``_povm_polynomial``) are cached apart from the
-dark rate, at which ``_povm_terms`` evaluates them.  Every cache is a
-bounded module-level lru_cache, so a long sweep cannot grow memory,
-the public stage functions stay plain functions a caller may patch,
-and clearing the lru_caches in the module globals is a true cold
-start.  Cached arrays are read-only.
+dark rate, at which ``_povm_terms`` evaluates them.  That cache and the
+basis rotations' (``_rotation``) are the module's only caches: a
+calibration's dark-rate steps and a campaign's repeated bases hit them.
+Both are bounded module-level lru_caches, so clearing the lru_caches in
+the module globals is a true cold start, and their arrays are
+read-only.
 
 ``trial_polynomials`` feeds the same stage functions other stacks: the
 source state as a polynomial in its double-excitation scale
@@ -209,17 +208,6 @@ class CountsTable:
 STAGES = ("source", "transferred", "stored")
 
 
-def _prefix_key(bundle, stage: str) -> tuple:
-    """(source, channel, eit, stage), None where the stage reads nothing."""
-    if stage == "source":
-        return (bundle.source, None, None, stage)
-    if stage == "transferred":
-        return (bundle.source, bundle.channel, None, stage)
-    if stage == "stored":
-        return (bundle.source, bundle.channel, bundle.eit, stage)
-    raise DetectionConfigError(f"unknown stage {stage!r}")
-
-
 def _checkpoint(rows: np.ndarray, src, channel, eit,
                 stage: str) -> np.ndarray:
     """The stage's maps on a state, or an (R, D, D) stack, at the
@@ -232,30 +220,16 @@ def _checkpoint(rows: np.ndarray, src, channel, eit,
     return memory_b.map_out(memory_b.map_in(carried, eit), eit).state
 
 
-@lru_cache(maxsize=16)
-def _prefix_stack(src, channel, eit, stage: str) -> np.ndarray:
-    """Read-only delay-independent joint state at the checkpoint, on the
-    cached state of the checkpoint before (see module doc)."""
-    if stage == "source":
-        prev = source.atom_photon_state(src).state
-    elif stage == "transferred":
-        prev = _prefix_stack(src, None, None, "source")
-    else:
-        prev = _prefix_stack(src, channel, None, "transferred")
-    out = _checkpoint(prev, src, channel, eit, stage)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=4)
-def _stored_readout(cutoff: int, eta: float, coherence, geometry,
-                    delays: tuple) -> memory_a.StoredReadout:
-    """Node A's storage and readout over a delay vector, read-only;
-    shared by every setting, dark rate and bundle that reads it."""
-    readout = memory_a.decohere(cutoff, delays, eta, coherence, geometry)
-    for arr in (readout.pulled, readout.parts, readout.swing):
-        arr.setflags(write=False)
-    return readout
+def _prefix(bundle, stage: str) -> np.ndarray:
+    """Delay-independent joint state at the stage's checkpoint: the
+    source state through each checkpoint up to it (see module doc)."""
+    if stage not in STAGES:
+        raise DetectionConfigError(f"unknown stage {stage!r}")
+    state = source.atom_photon_state(bundle.source).state
+    for step in STAGES[:STAGES.index(stage) + 1]:
+        state = _checkpoint(state, bundle.source, bundle.channel,
+                            bundle.eit, step)
+    return state
 
 
 @lru_cache(maxsize=16)
@@ -308,7 +282,7 @@ def _part_weights(swing: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _contract(bundle, keys: tuple, delays: tuple, stage: str,
+def _contract(bundle, keys: tuple, delays, stage: str,
               prefix: np.ndarray, povms) -> tuple:
     """Each setting's Tr(E^A(t) sigma), (S, T, 3, Ma, Mb) by delay, part
     and node A's and node B's rows, and the mains swing per delay, from
@@ -322,8 +296,9 @@ def _contract(bundle, keys: tuple, delays: tuple, stage: str,
     eta_b, dark_b = ((det.det_monitor.eta_det, det.det_monitor.dark_rate)
                      if stage == "source"
                      else (bundle.eit.detection_residual(), det.dark_b))
-    readout = _stored_readout(bundle.source.fock_cutoff, det.det_a.eta_det,
-                              bundle.coherence, bundle.geometry, delays)
+    readout = memory_a.decohere(bundle.source.fock_cutoff, delays,
+                                det.det_a.eta_det, bundle.coherence,
+                                bundle.geometry)
     povm_a, povm_b = (rows.reshape((len(rows), -1) + rows.shape[-2:])
                       for rows in (povms(unique_a, 1.0, det.det_a.dark_rate),
                                    povms(unique_b, eta_b, dark_b)))
@@ -355,21 +330,13 @@ def _setting_keys(settings) -> tuple:
 
 def trial_distributions(bundle, settings, delays,
                         stage: str = "stored") -> np.ndarray:
-    """Phase-averaged pattern probabilities of one attempt, a read-only
-    (S, T, 16) array over the settings (each a BasisSetting, or None for
-    the bare mode basis) and the delays; cached on the bundle, the
-    settings and the whole delay vector."""
-    return _distributions_cached(bundle, _setting_keys(settings),
-                                 tuple(float(t) for t in delays), stage)
-
-
-@lru_cache(maxsize=256)
-def _distributions_cached(bundle, keys: tuple, delays: tuple,
-                          stage: str) -> np.ndarray:
+    """Phase-averaged pattern probabilities of one attempt, an (S, T, 16)
+    array over the settings (each a BasisSetting, or None for the bare
+    mode basis) and the delays."""
+    keys, delays = _setting_keys(settings), np.asarray(delays, dtype=float)
     # coeffs[s, t, k, 4a + b] = Tr(E_a(t, k) sigma_b) of setting s
     coeffs, swing = _contract(
-        bundle, keys, delays, stage,
-        _prefix_stack(*_prefix_key(bundle, stage))[None],
+        bundle, keys, delays, stage, _prefix(bundle, stage)[None],
         partial(_povm_terms, bundle.source.fock_cutoff))
     coeffs = coeffs.reshape(len(keys), len(delays), 3, 16)
     weights = _part_weights(swing)[:, :, None]
@@ -379,9 +346,7 @@ def _distributions_cached(bundle, keys: tuple, delays: tuple,
     # which a per-trial phase cannot take below zero
     out = np.where((swing == 0.0)[:, None], base, np.clip(base, 0.0, None))
     out = out + weights[:, 1] * np.real(coeffs[:, :, 1])
-    out = np.clip(out + weights[:, 2] * np.real(coeffs[:, :, 2]), 0.0, None)
-    out.setflags(write=False)
-    return out
+    return np.clip(out + weights[:, 2] * np.real(coeffs[:, :, 2]), 0.0, None)
 
 
 def trial_polynomials(bundle, checkpoints) -> list:
@@ -404,7 +369,7 @@ def trial_polynomials(bundle, checkpoints) -> list:
                 rows, src.fock_cutoff)).reshape((-1,) + rows.shape[1:])
         # each basis's POVM rows by dark-rate power and outcome
         c, swing = _contract(
-            bundle, _setting_keys(settings), (float(delay),), stage, rows,
+            bundle, _setting_keys(settings), (delay,), stage, rows,
             lambda bases, eta, _: _povm_polynomial(
                 src.fock_cutoff, bases, eta).swapaxes(0, 1))
         # the phase average of the parts, then the axes (i, r, k, setting,
@@ -456,14 +421,9 @@ def noise_distribution(bundle, setting: BasisSetting | None,
                        stage: str = "stored") -> np.ndarray:
     """Pattern probabilities of a source-off window (backgrounds and
     darks only)."""
-    off = _source_off_bundle(bundle)
+    off = dataclasses.replace(bundle, source=dataclasses.replace(
+        bundle.source, chi=1e-12, double_amp_scale=0.0))
     return trial_distributions(off, (setting,), (0.0,), stage)[0, 0]
-
-
-@lru_cache(maxsize=32)
-def _source_off_bundle(bundle):
-    src = dataclasses.replace(bundle.source, chi=1e-12, double_amp_scale=0.0)
-    return dataclasses.replace(bundle, source=src)
 
 
 # ---------------------------------------------------------------------------

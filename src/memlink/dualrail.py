@@ -23,9 +23,9 @@ dark rate, and calibration's noise polynomial contracts the set itself.
 Loss and transfer channels are real Kraus stacks built from their
 closed-form amplitudes.  Given vectors of survival or transfer
 probabilities they build one channel per entry, stacked on a leading
-axis, so node A's storage over a whole delay sweep is one stack.  Each
-distinct stack is built and validated once and then shared from a small
-lru_cache, so its operator array is read-only.
+axis, so node A's storage over a whole delay sweep is one stack, built
+and validated as one ``KrausChannel``.  The sector's occupation tables
+(``occupations``, ``index_of``) are the module's only caches.
 """
 
 from __future__ import annotations
@@ -74,13 +74,6 @@ def _probabilities(*values) -> list[np.ndarray]:
     return arrays
 
 
-def _shared_channel(ops: np.ndarray, name: str) -> KrausChannel:
-    """One validated, read-only channel stack."""
-    ch = KrausChannel(ops, name=name)
-    ch.operators.setflags(write=False)
-    return ch
-
-
 def loss_channel(cutoff: int, eta1, eta2) -> KrausChannel:
     """Independent beam-splitter loss on each mode.
 
@@ -91,20 +84,12 @@ def loss_channel(cutoff: int, eta1, eta2) -> KrausChannel:
     the leading axes of the operators.
     """
     eta1, eta2 = _probabilities(eta1, eta2)
-    return _loss_channel(cutoff, eta1.shape, tuple(eta1.flat),
-                         tuple(eta2.flat))
-
-
-@lru_cache(maxsize=8)
-def _loss_channel(cutoff: int, shape: tuple, eta1: tuple,
-                  eta2: tuple) -> KrausChannel:
-    eta1 = np.reshape(eta1, shape)
-    eta2 = np.reshape(eta2, shape)
     occs = occupations(cutoff)
     idx = index_of(cutoff)
     # one operator per pair of lost quanta (l1, l2), l1 + l2 <= cutoff
     lost = occupations(cutoff)
-    ops = np.zeros(shape + (len(lost), len(occs), len(occs)), dtype=float)
+    ops = np.zeros(eta1.shape + (len(lost), len(occs), len(occs)),
+                   dtype=float)
     for op, (l1, l2) in enumerate(lost):
         for j, (n1, n2) in enumerate(occs):
             if l1 > n1 or l2 > n2:
@@ -114,7 +99,7 @@ def _loss_channel(cutoff: int, shape: tuple, eta1: tuple,
             amp2 = sqrt(comb(n2, l2)) * eta2 ** ((n2 - l2) / 2.0) \
                 * (1.0 - eta2) ** (l2 / 2.0)
             ops[..., op, idx[(n1 - l1, n2 - l2)], j] = amp1 * amp2
-    return _shared_channel(ops, "loss")
+    return KrausChannel(ops, name="loss")
 
 
 def mode_rotation(cutoff: int, w: np.ndarray) -> np.ndarray:
@@ -165,16 +150,10 @@ def transfer_channel(cutoff: int, gamma) -> KrausChannel:
     stacks one channel per entry, as for loss_channel.
     """
     (gamma,) = _probabilities(gamma)
-    return _transfer_channel(cutoff, gamma.shape, tuple(gamma.flat))
-
-
-@lru_cache(maxsize=8)
-def _transfer_channel(cutoff: int, shape: tuple,
-                      gamma: tuple) -> KrausChannel:
-    gamma = np.reshape(gamma, shape)
     occs = occupations(cutoff)
     idx = index_of(cutoff)
-    ops = np.zeros(shape + (cutoff + 1, len(occs), len(occs)), dtype=float)
+    ops = np.zeros(gamma.shape + (cutoff + 1, len(occs), len(occs)),
+                   dtype=float)
     for k_moved in range(cutoff + 1):
         for j, (n1, n2) in enumerate(occs):
             if k_moved > n2:
@@ -182,7 +161,7 @@ def _transfer_channel(cutoff: int, shape: tuple,
             amp = sqrt(comb(n2, k_moved)) * gamma ** (k_moved / 2.0) \
                 * (1.0 - gamma) ** ((n2 - k_moved) / 2.0)
             ops[..., k_moved, idx[(n1 + k_moved, n2 - k_moved)], j] = amp
-    return _shared_channel(ops, "transfer")
+    return KrausChannel(ops, name="transfer")
 
 
 def mode2_count_vector(cutoff: int) -> np.ndarray:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dualrail
-from .constants import CODATA, PhysicalConstants
+from .constants import CODATA
 from .qcore import adjoint_matrix
 
 
@@ -150,8 +150,7 @@ def active_wavevector(g: FreezingGeometry) -> float:
     return dk_frozen if g.frozen else dk
 
 
-def motional_lifetime(k_mag: float, c: CoherenceParams,
-                      constants: PhysicalConstants = CODATA) -> float:
+def motional_lifetime(k_mag: float, c: CoherenceParams) -> float:
     """Gaussian 1/e time of motional grating washout, 1/(k * v_rms).
 
     Returns inf when either the wavevector or the thermal velocity
@@ -159,41 +158,39 @@ def motional_lifetime(k_mag: float, c: CoherenceParams,
     """
     if k_mag < 0.0:
         raise MemoryConfigError(f"wavevector magnitude must be >= 0, got {k_mag}")
-    v = math.sqrt(constants.k_b * c.temperature_k / c.mass_kg)
+    v = math.sqrt(CODATA.k_b * c.temperature_k / c.mass_kg)
     if k_mag == 0.0 or v == 0.0:
         return math.inf
     return 1.0 / (k_mag * v)
 
 
-def mode_lifetimes(c: CoherenceParams, g: FreezingGeometry,
-                   constants: PhysicalConstants = CODATA) -> tuple[float, float]:
+def mode_lifetimes(c: CoherenceParams,
+                   g: FreezingGeometry) -> tuple[float, float]:
     """Motional lifetime per spin-wave mode, honoring the overrides."""
-    common = motional_lifetime(active_wavevector(g), c, constants)
+    common = motional_lifetime(active_wavevector(g), c)
     tau1 = c.tau_mode1_s if c.tau_mode1_s is not None else common
     tau2 = c.tau_mode2_s if c.tau_mode2_s is not None else common
     return tau1, tau2
 
 
-def retrieval_weights(age_s: float, c: CoherenceParams, g: FreezingGeometry,
-                      constants: PhysicalConstants = CODATA) -> tuple[float, float]:
+def retrieval_weights(age_s: float, c: CoherenceParams,
+                      g: FreezingGeometry) -> tuple[float, float]:
     """Per-mode Gaussian retrieval weight exp(-(age/tau)^2)."""
     if age_s < 0.0:
         raise MemoryConfigError("storage age must be non-negative")
-    tau1, tau2 = mode_lifetimes(c, g, constants)
+    tau1, tau2 = mode_lifetimes(c, g)
     w1 = math.exp(-((age_s / tau1) ** 2)) if math.isfinite(tau1) else 1.0
     w2 = math.exp(-((age_s / tau2) ** 2)) if math.isfinite(tau2) else 1.0
     return w1, w2
 
 
-def zeeman_phase_increment(c: CoherenceParams, duration_s: float,
-                           constants: PhysicalConstants = CODATA) -> float:
+def zeeman_phase_increment(c: CoherenceParams, duration_s: float) -> float:
     """Deterministic phase picked up by one mode-2 quantum in duration_s."""
-    return constants.zeeman_rate_rad_per_s_gauss * c.bias_field_gauss * duration_s
+    return CODATA.zeeman_rate_rad_per_s_gauss * c.bias_field_gauss * duration_s
 
 
 def mains_phase_increment(c: CoherenceParams, age_start_s: float,
-                          age_end_s: float, start_phase_rad: float,
-                          constants: PhysicalConstants = CODATA) -> float:
+                          age_end_s: float, start_phase_rad: float) -> float:
     """Phase from the mains ripple integrated over one storage stretch.
 
     The ripple field A*sin(omega*u + psi), with u the time since the
@@ -202,21 +199,20 @@ def mains_phase_increment(c: CoherenceParams, age_start_s: float,
     mode-2 phase between ages t0 and t1.
     """
     omega = 2.0 * math.pi * c.mains_freq_hz
-    rate = constants.zeeman_rate_rad_per_s_gauss * c.mains_amplitude_gauss
+    rate = CODATA.zeeman_rate_rad_per_s_gauss * c.mains_amplitude_gauss
     x0 = start_phase_rad + omega * age_start_s
     x1 = start_phase_rad + omega * age_end_s
     return rate / omega * (math.cos(x0) - math.cos(x1))
 
 
-def mains_swing_amplitude(c: CoherenceParams, duration_s: float,
-                          constants: PhysicalConstants = CODATA) -> float:
+def mains_swing_amplitude(c: CoherenceParams, duration_s: float) -> float:
     """Largest possible mains phase over a stretch, max over start phase.
 
     Equals 2*(rate*A/omega)*|sin(omega*t/2)|; the actual phase for a
     uniformly random start is this amplitude times sin(uniform).
     """
     omega = 2.0 * math.pi * c.mains_freq_hz
-    rate = constants.zeeman_rate_rad_per_s_gauss * c.mains_amplitude_gauss
+    rate = CODATA.zeeman_rate_rad_per_s_gauss * c.mains_amplitude_gauss
     return 2.0 * rate / omega * abs(math.sin(omega * duration_s / 2.0))
 
 
@@ -254,8 +250,7 @@ class StoredReadout:
 
 
 def decohere(cutoff: int, delays, eta: float, c: CoherenceParams,
-             g: FreezingGeometry,
-             constants: PhysicalConstants = CODATA) -> StoredReadout:
+             g: FreezingGeometry) -> StoredReadout:
     """Storage at node A for each delay, and its readout (see module doc).
 
     Storage for a delay t applies, in order, the bias-field phase, T1
@@ -266,7 +261,7 @@ def decohere(cutoff: int, delays, eta: float, c: CoherenceParams,
     from their closed-form amplitudes for the whole delay vector.
     """
     delays = np.asarray(delays, dtype=float)
-    weights = np.array([retrieval_weights(t, c, g, constants)
+    weights = np.array([retrieval_weights(t, c, g)
                         for t in delays]).reshape(-1, 2)
     loss = dualrail.loss_channel(cutoff, weights[:, 0] * eta,
                                  weights[:, 1] * eta)
@@ -274,15 +269,14 @@ def decohere(cutoff: int, delays, eta: float, c: CoherenceParams,
                                          1.0 - np.exp(-delays / c.t1_s))
     pulled = adjoint_matrix(loss) @ adjoint_matrix(transfer)
 
-    phase = zeeman_phase_increment(c, delays, constants)
+    phase = zeeman_phase_increment(c, delays)
     if c.mains_synced or c.mains_amplitude_gauss == 0.0:
         phase = phase + np.array([
-            mains_phase_increment(c, 0.0, t, c.mains_phase_rad, constants)
+            mains_phase_increment(c, 0.0, t, c.mains_phase_rad)
             for t in delays])
         swing = np.zeros(len(delays))
     else:
-        swing = np.array([mains_swing_amplitude(c, t, constants)
-                          for t in delays])
+        swing = np.array([mains_swing_amplitude(c, t) for t in delays])
     n2 = dualrail.mode2_count_vector(cutoff)
     dn = n2[:, None] - n2[None, :]
     factor = np.exp(-1j * phase[:, None, None] * dn)

@@ -196,7 +196,7 @@ def phase_resolved(bundle, setting, delay_s, stage="stored"):
     cutoff = bundle.source.fock_cutoff
     coeffs, swing = detection._contract(
         bundle, detection._setting_keys((setting,)), (delay_s,), stage,
-        detection._prefix_stack(*detection._prefix_key(bundle, stage))[None],
+        detection._prefix(bundle, stage)[None],
         lambda bases, eta, dark: detection._povm_terms(cutoff, bases, eta,
                                                        dark))
     return coeffs[0, 0].reshape(3, -1), float(swing[0])
@@ -251,7 +251,6 @@ class TestTrialDistribution:
         assert PATTERNS.index(("plus", "none")) == 3
         assert PATTERNS.index(("none", "plus")) == 12
         assert dists.shape == (1, 1, len(PATTERNS)) == (1, 1, 16)
-        assert not dists.flags.writeable
 
     def test_empty_delay_vector_gives_empty_array(self):
         dists = trial_distributions(ExperimentBundle(),
@@ -733,8 +732,8 @@ def container_sizes():
 
 class TestCacheDiscipline:
     def test_chain_evaluated_once_then_shared(self, monkeypatch):
-        for fn in memlink_caches():
-            fn.cache_clear()
+        # one call evaluates the chain once and shares its state among
+        # every setting and delay it is asked for, at each stage
         calls = []
         original = source.atom_photon_state
 
@@ -744,26 +743,13 @@ class TestCacheDiscipline:
 
         monkeypatch.setattr(source, "atom_photon_state", counting)
         bundle = calibrated_bundle()
-        delay = bell_delay_s(bundle)
-        first = trial_distributions(bundle, (BasisSetting("X", "X"),),
-                                    (delay,))
-        assert len(calls) == 1
-        assert trial_distributions(bundle, (BasisSetting("X", "X"),),
-                                   (delay,)) is first
-        assert len(calls) == 1
-        # other settings, delays, stages and a detector-only change all
-        # reuse the one source state
-        det = bundle.detection
-        darker = dataclasses.replace(bundle, detection=dataclasses.replace(
-            det, dark_b=1e-3))
-        for b in (bundle, darker):
-            for setting in (None, BasisSetting("Z", "Z"),
-                            BasisSetting("A1", "B0")):
-                for delay in (0.0, 50e-6):
-                    for stage in STAGES:
-                        trial_distributions(b, (setting,), (delay,),
-                                            stage)
-        assert len(calls) == 1
+        settings = (None, BasisSetting("Z", "Z"), BasisSetting("A1", "B0"))
+        for stage in STAGES:
+            for n in (1, 3):
+                for delays in ((0.0,), (0.0, 50e-6, bell_delay_s(bundle))):
+                    calls.clear()
+                    trial_distributions(bundle, settings[:n], delays, stage)
+                    assert len(calls) == 1, (stage, n, delays)
 
     def test_basis_rotation_shared_across_dark_rates(self, monkeypatch):
         # a dark-rate step, as calibrate takes, rebuilds the POVM stack
@@ -804,6 +790,28 @@ class TestCacheDiscipline:
         trial_distributions(calibrated_bundle(), settings,
                             np.linspace(0.0, 400e-6, 49))
         assert rows == [4 * 3]
+
+    def test_only_the_caches_that_workloads_hit(self):
+        # each kept cache hits within one campaign or one calibrate()
+        # (this module imports calibrate); a new one names its hits here.
+        # Arrays they return are shared, so read-only.
+        base = with_noise(ExperimentBundle(),
+                          {name: 0.0 for name, *_ in NOISE_PARAMS})
+        calls = {
+            "memlink.detection._rotation": (2, "X", 1.0),
+            "memlink.detection._povm_polynomial": (2, (("X", 1.0),), 0.5),
+            "memlink.calibrate._noise_polynomial": (base,),
+            "memlink.dualrail.occupations": (2,),
+            "memlink.dualrail.index_of": (2,),
+        }
+        caches = {f"{fn.__module__}.{fn.__qualname__}": fn
+                  for fn in memlink_caches()}
+        assert sorted(caches) == sorted(calls)
+        for name, args in calls.items():
+            out = caches[name](*args)
+            for arr in out if isinstance(out, tuple) else (out,):
+                if isinstance(arr, np.ndarray):
+                    assert not arr.flags.writeable, name
 
     def test_every_cache_is_bounded(self):
         caches = memlink_caches()
