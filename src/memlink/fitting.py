@@ -11,7 +11,8 @@ quadratures: a*e*cos(2*pi*f*t + phi) + c = e*(alpha*cos(2*pi*f*t) +
 beta*sin(2*pi*f*t)) + c with envelope e, a = hypot(alpha, beta) and
 phi = atan2(-beta, alpha).  So the fits use variable projection (Golub
 & Pereyra, SIAM J. Numer. Anal. 10:413, 1973): MINPACK's
-Levenberg-Marquardt solver runs over the nonlinear parameters only
+Levenberg-Marquardt solver lmder (More, LNM 630, 1978), called through
+scipy's ``leastsq``, runs over the nonlinear parameters only
 (u = log tau for a decay, u and f for a damped cosine), and every
 residual evaluation solves the linear coefficients exactly by weighted
 linear least squares on the columns [e cos, e sin, 1] or [e].  The
@@ -25,7 +26,10 @@ Decays start from three tau seeds, oscillations from five seeds spread
 around the FFT frequency estimate (this model family has local minima).
 A start may spend 200 residual evaluations per nonlinear parameter; one
 that runs out, or whose tau overflows, counts as not converged, and the
-best converged start wins.  One-sigma errors come from the full model's
+best converged start wins.  Floating-point errors raise inside the
+residual only: ``leastsq`` also inverts R for a covariance the fits do
+not read, and on a runaway tau that step may overflow in a start that
+converged.  One-sigma errors come from the full model's
 Jacobian at the optimum.  Time units are whatever the caller passes
 in; the derived 1/e time comes back in the same units.
 """
@@ -40,6 +44,13 @@ import numpy as np
 _COST_TOL = 1e-10      # relative cost convergence tolerance
 _FLAT_REL = 1e-12      # below this relative spread, data counts as constant
 _NFEV_PER_PARAM = 200  # outer residual evaluations per nonlinear parameter
+
+# least_squares' messages for MINPACK's failed exits: they reach a
+# campaign's error line, so the text is kept
+_LMDER_FAILURES = {
+    0: "Improper input parameters status returned from `leastsq`",
+    5: "The maximum number of function evaluations is exceeded.",
+}
 
 
 class FittingError(RuntimeError):
@@ -141,7 +152,7 @@ def _prepare(t, y, sigma):
 
 def _run_starts(model, t, y, w, starts):
     # imported here so that campaigns without a fit never load the solver
-    from scipy.optimize import least_squares
+    from scipy.optimize import leastsq
 
     names = _PARAM_NAMES[model]
     yw = y / w
@@ -156,16 +167,18 @@ def _run_starts(model, t, y, w, starts):
             if not np.all(np.isfinite(x)):  # MINPACK's own overflow
                 raise FloatingPointError(f"solver stepped to {x}")
             last.clear()
-            cols, dcols = _columns(model, t, (math.exp(x[0]), *x[1:]))
-            cols, dcols = cols / w[:, None], dcols / w[:, None]
-            u, s, vt = np.linalg.svd(cols, full_matrices=False)
-            # lstsq's default cutoff
-            keep = s > s[0] * np.finfo(float).eps * max(cols.shape)
-            u, s, vt = u[:, keep], s[keep], vt[keep]
-            uy = u.T @ yw
-            r = u @ uy - yw
-            dc = dcols @ (vt.T @ (uy / s))
-            jac = dc - (dc @ u + ((r @ dcols) @ vt.T) / s) @ u.T
+            # a start whose tau overflows fails here, not in the caller
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                cols, dcols = _columns(model, t, (math.exp(x[0]), *x[1:]))
+                cols, dcols = cols / w[:, None], dcols / w[:, None]
+                u, s, vt = np.linalg.svd(cols, full_matrices=False)
+                # lstsq's default cutoff
+                keep = s > s[0] * np.finfo(float).eps * max(cols.shape)
+                u, s, vt = u[:, keep], s[keep], vt[keep]
+                uy = u.T @ yw
+                r = u @ uy - yw
+                dc = dcols @ (vt.T @ (uy / s))
+                jac = dc - (dc @ u + ((r @ dcols) @ vt.T) / s) @ u.T
             last[key] = r, jac.T
         return last[key]
 
@@ -173,30 +186,38 @@ def _run_starts(model, t, y, w, starts):
     for start in starts:
         x0 = np.array([math.log(start[0]), *start[1:]])
         try:
-            # a start whose tau overflows fails here, not in the caller
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                res = least_squares(lambda x: projected(x)[0], x0,
-                                    jac=lambda x: projected(x)[1],
-                                    method="lm", ftol=_COST_TOL, xtol=1e-14,
-                                    gtol=1e-14,
-                                    max_nfev=_NFEV_PER_PARAM * len(x0))
+            # MINPACK's lmder with its own column scaling (diag=None),
+            # the call least_squares(method="lm") makes, so the same
+            # iterates.  leastsq also inverts R for a covariance that is
+            # never read; on a runaway tau that overflows, so FP errors
+            # raise in the residual only.
+            with np.errstate(all="ignore"):
+                x, _, info, _, ier = leastsq(
+                    lambda x: projected(x)[0], x0,
+                    Dfun=lambda x: projected(x)[1], full_output=True,
+                    ftol=_COST_TOL, xtol=1e-14, gtol=1e-14,
+                    maxfev=_NFEV_PER_PARAM * len(x0))
         except (ValueError, ArithmeticError) as exc:
             # ValueError includes numpy's LinAlgError
             diagnostics.append(f"start {start}: {exc}")
             continue
-        nfev += res.nfev
-        if not res.success:
-            diagnostics.append(f"start {start}: {res.message}")
+        nfev += info["nfev"]
+        # ier 6-8 need a tolerance at machine epsilon, so cannot occur
+        if ier not in (1, 2, 3, 4):
+            diagnostics.append(f"start {start}: {_LMDER_FAILURES[ier]}")
             continue
-        if best is None or res.cost < best.cost * (1.0 - _COST_TOL):
-            best = res
+        fvec = info["fvec"]
+        cost = 0.5 * np.dot(fvec, fvec)
+        if best is None or cost < best[2] * (1.0 - _COST_TOL):
+            best = x, fvec, cost
     if best is None:
         raise FittingError(
             f"{model} fit did not converge from any start; "
             + "; ".join(diagnostics)
         )
     # cos is even and sin odd, so the coefficients at |f| fit as well
-    theta = (math.exp(best.x[0]), *np.abs(best.x[1:]))
+    x, fvec, cost = best
+    theta = (math.exp(x[0]), *np.abs(x[1:]))
     p = dict(zip(_NONLINEAR[model], (float(v) for v in theta)))
     coef = np.linalg.lstsq(_columns(model, t, theta)[0] / w[:, None], yw,
                            rcond=None)[0]
@@ -208,11 +229,11 @@ def _run_starts(model, t, y, w, starts):
                  phase=math.atan2(-beta, alpha), offset=offset)
     jac = _full_jacobian(model, t, p) / w[:, None]
     dof = max(len(t) - len(names), 1)
-    cov = np.linalg.pinv(jac.T @ jac) * (2.0 * best.cost / dof)
+    cov = np.linalg.pinv(jac.T @ jac) * (2.0 * cost / dof)
     sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     params = {name: p[name] for name in names}
     sigmas = dict(zip(names, (float(v) for v in sig)))
-    return params, sigmas, float(np.linalg.norm(best.fun)), nfev
+    return params, sigmas, float(np.linalg.norm(fvec)), nfev
 
 
 def _constant_sentinel(model: str, y: np.ndarray, n: int) -> FitResult:

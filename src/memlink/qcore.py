@@ -15,7 +15,8 @@ channel per delay, say); every channel in it is checked, and an empty
 one passes.  A channel acts forward on a state, or on a stack of
 states in one product (``apply_to_second``), or backward on
 measurement effects (``adjoint_matrix``, the Heisenberg picture:
-Tr[E Phi(rho)] = Tr[Phi^dag(E) rho]).
+Tr[E Phi(rho)] = Tr[Phi^dag(E) rho]).  The adjoint and the Kraus check
+are each one batched matrix product over the Kraus index.
 
 ``ATOL_ACCUM`` is the tolerance for quantities assembled from chains of
 operations, such as the completeness of a Kraus set.
@@ -62,7 +63,7 @@ class KrausChannel:
             raise QuantumStateError(
                 f"Kraus operators must be square, got shape {ops.shape}")
         self.operators = ops
-        total = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
+        total = (ops.conj().swapaxes(-1, -2) @ ops).sum(-3)
         # an empty stack holds no channel to check
         deviation = np.abs(np.linalg.eigvalsh(
             total - np.eye(self.dim))).max(initial=0.0)
@@ -100,9 +101,15 @@ def adjoint_matrix(channel: KrausChannel) -> np.ndarray:
 
     One matrix per channel of a stack; the adjoint of Phi then Psi is
     M_Psi @ M_Phi, so a chain of maps composes by matrix products
-    (Wood, Biamonte & Cory, arXiv:1111.6950).
+    (Wood, Biamonte & Cory, arXiv:1111.6950).  It is built as one
+    matrix product over the Kraus index, so where each entry has at
+    most one nonzero Kraus term, as in every loss and transfer channel,
+    it equals the entry-wise sum bit for bit.
     """
     ops = channel.operators
-    mat = np.einsum("...kxa,...kyb->...xyab", ops.conj(), ops)
-    d2 = channel.dim ** 2
-    return mat.reshape(mat.shape[:-4] + (d2, d2))
+    d = channel.dim
+    # sum_k conj(K_k)[x, a] K_k[y, b] as one (x a, k) @ (k, y b) product
+    left = ops.conj().reshape(ops.shape[:-2] + (d * d,)).swapaxes(-1, -2)
+    mat = left @ ops.reshape(ops.shape[:-2] + (d * d,))
+    mat = mat.reshape(ops.shape[:-3] + (d, d, d, d)).swapaxes(-3, -2)
+    return mat.reshape(ops.shape[:-3] + (d * d, d * d))

@@ -282,3 +282,22 @@ class TestConfigHash:
         for key in ("scenario", "trials", "seed", "source", "channel",
                     "coherence", "geometry", "eit", "detectors", "timeline"):
             assert key in mapping
+
+    @pytest.mark.parametrize("mode", ("auto", "analytic", "mc"))
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_c_emitter_writes_safe_dump_text(self, scenario, mode):
+        if not hasattr(yaml, "CSafeDumper"):
+            pytest.skip("PyYAML built without libyaml")
+        for bundle in (ExperimentBundle(), calibrated_bundle()):
+            mapping = config_to_mapping(CampaignConfig(
+                scenario=scenario, mode=mode, bundle=bundle))
+            assert (yaml.dump(mapping, Dumper=yaml.CSafeDumper,
+                              sort_keys=True)
+                    == yaml.safe_dump(mapping, sort_keys=True))
+
+    def test_hash_without_libyaml_is_the_same(self, monkeypatch):
+        configs = [CampaignConfig(scenario=s, bundle=calibrated_bundle())
+                   for s in SCENARIOS] + [CampaignConfig()]
+        hashes = [config_hash(cfg) for cfg in configs]
+        monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+        assert [config_hash(cfg) for cfg in configs] == hashes

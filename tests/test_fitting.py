@@ -371,17 +371,18 @@ def polished_optimum(t, y, params):
 @pytest.fixture
 def solves(monkeypatch):
     """(residual, Jacobian, start, result) of every solver run a fit
-    makes, recorded from scipy's least_squares."""
+    makes, recorded from scipy's leastsq."""
     import scipy.optimize
 
     runs = []
-    original = scipy.optimize.least_squares
+    original = scipy.optimize.leastsq
 
-    def recording(fun, x0, **kwargs):
-        res = original(fun, x0, **kwargs)
-        runs.append((fun, kwargs["jac"], np.array(x0, dtype=float), res.x))
-        return res
-    monkeypatch.setattr(scipy.optimize, "least_squares", recording)
+    def recording(func, x0, **kwargs):
+        out = original(func, x0, **kwargs)
+        runs.append((func, kwargs.get("Dfun"), np.array(x0, dtype=float),
+                     out[0]))
+        return out
+    monkeypatch.setattr(scipy.optimize, "leastsq", recording)
     return runs
 
 
@@ -415,16 +416,15 @@ class TestExactJacobian:
 
     def test_sweeps_take_no_finite_difference_steps(self, monkeypatch,
                                                     tmp_path, solves):
-        from scipy.optimize import (_differentiable_functions, _numdiff,
-                                    least_squares)
+        from scipy.optimize import _minpack, leastsq
 
         def refuse(*args, **kwargs):
             raise AssertionError("finite-difference Jacobian step")
-        for module in (_numdiff, _differentiable_functions):
-            monkeypatch.setattr(module, "approx_derivative", refuse)
+        # MINPACK's lmdif is lmder on a forward-difference Jacobian
+        monkeypatch.setattr(_minpack, "_lmdif", refuse)
         # the patch bites: a solve without a Jacobian needs those steps
         with pytest.raises(AssertionError, match="finite-difference"):
-            least_squares(lambda x: x - 1.0, np.zeros(1))
+            leastsq(lambda x: x - 1.0, np.zeros(1))
         for scenario in ("lifetime", "correlation-sweep", "mains"):
             res = run_experiment(CampaignConfig(
                 scenario=scenario, mode="analytic",
@@ -432,6 +432,7 @@ class TestExactJacobian:
             assert res.error is None and res.passed, scenario
         # 3 starts for each of the five decays, 5 for each damped cosine
         assert len(solves) == 5 * 3 + 2 * 5
+        assert all(jac is not None for _, jac, _, _ in solves)
 
     # growing oscillations: the envelope can only decay, so the solver
     # drives tau up until exp(log tau) overflows, or until MINPACK's
@@ -448,6 +449,29 @@ class TestExactJacobian:
                            r"start \[30\. +0\.2\]: " + message):
             fitting._run_starts("damped-cosine", t, y, np.ones_like(t),
                                 [np.array([30.0, 0.2])])
+
+    def test_runaway_tau_start_still_converges(self):
+        # the X,X points of the mc correlation-sweep at seed 101: the
+        # data do not bound tau, and from the first start the solver
+        # drives it to ~1e261.  leastsq's unused covariance overflows
+        # there, which must not fail the start
+        t = np.linspace(0.0, 400.0, 25)[
+            [1, 4, 5, 6, 7, 10, 12, 14, 18, 20, 22, 23, 24]]
+        y = np.array([1, 0, 1, 1, 1, -0.5, 0, 0, 1, 1, 1, 1, 0], dtype=float)
+        start = np.array([t[-1] - t[0], fitting._fft_frequency(t, y)])
+        np.testing.assert_allclose(start, [383.333333, 0.00481605351],
+                                   rtol=1e-8)
+        params, _, _, _ = fitting._run_starts(
+            "damped-cosine", t, y, np.ones_like(t), [start])
+        assert 1e200 < params["tau"] < math.inf
+
+    def test_exhausted_budget_gives_the_solver_message(self, monkeypatch):
+        monkeypatch.setattr(fitting, "_NFEV_PER_PARAM", 1)
+        model, t, y, sigma = noisy_trace(2)
+        with pytest.raises(FittingError, match=r"start \[[^]]*\]: The "
+                           r"maximum number of function evaluations is "
+                           r"exceeded\."):
+            separable_fit(model, t, y, sigma)
 
     def test_negative_frequency_reported_as_positive(self):
         # from a start at -f the solver converges to -f; the report folds

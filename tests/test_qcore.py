@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from memlink import detection, memory_a, qcore
+from memlink.config import ExperimentBundle
 from memlink.qcore import (PAULI, KrausChannel, QuantumStateError,
                            adjoint_matrix, apply_to_second)
 from oracles import (apply_channel, embedded, expectation, partial_trace,
@@ -224,6 +226,40 @@ class TestFactorLocalMaps:
         np.testing.assert_allclose(np.trace(pulled @ rho),
                                    np.trace(obs @ apply_channel(
                                        rho, ch.operators)), atol=1e-14)
+
+    def test_adjoint_matrix_is_the_kraus_sum_bit_for_bit(self,
+                                                         monkeypatch):
+        # every loss and transfer channel a 250-delay sweep builds, at
+        # node A (stacked by delay) and in the prefix (one per map): each
+        # entry has at most one nonzero Kraus term, so the one product
+        # gives the entry-wise sum's bits
+        seen = []
+
+        def recording(channel):
+            seen.append(channel)
+            return adjoint_matrix(channel)
+        monkeypatch.setattr(qcore, "adjoint_matrix", recording)
+        monkeypatch.setattr(memory_a, "adjoint_matrix", recording)
+        detection.trial_distributions(ExperimentBundle(), [None],
+                                      np.linspace(0.0, 400e-6, 250))
+        kinds = sorted({(ch.name, ch.operators.shape[:-3]) for ch in seen})
+        assert kinds == [("loss", ()), ("loss", (250,)),
+                         ("transfer", (250,))]
+        for ch in seen:
+            ops = ch.operators
+            want = np.einsum("...kxa,...kyb->...xyab", ops.conj(), ops)
+            assert np.array_equal(adjoint_matrix(ch), want.reshape(
+                ops.shape[:-3] + (ch.dim ** 2,) * 2))
+
+    def test_adjoint_matrix_of_a_complex_channel(self):
+        rng = np.random.default_rng(8)
+        # three Kraus operators from the blocks of a random isometry
+        iso = np.linalg.qr(rng.normal(size=(9, 3))
+                           + 1j * rng.normal(size=(9, 3)))[0]
+        ch = KrausChannel(iso.reshape(3, 3, 3))
+        want = np.einsum("kxa,kyb->xyab", ch.operators.conj(), ch.operators)
+        np.testing.assert_allclose(adjoint_matrix(ch), want.reshape(9, 9),
+                                   rtol=0.0, atol=1e-14)
 
     def test_stacked_channels_are_checked_one_by_one(self):
         good = loss_channel_qubit(0.5).operators
